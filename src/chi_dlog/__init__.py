@@ -8,6 +8,7 @@ from .errors import (
     CapExceeded,
     ChiDlogError,
     DegenerateNorm,
+    InvariantViolation,
     LayoutMismatch,
     NoInverse,
     NotAGenerator,
@@ -31,6 +32,7 @@ from .group import (
     is_cyclic_modulus,
     mod_inverse,
     multiplicative_order,
+    power_indices,
     prime_factors,
     primitive_root,
     totient,
@@ -57,6 +59,7 @@ from .qstate import (
     tensor,
 )
 from .transforms import (
+    controlled_multiply,
     div_alpha_apply,
     div_alpha_permutation,
     div_x_apply,

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactMismatch, RetryLimitExceeded, UnverifiedChi
-from .group import GroupSpec, gcd, mod_inverse, validate_group
+from .errors import ArtifactMismatch, InvariantViolation, RetryLimitExceeded, UnverifiedChi
+from .group import GroupSpec, gcd, mod_inverse, power_indices, validate_group
 from .qstate import (
     ExponentRegister,
     GroupRegister,
@@ -47,17 +47,14 @@ __all__ = [
 ]
 
 FIDELITY_TOL = 1e-9
-VERIFY_MAX_ORDER = 64  # structural assertions default on up to this order
+VERIFY_MAX_ORDER = 64  # structural checks default on up to this order
 
 
 def chi_reference(spec: GroupSpec, power: int) -> QState:
     """Reference chi state built directly from its definition."""
     m = spec.order
-    amps = np.zeros(m, dtype=np.complex128)
-    x = spec.identity
-    for r in range(m):
-        amps[spec.index_of(x)] = np.exp(2j * np.pi * ((power * r) % m) / m)
-        x = spec.mul(x, spec.generator)
+    amps = np.empty(m, dtype=np.complex128)
+    amps[power_indices(spec)] = np.exp(2j * np.pi * ((power % m) * np.arange(m) % m) / m)
     amps /= np.sqrt(m)
     return QState(RegisterLayout((GroupRegister(spec),)), amps)
 
@@ -89,7 +86,7 @@ class PrepStats:
     acceptance_probability: float | None = None
 
 
-def _assert_superposed_structure(spec: GroupSpec, state: QState) -> None:
+def _check_superposed_structure(spec: GroupSpec, state: QState) -> None:
     """Check that every exponent column holds that power's chi state, scaled."""
     m = spec.order
     grid = state.amplitudes.reshape(m, m)  # [group index, exponent label]
@@ -97,8 +94,9 @@ def _assert_superposed_structure(spec: GroupSpec, state: QState) -> None:
     for s in range(m):
         ref = chi_reference(spec, s).amplitudes * scale
         drift = float(np.max(np.abs(grid[:, s] - ref)))
-        assert drift <= FIDELITY_TOL, \
-            f"pre-measurement column {s} drifted {drift:.3e} from its chi state"
+        if not drift <= FIDELITY_TOL:
+            raise InvariantViolation(
+                f"pre-measurement column {s} drifted {drift:.3e} from its chi state")
 
 
 def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
@@ -129,11 +127,11 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     for attempts in range(1, max_attempts + 1):
         # round: superpose exponents, load powers, transform again
         state = basis_state(layout, (0, spec.identity))
-        state = qft_apply(state, 0, check_unitary=check)
+        state = qft_apply(state, 0)
         state = power_oracle_apply(state)
-        state = qft_apply(state, 0, check_unitary=check)
+        state = qft_apply(state, 0)
         if check:
-            _assert_superposed_structure(spec, state)
+            _check_superposed_structure(spec, state)
         if mode == "exhaustive":
             probs = marginal_distribution(state, 0)
             acceptance = float(sum(probs[s] for s in range(m) if gcd(s, m) == 1))
@@ -151,7 +149,8 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
         raise RetryLimitExceeded(
             f"no coprime measurement within {max_attempts} attempts for order {m}")
 
-    assert gcd(success, m) == 1
+    if gcd(success, m) != 1:
+        raise InvariantViolation(f"accepted s={success} shares a factor with m={m}")
     # the measured register is classical now: split it off, then rebuild the
     # pair as (uniform chi, surviving chi) and divide down to power 1
     exp_layout = RegisterLayout((ExponentRegister(m),))
@@ -162,7 +161,9 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
 
     handle = ChiHandle(power=1, state=chi_state)
     fid = handle.verify()
-    assert handle.verified, f"prepared state fidelity {fid} below {1 - FIDELITY_TOL}"
+    if not handle.verified:
+        raise InvariantViolation(
+            f"prepared state fidelity {fid} below {1 - FIDELITY_TOL}")
     stats = PrepStats(attempts=attempts, observed_s=observed, success_s=success,
                       acceptance_probability=acceptance)
     return handle, stats
@@ -186,7 +187,8 @@ def chi_power_from(spec: GroupSpec, source: ChiHandle, alpha: int,
     new_state = factor_out(joint, 1, source.state)
     untouched = factor_out(joint, 0, chi_reference(spec, new_power))
     drift = fidelity(untouched, source.state)
-    assert drift >= 1.0 - FIDELITY_TOL, f"source register drifted to fidelity {drift}"
+    if not drift >= 1.0 - FIDELITY_TOL:
+        raise InvariantViolation(f"source register drifted to fidelity {drift}")
     handle = ChiHandle(power=new_power, state=new_state)
     handle.verify()
     return handle

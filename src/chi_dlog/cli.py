@@ -102,8 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_dim_cap(args) -> None:
-    if getattr(args, "dim_cap", None):
-        os.environ[DIM_CAP_ENV] = str(args.dim_cap)
+    if args.dim_cap is None:
+        return
+    if args.dim_cap < 1:
+        raise ValueError(f"--dim-cap must be at least 1, got {args.dim_cap}")
+    os.environ[DIM_CAP_ENV] = str(args.dim_cap)
 
 
 def _verify_flag(args) -> bool | None:
@@ -237,7 +240,7 @@ def main(argv=None) -> int:
     except (NotCoprime, NotAGenerator, NotInGroup, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_GROUP
-    except (ChiDlogError, AssertionError) as exc:
+    except ChiDlogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chi import ChiHandle, chi_reference, prepare_chi
-from .errors import LayoutMismatch, UnverifiedChi
+from .chi import VERIFY_MAX_ORDER, ChiHandle, chi_reference, prepare_chi
+from .errors import InvariantViolation, LayoutMismatch, UnverifiedChi
 from .group import GroupSpec, dlog_oracle
 from .qstate import (
     ExponentRegister,
@@ -79,14 +79,15 @@ class DlogResult:
     marginal: np.ndarray | None = None
 
 
-def _assert_phase_kickback(m: int, before: np.ndarray, after: np.ndarray,
+def _check_phase_kickback(m: int, before: np.ndarray, after: np.ndarray,
                            p: int) -> None:
     """The division must multiply each exponent column by its phase, only."""
     grid_before = before.reshape(-1, m)
     grid_after = after.reshape(-1, m)
     phases = np.exp(2j * np.pi * ((p * np.arange(m)) % m) / m)
     drift = float(np.max(np.abs(grid_after - grid_before * phases[np.newaxis, :])))
-    assert drift <= 1e-9, f"phase kick-back drifted by {drift:.3e}"
+    if not drift <= 1e-9:
+        raise InvariantViolation(f"phase kick-back drifted by {drift:.3e}")
 
 
 def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
@@ -106,7 +107,7 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
         raise LayoutMismatch("chi handle belongs to a different group")
     spec.index_of(x)
     m = spec.order
-    check = (m <= 64) if verify is None else verify
+    check = (m <= VERIFY_MAX_ORDER) if verify is None else verify
     p_true = dlog_oracle(spec, x)
     ledger = ResourceLedger()
 
@@ -114,14 +115,14 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
     joint = tensor(exp_zero, chi.state)
     ledger.registers_used = len(joint.layout.registers)
 
-    joint = qft_apply(joint, 0, check_unitary=check)
+    joint = qft_apply(joint, 0)
     ledger.fourier_count += 1
     before = joint.amplitudes.copy() if check else None
     joint = div_x_apply(joint, x)
     ledger.division_ops += 1
     if check:
-        _assert_phase_kickback(m, before, joint.amplitudes, p_true)
-    joint = qft_apply(joint, 0, inverse=True, check_unitary=check)
+        _check_phase_kickback(m, before, joint.amplitudes, p_true)
+    joint = qft_apply(joint, 0, inverse=True)
     ledger.fourier_count += 1
 
     marginal = marginal_distribution(joint, 0)

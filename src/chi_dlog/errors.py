@@ -29,6 +29,10 @@ class NotUnitary(ChiDlogError):
     """A matrix failed the unitarity check."""
 
 
+class InvariantViolation(ChiDlogError):
+    """A structural check of the simulation failed; the result cannot be trusted."""
+
+
 class NotBijective(ChiDlogError):
     """A permutation table is not a bijection on basis indices."""
 

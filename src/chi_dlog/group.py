@@ -24,6 +24,7 @@ __all__ = [
     "is_cyclic_modulus",
     "mod_inverse",
     "multiplicative_order",
+    "power_indices",
     "prime_factors",
     "primitive_root",
     "totient",
@@ -251,6 +252,16 @@ def cyclic_group(m: int) -> GroupSpec:
     if m < 1:
         raise ValueError(f"order {m} must be positive")
     return group_from_mul(1 % m, lambda a, b, _m=m: (a + b) % _m)
+
+
+def power_indices(spec: GroupSpec) -> list[int]:
+    """Basis index of g**k for k = 0..m-1, from one walk of m multiplications."""
+    out = []
+    x = spec.identity
+    for _ in range(spec.order):
+        out.append(spec.index_of(x))
+        x = spec.mul(x, spec.generator)
+    return out
 
 
 def dlog_oracle(spec: GroupSpec, x: int) -> int:

@@ -61,7 +61,15 @@ DIM_CAP_ENV = "CHI_DLOG_DIM_CAP"
 def dim_cap() -> int:
     """Active cap on total amplitude count (env CHI_DLOG_DIM_CAP overrides)."""
     raw = os.environ.get(DIM_CAP_ENV, "").strip()
-    return int(raw) if raw else DEFAULT_DIM_CAP
+    if not raw:
+        return DEFAULT_DIM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(f"{DIM_CAP_ENV}={raw!r} is not an integer") from None
+    if cap < 1:
+        raise ValueError(f"{DIM_CAP_ENV}={raw!r} must be at least 1")
+    return cap
 
 
 @dataclass(frozen=True)

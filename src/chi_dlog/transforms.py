@@ -1,10 +1,14 @@
-"""The Fourier transform over Z/mZ and the exact division/power permutations.
+"""The Fourier transform over Z/mZ and the exact division/power operators.
 
-The Fourier operator is a dense matrix with entries exp(2*pi*i*x*y/m)/sqrt(m);
-exponents are reduced mod m before evaluation so the phase argument never
-grows. The division and power operators are pure basis permutations built
-from group multiplication alone (never from a discrete-log lookup), realized
-as explicit joint-index tables validated bijective at construction.
+The Fourier transform is numpy's pocketfft, which covers every length (primes
+through Bluestein's algorithm) with kernel exp(2*pi*i*x*y/m)/sqrt(m). The
+division and power operators are one primitive, controlled_multiply, which
+moves amplitudes along the power walk of a single multiplier built from group
+multiplication alone (never from a discrete-log lookup).
+
+The dense Fourier matrix and the joint-index permutation tables below are
+reference oracles for the verify suites and the tests; nothing on the
+simulation path calls them.
 """
 from __future__ import annotations
 
@@ -12,18 +16,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import WrongLayout, WrongRegisterKind
-from .group import GroupSpec
+from .errors import NotBijective, WrongLayout, WrongRegisterKind
+from .group import GroupSpec, power_indices
 from .qstate import (
     BasisPermutation,
     ExponentRegister,
     GroupRegister,
     QState,
-    apply_basis_permutation,
-    apply_register_unitary,
 )
 
 __all__ = [
+    "controlled_multiply",
     "div_alpha_apply",
     "div_alpha_permutation",
     "div_x_apply",
@@ -37,7 +40,10 @@ __all__ = [
 
 @lru_cache(maxsize=64)
 def fourier_matrix(m: int, inverse: bool = False) -> np.ndarray:
-    """Dense m x m Fourier matrix; the inverse is the conjugate transpose."""
+    """Dense m x m Fourier matrix; the inverse is the conjugate transpose.
+
+    Reference oracle only: qft_apply never builds it.
+    """
     if m < 1:
         raise ValueError(f"dimension {m} must be positive")
     k = np.outer(np.arange(m), np.arange(m)) % m
@@ -47,33 +53,22 @@ def fourier_matrix(m: int, inverse: bool = False) -> np.ndarray:
     return mat
 
 
-def qft_apply(state: QState, register_index: int, inverse: bool = False,
-              use_fft: bool = False, check_unitary: bool = False) -> QState:
-    """Fourier-transform one exponent register.
-
-    The dense matrix application is the normative path. use_fft switches to a
-    mixed-radix fast path (numpy's pocketfft) that agrees with the dense path
-    within 1e-9; it exists for large orders only and is off by default.
-    """
+def qft_apply(state: QState, register_index: int, inverse: bool = False) -> QState:
+    """Fourier-transform one exponent register with an O(m log m) FFT."""
     regs = state.layout.registers
     if not 0 <= register_index < len(regs):
         raise WrongLayout(f"no register {register_index} in this layout")
-    reg = regs[register_index]
-    if not isinstance(reg, ExponentRegister):
+    if not isinstance(regs[register_index], ExponentRegister):
         raise WrongRegisterKind("the Fourier transform acts on exponent registers only")
-    if not use_fft:
-        return apply_register_unitary(
-            state, register_index, fourier_matrix(reg.dim, inverse), check_unitary)
-    m = reg.dim
-    root = np.sqrt(m)
     if len(regs) == 1:
         axis = 0
         data = state.amplitudes
     else:
         data = state.amplitudes.reshape(regs[1].dim, regs[0].dim)
         axis = 1 if register_index == 0 else 0
-    # forward transform has the +2*pi*i/m kernel: that is ifft scaled by m
-    out = np.fft.fft(data, axis=axis) / root if inverse else np.fft.ifft(data, axis=axis) * root
+    # the forward transform has the +2*pi*i/m kernel, which numpy calls ifft
+    transform = np.fft.fft if inverse else np.fft.ifft
+    out = transform(data, axis=axis, norm="ortho")
     return QState(state.layout, np.ascontiguousarray(out).reshape(-1))
 
 
@@ -81,6 +76,36 @@ def _mult_index_perm(spec: GroupSpec, c: int) -> np.ndarray:
     """Basis-index table of right multiplication y -> y*c."""
     return np.fromiter((spec.index_of(spec.mul(y, c)) for y in spec.elements),
                        dtype=np.int64, count=spec.order)
+
+
+def controlled_multiply(state: QState, step: int, order) -> QState:
+    """Map |order[k], y> -> |order[k], y * step**k> on a two-register state.
+
+    Register 1 must be a group register; order lists every basis index of
+    register 0 once. Row k of the map is the permutation "multiply by step"
+    composed k times, so one bijectivity check covers every row.
+    """
+    regs = state.layout.registers
+    if len(regs) != 2 or not isinstance(regs[1], GroupRegister):
+        raise WrongLayout("expected a (control, group) register pair")
+    spec = regs[1].group
+    d0, m = regs[0].dim, spec.order
+    one = _mult_index_perm(spec, step)
+    order = np.asarray(order, dtype=np.intp)
+    for perm, n, what in ((one, m, f"multiplying by {step!r}"),
+                          (order, d0, "the control order")):
+        if perm.shape != (n,) or perm.min() < 0 or perm.max() >= n \
+                or np.bincount(perm, minlength=n).max() != 1:
+            raise NotBijective(f"{what} is not a permutation of {n} basis indices")
+    new = np.empty_like(state.amplitudes)
+    # row c of the transposed grid holds the amplitudes of control index c
+    src = state.amplitudes.reshape(m, d0).T
+    dst = new.reshape(m, d0).T
+    cur = np.arange(m)
+    for c in order.tolist():
+        dst[c][cur] = src[c]
+        cur = one[cur]
+    return QState(state.layout, new)
 
 
 def _joint_table(rows: np.ndarray, d0: int) -> np.ndarray:
@@ -148,17 +173,18 @@ def _exponent_group(state: QState) -> GroupSpec:
 def div_alpha_apply(state: QState, alpha: int) -> QState:
     """Divide the right register by the left register raised to alpha."""
     spec = _group_group(state)
-    return apply_basis_permutation(state, div_alpha_permutation(spec, alpha % spec.order))
+    # the left label g**k picks up (g**-alpha)**k
+    return controlled_multiply(state, spec.pow(spec.generator, -alpha),
+                               power_indices(spec))
 
 
 def div_x_apply(state: QState, x: int) -> QState:
     """Divide the right register by x raised to the left exponent register."""
     spec = _exponent_group(state)
-    spec.index_of(x)
-    return apply_basis_permutation(state, div_x_permutation(spec, x))
+    return controlled_multiply(state, spec.inverse(x), range(spec.order))
 
 
 def power_oracle_apply(state: QState) -> QState:
     """Multiply the right register by g raised to the left exponent register."""
     spec = _exponent_group(state)
-    return apply_basis_permutation(state, power_oracle_permutation(spec))
+    return controlled_multiply(state, spec.generator, range(spec.order))

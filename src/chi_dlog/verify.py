@@ -30,14 +30,18 @@ from .qstate import (
     GroupRegister,
     QState,
     RegisterLayout,
+    apply_basis_permutation,
     fidelity,
 )
 from .transforms import (
+    div_alpha_apply,
     div_alpha_permutation,
     div_x_apply,
     div_x_permutation,
     fourier_matrix,
+    power_oracle_apply,
     power_oracle_permutation,
+    qft_apply,
 )
 
 __all__ = ["SuiteResult", "check_chi_file", "run_all_suites"]
@@ -125,12 +129,26 @@ def fourier_suite(max_m: int) -> SuiteResult:
     for m in range(1, min(max_m, 32) + 1):
         f = fourier_matrix(m)
         finv = fourier_matrix(m, inverse=True)
+        layout = RegisterLayout((ExponentRegister(m),))
         for x in range(m):
             v = np.zeros(m, dtype=np.complex128)
             v[x] = 1.0
             err = float(np.max(np.abs(finv @ (f @ v) - v)))
             res.add(err <= TOL, f"F then F^-1 moved basis state {x} of {m} by {err:.3e}")
+            # the FFT that runs the simulation against the dense oracle
+            fwd = qft_apply(QState(layout, v), 0)
+            err = float(np.max(np.abs(fwd.amplitudes - f @ v)))
+            res.add(err <= TOL, f"FFT differs from F on basis state {x} of {m} by {err:.3e}")
+            back = qft_apply(fwd, 0, inverse=True).amplitudes
+            err = float(np.max(np.abs(back - v)))
+            res.add(err <= TOL, f"FFT round trip moved basis state {x} of {m} by {err:.3e}")
     return res
+
+
+def _random_state(layout: RegisterLayout, seed: int) -> QState:
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    return QState(layout, amps / np.linalg.norm(amps))
 
 
 def division_suite(max_m: int) -> SuiteResult:
@@ -138,7 +156,20 @@ def division_suite(max_m: int) -> SuiteResult:
     for spec in _table_groups(min(max_m, 16)) + _unit_groups(min(max_m, 16), n_limit=20):
         m = spec.order
         ident = np.arange(m * m)
+        pair = _random_state(RegisterLayout((GroupRegister(spec),) * 2), m)
+        run = _random_state(RegisterLayout((ExponentRegister(m), GroupRegister(spec))), m)
+        want = apply_basis_permutation(run, power_oracle_permutation(spec))
+        res.add(bool(np.array_equal(power_oracle_apply(run).amplitudes, want.amplitudes)),
+                f"power oracle disagrees with its table at m={m}")
+        for x in spec.elements:
+            want = apply_basis_permutation(run, div_x_permutation(spec, x))
+            res.add(bool(np.array_equal(div_x_apply(run, x).amplitudes, want.amplitudes)),
+                    f"D_x disagrees with its table at m={m}, x={x}")
         for alpha in range(m):
+            want = apply_basis_permutation(pair, div_alpha_permutation(spec, alpha))
+            res.add(bool(np.array_equal(div_alpha_apply(pair, alpha).amplitudes,
+                                        want.amplitudes)),
+                    f"division by x^{alpha} disagrees with its table at m={m}")
             t = div_alpha_permutation(spec, alpha).table
             t_neg = div_alpha_permutation(spec, -alpha % m).table
             res.add(bool(np.array_equal(t_neg[t], ident)),

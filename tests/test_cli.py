@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from chi_dlog import __version__
+from chi_dlog import __version__, cli
 from chi_dlog.chi import load_chi
 from chi_dlog.cli import main
+from chi_dlog.errors import InvariantViolation
 from chi_dlog.qstate import DIM_CAP_ENV
 
 
@@ -191,6 +192,34 @@ def test_dim_cap_flag_exits_3(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x", "2",
                                   "--prepare", "--dim-cap", "100"])
     assert code == 3
+
+
+def test_dim_cap_flag_below_one_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv(DIM_CAP_ENV, str(2 ** 24))
+    code, out, err = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x", "2",
+                                      "--prepare", "--dim-cap", "0"])
+    assert code == 2
+    assert out == ""
+    assert "--dim-cap must be at least 1" in err
+
+
+def test_malformed_dim_cap_env_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv(DIM_CAP_ENV, "lots")
+    code, _, err = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x", "2",
+                                    "--prepare"])
+    assert code == 2
+    assert f"{DIM_CAP_ENV}='lots' is not an integer" in err
+
+
+def test_invariant_violation_exits_1(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("phase kick-back drifted by 1.000e+00")
+    monkeypatch.setattr(cli, "run_dlog_repeated", broken)
+    code, out, err = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x", "2",
+                                      "--prepare"])
+    assert code == 1
+    assert out == ""
+    assert "phase kick-back" in err
 
 
 def test_verify_subcommand(capsys):

@@ -1,11 +1,18 @@
 """The discrete log procedure, its ledger, and the result record format."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chi_dlog.chi import ChiHandle, chi_reference, prepare_chi
+import chi_dlog
+from chi_dlog import transforms
+from chi_dlog.chi import ChiHandle, chi_power_from, chi_reference, prepare_chi
 from chi_dlog.dlog import (
     SHOR_EXACT_FOURIER_TRANSFORMS,
     SHOR_EXACT_REGISTERS,
@@ -19,6 +26,11 @@ from chi_dlog.dlog import (
 )
 from chi_dlog.errors import LayoutMismatch, NotInGroup, UnverifiedChi
 from chi_dlog.group import dlog_oracle, validate_group
+
+# the order-3 subgroup modulo the prime 2**40 - 585, the largest modulus class
+# the validator accepts; products of labels reach 2**80
+P40 = 1099511627191
+G40 = pow(2, (P40 - 1) // 3, P40)
 
 Z5 = validate_group(5, 2)
 Z7 = validate_group(7, 3)
@@ -152,3 +164,56 @@ def test_ledger_addition():
     a = ResourceLedger(1, 2, 3, 4)
     b = ResourceLedger(10, 20, 30, 40)
     assert a + b == ResourceLedger(11, 22, 33, 44)
+
+
+def test_run_dlog_sweep_near_the_modulus_cap():
+    spec = validate_group(P40, G40)
+    assert spec.order == 3
+    handle, stats = prepare_chi(spec, mode="exhaustive", verify=True)
+    assert stats.acceptance_probability == pytest.approx(2 / 3, abs=1e-12)
+    for x in spec.elements:
+        result = run_dlog(spec, handle, x, verify=True)
+        assert pow(G40, result.measured_p, P40) == x
+        assert result.measured_p == result.oracle_p
+        assert result.success_probability >= 1 - 1e-9
+        assert result.chi_post_fidelity >= 1 - 1e-9
+
+
+def test_hot_path_never_calls_the_reference_oracles():
+    oracles = (transforms.fourier_matrix, transforms.div_alpha_permutation,
+               transforms.div_x_permutation, transforms.power_oracle_permutation)
+    before = [fn.cache_info()[:2] for fn in oracles]
+    spec = validate_group(19, 2)
+    handle, _ = prepare_chi(spec, seed=4, mode="sampled", verify=True)
+    run_dlog(spec, handle, 7, verify=True)
+    run_dlog(spec, handle, 11, mode="sampled", seed=1, verify=True)
+    chi_power_from(spec, handle, 5)
+    assert [fn.cache_info()[:2] for fn in oracles] == before
+
+
+def test_invariant_checks_survive_python_O():
+    # a handle corrupted after verify() must still be caught with asserts off
+    script = textwrap.dedent("""
+        import sys
+        from chi_dlog.chi import chi_reference, prepare_chi
+        from chi_dlog.dlog import run_dlog
+        from chi_dlog.errors import InvariantViolation
+        from chi_dlog.group import validate_group
+        print("optimize", sys.flags.optimize)
+        spec = validate_group(13, 2)
+        handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
+        handle.state = chi_reference(spec, 2)
+        try:
+            result = run_dlog(spec, handle, 6, verify=True)
+        except InvariantViolation as exc:
+            print("raised", exc)
+        else:
+            print("returned p =", result.measured_p)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(chi_dlog.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert lines[1].startswith("raised phase kick-back drifted"), lines

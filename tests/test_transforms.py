@@ -1,19 +1,29 @@
-"""Fourier matrices and the three index permutations, against direct recomputation."""
+"""The FFT and the controlled-multiply operators, against the dense Fourier
+matrix and the three reference permutation tables, and those oracles against
+direct recomputation."""
 
 import numpy as np
 import pytest
 
-from chi_dlog.errors import NotInGroup, NotUnitary, WrongLayout, WrongRegisterKind
-from chi_dlog.group import cyclic_group, validate_group
+from chi_dlog.errors import (
+    NotBijective,
+    NotInGroup,
+    NotUnitary,
+    WrongLayout,
+    WrongRegisterKind,
+)
+from chi_dlog.group import cyclic_group, cyclic_moduli, primitive_root, validate_group
 from chi_dlog.qstate import (
     ExponentRegister,
     GroupRegister,
     QState,
     RegisterLayout,
+    apply_basis_permutation,
     apply_register_unitary,
     basis_state,
 )
 from chi_dlog.transforms import (
+    controlled_multiply,
     div_alpha_apply,
     div_alpha_permutation,
     div_x_apply,
@@ -85,17 +95,20 @@ def test_qft_fft_path_matches_dense(register_index, dims):
     lay = RegisterLayout((ExponentRegister(dims[0]), ExponentRegister(dims[1])))
     state = random_state(lay, 23)
     for inverse in (False, True):
-        dense = qft_apply(state, register_index, inverse=inverse)
-        fast = qft_apply(state, register_index, inverse=inverse, use_fft=True)
+        dense = apply_register_unitary(
+            state, register_index, fourier_matrix(dims[register_index], inverse))
+        fast = qft_apply(state, register_index, inverse=inverse)
         assert np.abs(dense.amplitudes - fast.amplitudes).max() <= 1e-9
 
 
 def test_qft_fft_path_single_register():
-    for m in (1, 2, 7, 12, 25):
+    # 1, primes (Bluestein) and composites
+    for m in (1, 2, 7, 12, 25, 61, 64):
         state = random_state(RegisterLayout((ExponentRegister(m),)), m)
-        dense = qft_apply(state, 0)
-        fast = qft_apply(state, 0, use_fft=True)
-        assert np.abs(dense.amplitudes - fast.amplitudes).max() <= 1e-9
+        for inverse in (False, True):
+            dense = fourier_matrix(m, inverse) @ state.amplitudes
+            fast = qft_apply(state, 0, inverse=inverse)
+            assert np.abs(dense - fast.amplitudes).max() <= 1e-9
 
 
 def test_qft_register_kind_guard():
@@ -213,9 +226,73 @@ def test_division_layout_guards():
         div_x_apply(basis_state(run_layout(Z7), (0, 1)), 0)
 
 
-def test_unitary_check_flag_reaches_qft():
+def test_unitary_check_passes_the_dense_fourier_oracle():
     state = basis_state(RegisterLayout((ExponentRegister(5),)), (0,))
-    out = qft_apply(state, 0, check_unitary=True)
+    dense = apply_register_unitary(state, 0, fourier_matrix(5), check_unitary=True)
+    out = qft_apply(state, 0)
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(out.amplitudes - dense.amplitudes).max() <= 1e-12
     with pytest.raises(NotUnitary):
         apply_register_unitary(state, 0, np.ones((5, 5)) / 5, check_unitary=True)
+
+
+def oracle_groups(max_order=64):
+    """Every cyclic unit group of order <= max_order, then the callback models."""
+    units = [validate_group(n, primitive_root(n)) for n in cyclic_moduli(2 * max_order + 2)]
+    return [s for s in units if s.order <= max_order] + \
+        [cyclic_group(m) for m in range(1, max_order + 1)]
+
+
+def assert_matches_table(got, state, perm):
+    want = apply_basis_permutation(state, perm)
+    assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+def test_div_alpha_apply_matches_table_exhaustively():
+    for spec in oracle_groups():
+        state = random_state(pair_layout(spec), spec.order)
+        for alpha in range(spec.order):
+            assert_matches_table(div_alpha_apply(state, alpha), state,
+                                 div_alpha_permutation(spec, alpha))
+
+
+def test_div_x_apply_matches_table_exhaustively():
+    for spec in oracle_groups():
+        state = random_state(run_layout(spec), spec.order)
+        for x in spec.elements:
+            assert_matches_table(div_x_apply(state, x), state, div_x_permutation(spec, x))
+
+
+def test_power_oracle_apply_matches_table_exhaustively():
+    for spec in oracle_groups():
+        state = random_state(run_layout(spec), spec.order)
+        assert_matches_table(power_oracle_apply(state), state,
+                             power_oracle_permutation(spec))
+
+
+def test_controlled_multiply_known_mapping():
+    # (n=7, g=3), order (2, 0, 1): |0, 2> is row k=1, so 2 * 3 = 6
+    state = basis_state(run_layout(Z7), (0, 2))
+    out = controlled_multiply(state, 3, [2, 0, 1, 3, 4, 5])
+    assert out.amplitudes[joint_index(run_layout(Z7), (0, 6))] == 1.0
+    # row k=0 of the order is left alone whatever the step
+    state = basis_state(run_layout(Z7), (2, 5))
+    out = controlled_multiply(state, 3, [2, 0, 1, 3, 4, 5])
+    assert np.array_equal(out.amplitudes, state.amplitudes)
+
+
+def test_controlled_multiply_guards():
+    state = random_state(run_layout(Z7), 1)
+    with pytest.raises(NotBijective):
+        controlled_multiply(state, 3, [0, 0, 1, 2, 3, 4])
+    with pytest.raises(NotBijective):
+        controlled_multiply(state, 3, range(5))
+    with pytest.raises(NotInGroup):
+        controlled_multiply(state, 0, range(6))
+    broken = validate_group(7, 3)
+    broken._mul = lambda a, b: 1  # every product collapses onto one label
+    with pytest.raises(NotBijective):
+        controlled_multiply(random_state(run_layout(broken), 2), 3, range(6))
+    with pytest.raises(WrongLayout):
+        controlled_multiply(random_state(RegisterLayout((GroupRegister(Z7),)), 3),
+                            3, range(6))
