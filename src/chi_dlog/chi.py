@@ -121,7 +121,6 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     observed: list[int] = []
 
     acceptance = None
-    post = None
     success = -1
     attempts = 0
     for attempts in range(1, max_attempts + 1):
@@ -137,13 +136,13 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
             acceptance = float(sum(probs[s] for s in range(m) if gcd(s, m) == 1))
             success = next(s for s in range(m) if gcd(s, m) == 1)
             observed.append(success)
-            post = collapse(state, 0, success).post_state
+            survivor = collapse(state, 0, success).post_state
             break
         outcome = measure(state, 0, rng)
         observed.append(outcome.observed)
         if gcd(outcome.observed, m) == 1:
             success = outcome.observed
-            post = outcome.post_state
+            survivor = outcome.post_state
             break
     else:
         raise RetryLimitExceeded(
@@ -151,10 +150,8 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
 
     if gcd(success, m) != 1:
         raise InvariantViolation(f"accepted s={success} shares a factor with m={m}")
-    # the measured register is classical now: split it off, then rebuild the
-    # pair as (uniform chi, surviving chi) and divide down to power 1
-    exp_layout = RegisterLayout((ExponentRegister(m),))
-    survivor = factor_out(post, 0, basis_state(exp_layout, (success,)))
+    # the measurement left the chi register of power s alone: pair it with a
+    # uniform chi register and divide down to power 1
     joint = tensor(chi_reference(spec, 0), survivor)
     joint = div_alpha_apply(joint, mod_inverse(success, m))
     chi_state = factor_out(joint, 1, chi_reference(spec, success))

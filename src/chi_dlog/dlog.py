@@ -9,12 +9,11 @@ operation call sites, never hand-entered.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chi import VERIFY_MAX_ORDER, ChiHandle, chi_reference, prepare_chi
+from .chi import FIDELITY_TOL, VERIFY_MAX_ORDER, ChiHandle, chi_reference, prepare_chi
 from .errors import InvariantViolation, LayoutMismatch, UnverifiedChi
 from .group import GroupSpec, dlog_oracle
 from .qstate import (
@@ -23,7 +22,6 @@ from .qstate import (
     RegisterLayout,
     basis_state,
     collapse,
-    factor_out,
     fidelity,
     marginal_distribution,
     measure,
@@ -97,7 +95,10 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
     Exhaustive mode reads off the exact exponent-register marginal, reports
     the probability mass sitting on the true answer, and collapses onto the
     argmax label. Sampled mode draws one measurement from a seeded generator.
-    Either way the post-run chi register replaces the handle's state.
+    Either way the post-run chi register replaces the handle's state. A run
+    that leaves the chi fidelity, or in exhaustive mode the success mass,
+    below 1 - FIDELITY_TOL raises InvariantViolation; a low fidelity also
+    clears the handle's verified flag.
     """
     if mode not in ("sampled", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -125,24 +126,24 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
     joint = qft_apply(joint, 0, inverse=True)
     ledger.fourier_count += 1
 
-    marginal = marginal_distribution(joint, 0)
     if mode == "exhaustive":
-        measured = int(np.argmax(marginal))
-        outcome = collapse(joint, 0, measured)
+        marginal = marginal_distribution(joint, 0)
+        outcome = collapse(joint, 0, int(np.argmax(marginal)))
         success = float(marginal[p_true])
-        kept_marginal = marginal
     else:
+        marginal = None
         outcome = measure(joint, 0, seed)
-        measured = outcome.observed
         success = float(outcome.probability)
-        kept_marginal = None
     ledger.measurements += 1
 
-    exp_layout = RegisterLayout((ExponentRegister(m),))
-    post_chi = factor_out(outcome.post_state, 0, basis_state(exp_layout, (measured,)))
-    chi_fid = fidelity(post_chi, chi_reference(spec, 1))
-    chi.state = post_chi
-    return DlogResult(x, p_true, measured, success, chi_fid, ledger, kept_marginal)
+    chi.state = outcome.post_state
+    chi_fid = fidelity(chi.state, chi_reference(spec, 1))
+    chi.verified = chi_fid >= 1.0 - FIDELITY_TOL
+    if not chi.verified:
+        raise InvariantViolation(f"chi register fidelity fell to {chi_fid:.3e} in the run")
+    if mode == "exhaustive" and not success >= 1.0 - FIDELITY_TOL:
+        raise InvariantViolation(f"success mass {success:.3e} on the true exponent")
+    return DlogResult(x, p_true, outcome.observed, success, chi_fid, ledger, marginal)
 
 
 def run_dlog_repeated(spec: GroupSpec, chi: ChiHandle, x_list, mode: str = "exhaustive",
@@ -193,6 +194,3 @@ def result_record(spec: GroupSpec, result: DlogResult, seed: int | None) -> dict
         "seed": seed,
     }
 
-
-def result_json_line(spec: GroupSpec, result: DlogResult, seed: int | None) -> str:
-    return json.dumps(result_record(spec, result, seed))

@@ -153,7 +153,7 @@ class QState:
 
 @dataclass
 class MeasurementOutcome:
-    """Observed label, its probability, and the renormalized post-state."""
+    """Observed label, its probability, and the renormalized state it leaves."""
     register_index: int
     observed: int
     probability: float
@@ -259,25 +259,27 @@ def marginal_distribution(state: QState, register_index: int) -> np.ndarray:
 
 
 def collapse(state: QState, register_index: int, label: int) -> MeasurementOutcome:
-    """Project one register onto a basis label and renormalize."""
+    """Project one register onto a basis label and renormalize.
+
+    Measuring one register of a two-register state makes it classical, so the
+    post-state is the other register alone: the observed column or row of the
+    grid, normalized. A one-register state collapses onto the basis state.
+    """
     idx = state.layout.label_to_index(register_index, label)
-    probs = marginal_distribution(state, register_index)
-    p = float(probs[idx])
+    regs = state.layout.registers
+    if len(regs) == 1:
+        layout = state.layout
+        kept = np.zeros_like(state.amplitudes)
+        kept[idx] = state.amplitudes[idx]
+    else:
+        layout = RegisterLayout((regs[1 - register_index],))
+        grid = _grid(state)
+        kept = grid[:, idx] if register_index == 0 else grid[idx, :]
+    norm = float(np.linalg.norm(kept))
+    p = norm * norm
     if p < 1e-12:
         raise DegenerateNorm(f"label {label} carries probability {p:.3e}")
-    regs = state.layout.registers
-    new = np.zeros_like(state.amplitudes)
-    if len(regs) == 1:
-        new[idx] = state.amplitudes[idx]
-    else:
-        grid = state.amplitudes.reshape(regs[1].dim, regs[0].dim)
-        target = new.reshape(regs[1].dim, regs[0].dim)
-        if register_index == 0:
-            target[:, idx] = grid[:, idx]
-        else:
-            target[idx, :] = grid[idx, :]
-    new /= np.linalg.norm(new)
-    return MeasurementOutcome(register_index, label, p, QState(state.layout, new))
+    return MeasurementOutcome(register_index, label, p, QState(layout, kept / norm))
 
 
 def measure(state: QState, register_index: int, rng=None) -> MeasurementOutcome:
@@ -335,7 +337,8 @@ def factor_out(state: QState, register_index: int, expected: QState) -> QState:
         remaining = grid @ e.conj()          # shape (d1,)
         recon = np.outer(remaining, e)
         keep = regs[1]
-    residual = float(np.max(np.abs(grid - recon)))
+    recon -= grid
+    residual = float(np.max(np.abs(recon)))
     if residual > NORM_TOL:
         raise NotAProductState(
             f"residual {residual:.3e} after projecting register {register_index}")

@@ -1,6 +1,5 @@
 """The discrete log procedure, its ledger, and the result record format."""
 
-import json
 import os
 import subprocess
 import sys
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 import chi_dlog
-from chi_dlog import transforms
+from chi_dlog import dlog, transforms
 from chi_dlog.chi import ChiHandle, chi_power_from, chi_reference, prepare_chi
 from chi_dlog.dlog import (
     SHOR_EXACT_FOURIER_TRANSFORMS,
@@ -19,13 +18,13 @@ from chi_dlog.dlog import (
     DlogResult,
     ResourceLedger,
     resource_report,
-    result_json_line,
     result_record,
     run_dlog,
     run_dlog_repeated,
 )
-from chi_dlog.errors import LayoutMismatch, NotInGroup, UnverifiedChi
+from chi_dlog.errors import InvariantViolation, LayoutMismatch, NotInGroup, UnverifiedChi
 from chi_dlog.group import dlog_oracle, validate_group
+from chi_dlog.transforms import div_x_apply
 
 # the order-3 subgroup modulo the prime 2**40 - 585, the largest modulus class
 # the validator accepts; products of labels reach 2**80
@@ -155,9 +154,6 @@ def test_result_record_key_order_and_values():
     assert record["p_oracle"] == record["p_measured"] == 4
     assert record["fourier_count"] == 2
     assert record["seed"] == 9
-    line = result_json_line(Z7, result, seed=9)
-    assert json.loads(line) == record
-    assert line.index('"n"') < line.index('"g"') < line.index('"seed"')
 
 
 def test_ledger_addition():
@@ -217,3 +213,27 @@ def test_invariant_checks_survive_python_O():
     lines = proc.stdout.splitlines()
     assert lines[0] == "optimize 1"
     assert lines[1].startswith("raised phase kick-back drifted"), lines
+
+
+def test_run_dlog_gates_a_handle_corrupted_after_verify():
+    # m = 130 is above VERIFY_MAX_ORDER, so no structural check runs; the
+    # post-run chi fidelity alone must refuse the answer
+    spec = validate_group(131, 2)
+    handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
+    handle.state = chi_reference(spec, 2)
+    assert handle.verified
+    with pytest.raises(InvariantViolation, match="chi register fidelity"):
+        run_dlog(spec, handle, 73)
+    assert not handle.verified
+    with pytest.raises(UnverifiedChi):
+        run_dlog(spec, handle, 73)
+
+
+def test_run_dlog_gates_exhaustive_success_mass(monkeypatch):
+    # a division by the wrong x leaves the chi register intact but moves the
+    # exponent marginal off the true answer
+    handle = fresh_chi(Z13)
+    monkeypatch.setattr(dlog, "div_x_apply", lambda state, x: div_x_apply(state, 2))
+    with pytest.raises(InvariantViolation, match="success mass"):
+        run_dlog(Z13, handle, 6, verify=False)
+    assert handle.verified

@@ -196,11 +196,30 @@ def test_marginals():
 
 
 def test_collapse():
-    out = collapse(bell_state(), 0, 1)
-    assert out.observed == 1
-    assert out.probability == pytest.approx(0.5)
-    assert out.post_state.amplitudes[3] == pytest.approx(1.0)
+    # the measured register becomes classical: post_state is the other one
+    bell = collapse(bell_state(), 0, 1)
+    assert bell.probability == pytest.approx(0.5)
+    assert np.allclose(bell.post_state.amplitudes, [0, 1])
+    lay = RegisterLayout((ExponentRegister(3), GroupRegister(Z5)))
+    state = random_state(lay, 21)
+    grid = state.amplitudes.reshape(Z5.order, 3)  # [group index, exponent label]
+    out = collapse(state, 0, 2)
+    assert out.observed == 2
+    assert out.probability == pytest.approx(np.sum(np.abs(grid[:, 2]) ** 2))
+    assert out.post_state.layout == RegisterLayout((GroupRegister(Z5),))
+    assert np.allclose(out.post_state.amplitudes, grid[:, 2] / np.linalg.norm(grid[:, 2]))
     assert out.post_state.norm() == pytest.approx(1.0, abs=1e-12)
+    label = Z5.element(1)
+    out = collapse(state, 1, label)
+    assert out.observed == label
+    assert out.probability == pytest.approx(np.sum(np.abs(grid[1, :]) ** 2))
+    assert out.post_state.layout == exp_layout(3)
+    assert np.allclose(out.post_state.amplitudes, grid[1, :] / np.linalg.norm(grid[1, :]))
+    assert out.post_state.norm() == pytest.approx(1.0, abs=1e-12)
+    # a one-register state collapses onto the basis state
+    single = collapse(QState(exp_layout(2), np.array([0.6, 0.8j])), 0, 1)
+    assert single.probability == pytest.approx(0.64)
+    assert np.allclose(single.post_state.amplitudes, [0, 1j])
     with pytest.raises(DegenerateNorm):
         collapse(basis_state(bell_state().layout, (0, 0)), 0, 1)
 
