@@ -56,6 +56,7 @@ from .qstate import (
     marginal_distribution,
     measure,
     parse_amplitudes,
+    sample_index,
     tensor,
 )
 from .transforms import (

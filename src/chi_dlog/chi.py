@@ -28,8 +28,8 @@ from .qstate import (
     factor_out,
     fidelity,
     marginal_distribution,
-    measure,
     parse_amplitudes,
+    sample_index,
     tensor,
 )
 from .transforms import div_alpha_apply, power_oracle_apply, qft_apply
@@ -104,8 +104,10 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
                 max_attempts: int = 10_000) -> tuple[ChiHandle, PrepStats]:
     """Prepare a verified power-1 chi state for the group.
 
-    Sampled mode measures with a seeded generator and retries while the
-    observed value shares a factor with the order. Exhaustive mode instead
+    The round before the measurement is simulated once per call. Sampled
+    mode draws the measured value from its distribution with a seeded
+    generator, redrawing while the value shares a factor with the order, and
+    collapses only the accepted draw. Exhaustive mode instead
     reports the exact acceptance probability of the coprimality test and
     collapses deterministically onto the smallest coprime value, so it always
     finishes in one attempt. Returns the handle and the attempt statistics.
@@ -116,37 +118,35 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
         raise ValueError("max_attempts must be at least 1")
     m = spec.order
     check = (m <= VERIFY_MAX_ORDER) if verify is None else verify
-    rng = np.random.default_rng(seed)
     layout = RegisterLayout((ExponentRegister(m), GroupRegister(spec)))
-    observed: list[int] = []
+
+    # round: superpose exponents, load powers, transform again. A device reruns
+    # it on every attempt, but the simulated unitary and its input are fixed,
+    # so every attempt draws from this one distribution
+    state = basis_state(layout, (0, spec.identity))
+    state = qft_apply(state, 0)
+    state = power_oracle_apply(state)
+    state = qft_apply(state, 0)
+    if check:
+        _check_superposed_structure(spec, state)
+    probs = marginal_distribution(state, 0)
 
     acceptance = None
-    success = -1
-    attempts = 0
-    for attempts in range(1, max_attempts + 1):
-        # round: superpose exponents, load powers, transform again
-        state = basis_state(layout, (0, spec.identity))
-        state = qft_apply(state, 0)
-        state = power_oracle_apply(state)
-        state = qft_apply(state, 0)
-        if check:
-            _check_superposed_structure(spec, state)
-        if mode == "exhaustive":
-            probs = marginal_distribution(state, 0)
-            acceptance = float(sum(probs[s] for s in range(m) if gcd(s, m) == 1))
-            success = next(s for s in range(m) if gcd(s, m) == 1)
-            observed.append(success)
-            survivor = collapse(state, 0, success).post_state
-            break
-        outcome = measure(state, 0, rng)
-        observed.append(outcome.observed)
-        if gcd(outcome.observed, m) == 1:
-            success = outcome.observed
-            survivor = outcome.post_state
-            break
+    if mode == "exhaustive":
+        acceptance = float(sum(probs[s] for s in range(m) if gcd(s, m) == 1))
+        observed = [next(s for s in range(m) if gcd(s, m) == 1)]
     else:
-        raise RetryLimitExceeded(
-            f"no coprime measurement within {max_attempts} attempts for order {m}")
+        rng = np.random.default_rng(seed)
+        observed = []
+        for _ in range(max_attempts):
+            observed.append(sample_index(probs, rng))
+            if gcd(observed[-1], m) == 1:
+                break
+        else:
+            raise RetryLimitExceeded(
+                f"no coprime measurement within {max_attempts} attempts for order {m}")
+    success = observed[-1]
+    survivor = collapse(state, 0, success).post_state
 
     if gcd(success, m) != 1:
         raise InvariantViolation(f"accepted s={success} shares a factor with m={m}")
@@ -161,7 +161,7 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     if not handle.verified:
         raise InvariantViolation(
             f"prepared state fidelity {fid} below {1 - FIDELITY_TOL}")
-    stats = PrepStats(attempts=attempts, observed_s=observed, success_s=success,
+    stats = PrepStats(attempts=len(observed), observed_s=observed, success_s=success,
                       acceptance_probability=acceptance)
     return handle, stats
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -101,12 +102,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_dim_cap(args) -> None:
-    if args.dim_cap is None:
+@contextmanager
+def _dim_cap_override(dim_cap: int | None):
+    """Set the amplitude cap for one command, restoring the environment after."""
+    if dim_cap is None:
+        yield
         return
-    if args.dim_cap < 1:
-        raise ValueError(f"--dim-cap must be at least 1, got {args.dim_cap}")
-    os.environ[DIM_CAP_ENV] = str(args.dim_cap)
+    if dim_cap < 1:
+        raise ValueError(f"--dim-cap must be at least 1, got {dim_cap}")
+    previous = os.environ.get(DIM_CAP_ENV)
+    os.environ[DIM_CAP_ENV] = str(dim_cap)
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ[DIM_CAP_ENV]
+        else:
+            os.environ[DIM_CAP_ENV] = previous
 
 
 def _verify_flag(args) -> bool | None:
@@ -121,7 +133,6 @@ def _emit(lines: list[str], output: Path | None) -> None:
 
 
 def _cmd_prepare_chi(args) -> int:
-    _apply_dim_cap(args)
     spec = validate_group(args.n, args.g, require_full_group=not args.allow_subgroup)
     handle, stats = prepare_chi(spec, seed=args.seed, mode=args.mode,
                                 verify=_verify_flag(args),
@@ -163,7 +174,6 @@ def _load_checked_chi(args, spec):
 
 
 def _cmd_dlog(args) -> int:
-    _apply_dim_cap(args)
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     spec = validate_group(args.n, args.g, require_full_group=not args.allow_subgroup)
@@ -215,7 +225,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_resources(args) -> int:
-    _apply_dim_cap(args)
     spec = validate_group(args.n, args.g, require_full_group=not args.allow_subgroup)
     report = resource_report(spec)
     print(f"resource counts per run (n={spec.modulus}, g={spec.generator}, m={spec.order})")
@@ -230,7 +239,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _dim_cap_override(getattr(args, "dim_cap", None)):
+            return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -49,6 +49,7 @@ __all__ = [
     "marginal_distribution",
     "measure",
     "parse_amplitudes",
+    "sample_index",
     "tensor",
 ]
 
@@ -282,20 +283,25 @@ def collapse(state: QState, register_index: int, label: int) -> MeasurementOutco
     return MeasurementOutcome(register_index, label, p, QState(layout, kept / norm))
 
 
-def measure(state: QState, register_index: int, rng=None) -> MeasurementOutcome:
-    """Sample one register by inverse-CDF over a deterministic generator.
+def sample_index(probs: np.ndarray, rng=None) -> int:
+    """Draw one index from a distribution by inverse CDF, one rng.random() each.
 
     rng may be a seed or a np.random.Generator; threading one generator
-    through several measurements gives a reproducible stream.
+    through several draws gives a reproducible stream. The distribution is
+    rescaled by its total, which must reach CORRUPT_TOL.
     """
     gen = np.random.default_rng(rng)
-    probs = marginal_distribution(state, register_index)
     total = float(probs.sum())
     if total < CORRUPT_TOL:
         raise DegenerateNorm(f"total probability mass {total:.3e} below {CORRUPT_TOL}")
     cdf = np.cumsum(probs)
     u = gen.random() * cdf[-1]
-    idx = min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
+    return min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
+
+
+def measure(state: QState, register_index: int, rng=None) -> MeasurementOutcome:
+    """Sample one register (see sample_index) and collapse onto the draw."""
+    idx = sample_index(marginal_distribution(state, register_index), rng)
     return collapse(state, register_index, state.layout.index_to_label(register_index, idx))
 
 

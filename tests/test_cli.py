@@ -1,6 +1,7 @@
 """CLI surface: records, exit codes, file flows, and byte stability."""
 
 import json
+import os
 
 import pytest
 
@@ -8,7 +9,8 @@ from chi_dlog import __version__, cli
 from chi_dlog.chi import load_chi
 from chi_dlog.cli import main
 from chi_dlog.errors import InvariantViolation
-from chi_dlog.qstate import DIM_CAP_ENV
+from chi_dlog.group import validate_group
+from chi_dlog.qstate import DIM_CAP_ENV, ExponentRegister, GroupRegister, RegisterLayout
 
 
 def run_cli(capsys, argv):
@@ -186,12 +188,23 @@ def test_dim_cap_env_exits_3(capsys, monkeypatch):
     assert "error" in err
 
 
-def test_dim_cap_flag_exits_3(capsys, monkeypatch):
-    # register the key so the flag's os.environ write is rolled back
-    monkeypatch.setenv(DIM_CAP_ENV, str(2 ** 24))
+def test_dim_cap_flag_exits_3(capsys):
     code, _, _ = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x", "2",
                                   "--prepare", "--dim-cap", "100"])
     assert code == 3
+
+
+def test_dim_cap_flag_is_scoped_to_the_command(capsys):
+    before = dict(os.environ)
+    # the cap passes (exit 0), is rejected (exit 2), or is hit (exit 3)
+    for cap, expected in (("144", 0), ("0", 2), ("100", 3)):
+        code, _, _ = run_cli(capsys, ["prepare-chi", "--n", "13", "--g", "2",
+                                      "--dim-cap", cap])
+        assert code == expected
+        assert dict(os.environ) == before
+    # joint dimension 144 is above the flag's last accepted cap of 100
+    layout = RegisterLayout((ExponentRegister(12), GroupRegister(validate_group(13, 2))))
+    assert layout.total_dim == 144
 
 
 def test_dim_cap_flag_below_one_exits_2(capsys, monkeypatch):

@@ -31,6 +31,7 @@ from chi_dlog.qstate import (
     marginal_distribution,
     measure,
     parse_amplitudes,
+    sample_index,
     tensor,
 )
 
@@ -254,6 +255,22 @@ def test_measure_rejects_corrupted_norm():
     lay = exp_layout(4)
     with pytest.raises(DegenerateNorm):
         measure(QState(lay, np.full(4, 1e-8, complex)), 0)
+
+
+@pytest.mark.parametrize("register_index", [0, 1])
+def test_measure_is_sample_index_over_the_marginal(register_index):
+    lay = RegisterLayout((ExponentRegister(6), GroupRegister(Z5)))
+    state = random_state(lay, 5)
+    probs = marginal_distribution(state, register_index)
+    for seed in range(20):
+        idx = sample_index(probs, np.random.default_rng(seed))
+        out = measure(state, register_index, np.random.default_rng(seed))
+        assert out.observed == lay.index_to_label(register_index, idx)
+    corrupted = QState(lay, state.amplitudes * 1e-4)
+    with pytest.raises(DegenerateNorm):
+        measure(corrupted, register_index, 0)
+    with pytest.raises(DegenerateNorm):
+        sample_index(marginal_distribution(corrupted, register_index), 0)
 
 
 def test_fidelity():
