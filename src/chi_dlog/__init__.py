@@ -32,7 +32,6 @@ from .group import (
     is_cyclic_modulus,
     mod_inverse,
     multiplicative_order,
-    power_indices,
     prime_factors,
     primitive_root,
     totient,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArtifactMismatch, InvariantViolation, RetryLimitExceeded, UnverifiedChi
-from .group import GroupSpec, gcd, mod_inverse, power_indices, validate_group
+from .group import GroupSpec, gcd, mod_inverse, validate_group
 from .qstate import (
     ExponentRegister,
     GroupRegister,
@@ -54,7 +54,7 @@ def chi_reference(spec: GroupSpec, power: int) -> QState:
     """Reference chi state built directly from its definition."""
     m = spec.order
     amps = np.empty(m, dtype=np.complex128)
-    amps[power_indices(spec)] = np.exp(2j * np.pi * ((power % m) * np.arange(m) % m) / m)
+    amps[spec.power_indices] = np.exp(2j * np.pi * ((power % m) * np.arange(m) % m) / m)
     amps /= np.sqrt(m)
     return QState(RegisterLayout((GroupRegister(spec),)), amps)
 
@@ -70,10 +70,14 @@ class ChiHandle:
     def group(self) -> GroupSpec:
         return self.state.layout.registers[0].group
 
-    def verify(self, tol: float = FIDELITY_TOL) -> float:
-        """Fidelity against the reference state; sets the verified flag."""
+    def verify(self) -> float:
+        """Fidelity against the reference state; sets the verified flag.
+
+        Verified also needs the squared norm within FIDELITY_TOL of 1.
+        """
         fid = fidelity(self.state, chi_reference(self.group, self.power))
-        self.verified = fid >= 1.0 - tol
+        self.verified = (fid >= 1.0 - FIDELITY_TOL
+                         and abs(self.state.norm() ** 2 - 1.0) <= FIDELITY_TOL)
         return fid
 
 
@@ -212,6 +216,8 @@ def load_chi(path) -> tuple[GroupSpec, ChiHandle]:
     if match is None:
         raise ArtifactMismatch(f"bad chi header: {head!r}")
     m, power, n, g = (int(v) for v in match.groups())
+    if power >= m:
+        raise ArtifactMismatch(f"header power {power} is not a residue mod the order {m}")
     spec = validate_group(n, g)
     if spec.order != m:
         raise ArtifactMismatch(

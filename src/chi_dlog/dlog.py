@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chi import FIDELITY_TOL, VERIFY_MAX_ORDER, ChiHandle, chi_reference, prepare_chi
+from .chi import FIDELITY_TOL, VERIFY_MAX_ORDER, ChiHandle, prepare_chi
 from .errors import InvariantViolation, LayoutMismatch, UnverifiedChi
 from .group import GroupSpec, dlog_oracle
 from .qstate import (
@@ -22,7 +22,6 @@ from .qstate import (
     RegisterLayout,
     basis_state,
     collapse,
-    fidelity,
     marginal_distribution,
     measure,
     tensor,
@@ -90,19 +89,19 @@ def _check_phase_kickback(m: int, before: np.ndarray, after: np.ndarray,
 
 def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
              seed=None, verify: bool | None = None) -> DlogResult:
-    """Find the exponent of x using one verified power-1 chi handle.
+    """Find the exponent of x using one chi handle verified at power 1 mod m.
 
     Exhaustive mode reads off the exact exponent-register marginal, reports
     the probability mass sitting on the true answer, and collapses onto the
     argmax label. Sampled mode draws one measurement from a seeded generator.
-    Either way the post-run chi register replaces the handle's state. A run
-    that leaves the chi fidelity, or in exhaustive mode the success mass,
-    below 1 - FIDELITY_TOL raises InvariantViolation; a low fidelity also
-    clears the handle's verified flag.
+    Either way the post-run chi register replaces the handle's state and is
+    checked with ChiHandle.verify. A run whose chi register fails that check,
+    or whose exhaustive success mass is not within FIDELITY_TOL of 1, raises
+    InvariantViolation; a failed check also clears the handle's verified flag.
     """
     if mode not in ("sampled", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not chi.verified or chi.power != 1:
+    if not chi.verified or (chi.power - 1) % spec.order != 0:
         raise UnverifiedChi("run_dlog needs a handle verified at power 1")
     if chi.group != spec:
         raise LayoutMismatch("chi handle belongs to a different group")
@@ -137,11 +136,10 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
     ledger.measurements += 1
 
     chi.state = outcome.post_state
-    chi_fid = fidelity(chi.state, chi_reference(spec, 1))
-    chi.verified = chi_fid >= 1.0 - FIDELITY_TOL
+    chi_fid = chi.verify()
     if not chi.verified:
         raise InvariantViolation(f"chi register fidelity fell to {chi_fid:.3e} in the run")
-    if mode == "exhaustive" and not success >= 1.0 - FIDELITY_TOL:
+    if mode == "exhaustive" and not abs(success - 1.0) <= FIDELITY_TOL:
         raise InvariantViolation(f"success mass {success:.3e} on the true exponent")
     return DlogResult(x, p_true, outcome.observed, success, chi_fid, ledger, marginal)
 
@@ -160,13 +158,11 @@ def run_dlog_repeated(spec: GroupSpec, chi: ChiHandle, x_list, mode: str = "exha
 class ResourceComparison:
     """Instrumented counts for this procedure next to the cited baseline."""
     measured: ResourceLedger
-    baseline_registers: int = SHOR_EXACT_REGISTERS
-    baseline_fourier: int = SHOR_EXACT_FOURIER_TRANSFORMS
 
     def rows(self) -> list[tuple[str, int, int | None]]:
         return [
-            ("registers", self.measured.registers_used, self.baseline_registers),
-            ("fourier_transforms", self.measured.fourier_count, self.baseline_fourier),
+            ("registers", self.measured.registers_used, SHOR_EXACT_REGISTERS),
+            ("fourier_transforms", self.measured.fourier_count, SHOR_EXACT_FOURIER_TRANSFORMS),
             ("division_ops", self.measured.division_ops, None),
             ("measurements", self.measured.measurements, None),
         ]

@@ -8,10 +8,13 @@ by state vectors is ascending label order, so layouts are stable across runs.
 """
 from __future__ import annotations
 
-from math import gcd
-from typing import Callable
+from math import gcd, isqrt
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import CapExceeded, NoInverse, NotAGenerator, NotCoprime, NotInGroup
+from .qstate import dim_cap
 
 __all__ = [
     "FACTOR_CAP",
@@ -24,7 +27,6 @@ __all__ = [
     "is_cyclic_modulus",
     "mod_inverse",
     "multiplicative_order",
-    "power_indices",
     "prime_factors",
     "primitive_root",
     "totient",
@@ -118,22 +120,26 @@ def cyclic_moduli(limit: int) -> list[int]:
 class GroupSpec:
     """A validated presentation of a finite cyclic group generated by one element.
 
-    Holds the canonical element list (ascending labels), the label->index map
-    used by register layouts, and the multiplication callback. The order is
-    always computed during validation, never trusted from input.
+    Built from the checked power walk walk[k] = g**k, k = 0..m-1. Holds the
+    element list (ascending labels), the label->index map used by register
+    layouts, the read-only power_indices (basis index of g**k at position k)
+    and the multiplication callback.
     """
 
-    __slots__ = ("modulus", "generator", "order", "elements", "identity", "_index", "_mul")
+    __slots__ = ("modulus", "generator", "order", "elements", "identity",
+                 "power_indices", "_index", "_mul")
 
-    def __init__(self, modulus: int | None, generator: int, order: int,
-                 elements: tuple[int, ...], identity: int,
+    def __init__(self, modulus: int | None, generator: int, walk: Sequence[int],
                  mul: Callable[[int, int], int]):
         self.modulus = modulus
         self.generator = generator
-        self.order = order
-        self.elements = elements
-        self.identity = identity
-        self._index = {label: i for i, label in enumerate(elements)}
+        self.order = len(walk)
+        self.elements = tuple(sorted(walk))
+        self.identity = walk[0]
+        self._index = {label: i for i, label in enumerate(self.elements)}
+        self.power_indices = np.fromiter((self._index[x] for x in walk),
+                                         dtype=np.intp, count=self.order)
+        self.power_indices.setflags(write=False)
         self._mul = mul
 
     def mul(self, a: int, b: int) -> int:
@@ -189,9 +195,9 @@ class GroupSpec:
 def validate_group(n: int, g: int, require_full_group: bool = False) -> GroupSpec:
     """Validate (n, g) and return the cyclic group generated by g mod n.
 
-    The order of g is computed (and the element list enumerated as successive
-    powers, then sorted). With require_full_group the order must equal phi(n),
-    otherwise NotAGenerator is raised.
+    The order of g is computed and checked against dim_cap() for a
+    two-register state, then its powers are enumerated. With
+    require_full_group the order must equal phi(n), otherwise NotAGenerator.
     """
     if n < 2:
         raise ValueError(f"modulus {n} must be at least 2")
@@ -202,6 +208,10 @@ def validate_group(n: int, g: int, require_full_group: bool = False) -> GroupSpe
         raise NotCoprime(f"gcd({g}, {n}) = {gcd(g, n)}, so {g} is not a unit mod {n}")
     phi = totient(n)
     order = multiplicative_order(g, n)
+    cap = dim_cap()
+    if order * order > cap:
+        raise CapExceeded(f"{g} has order {order} mod {n}; its two-register state "
+                          f"holds {order * order} amplitudes, above the cap {cap}")
     if require_full_group and order != phi:
         raise NotAGenerator(
             f"{g} has order {order} mod {n}, less than phi({n}) = {phi}")
@@ -212,20 +222,21 @@ def validate_group(n: int, g: int, require_full_group: bool = False) -> GroupSpe
         x = x * g % n
     if x != 1 or len(set(powers)) != order:
         raise NotAGenerator(f"power walk of {g} mod {n} is not a clean cycle")
-    return GroupSpec(n, g, order, tuple(sorted(powers)), 1,
-                     lambda a, b, _n=n: a * b % _n)
+    return GroupSpec(n, g, powers, lambda a, b, _n=n: a * b % _n)
 
 
-def group_from_mul(generator: int, mul: Callable[[int, int], int],
-                   max_order: int = 1 << 20) -> GroupSpec:
+def group_from_mul(generator: int, mul: Callable[[int, int], int]) -> GroupSpec:
     """Build a cyclic group from a generator and a multiplication callback.
 
     Walks successive powers of the generator until the walk cycles back; the
     last element before the cycle closes is the identity. The walk must stay
-    injective, otherwise mul does not define a group on the orbit.
+    injective, otherwise mul does not define a group on the orbit. It stops
+    with CapExceeded once the order is too large for dim_cap().
     """
     if not isinstance(generator, int) or generator < 0:
         raise ValueError("element labels must be non-negative integers")
+    cap = dim_cap()
+    max_order = isqrt(cap)
     powers = [generator]
     seen = {generator}
     x = mul(generator, generator)
@@ -235,7 +246,8 @@ def group_from_mul(generator: int, mul: Callable[[int, int], int],
         if not isinstance(x, int) or x < 0:
             raise ValueError("element labels must be non-negative integers")
         if len(powers) >= max_order:
-            raise CapExceeded(f"generator order exceeds the walk cap {max_order}")
+            raise CapExceeded(f"generator order exceeds {max_order}, so its two-register "
+                              f"state holds more than the cap of {cap} amplitudes")
         powers.append(x)
         seen.add(x)
         x = mul(x, generator)
@@ -243,8 +255,8 @@ def group_from_mul(generator: int, mul: Callable[[int, int], int],
     for e in powers:
         if mul(identity, e) != e:
             raise NotAGenerator(f"walk-derived identity {identity} fails on {e}")
-    return GroupSpec(None, generator, len(powers), tuple(sorted(powers)),
-                     identity, mul)
+    # the walk found g, g**2, ..., g**m = identity; GroupSpec wants g**0 first
+    return GroupSpec(None, generator, powers[-1:] + powers[:-1], mul)
 
 
 def cyclic_group(m: int) -> GroupSpec:
@@ -254,24 +266,9 @@ def cyclic_group(m: int) -> GroupSpec:
     return group_from_mul(1 % m, lambda a, b, _m=m: (a + b) % _m)
 
 
-def power_indices(spec: GroupSpec) -> list[int]:
-    """Basis index of g**k for k = 0..m-1, from one walk of m multiplications."""
-    out = []
-    x = spec.identity
-    for _ in range(spec.order):
-        out.append(spec.index_of(x))
-        x = spec.mul(x, spec.generator)
-    return out
-
-
 def dlog_oracle(spec: GroupSpec, x: int) -> int:
     """Brute-force discrete log: the unique p in [0, m) with g**p = x.
 
-    Verification-only helper; the simulated procedure never consults it.
+    Searches power_indices; verification-only, the simulation never consults it.
     """
-    cur = spec.identity
-    for p in range(spec.order):
-        if cur == x:
-            return p
-        cur = spec.mul(cur, spec.generator)
-    raise NotInGroup(f"{x!r} is not a power of {spec.generator} in {spec}")
+    return int(np.flatnonzero(spec.power_indices == spec.index_of(x))[0])

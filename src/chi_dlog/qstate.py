@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -25,7 +25,9 @@ from .errors import (
     NotInGroup,
     NotUnitary,
 )
-from .group import GroupSpec
+
+if TYPE_CHECKING:  # group imports dim_cap from here
+    from .group import GroupSpec
 
 __all__ = [
     "CORRUPT_TOL",

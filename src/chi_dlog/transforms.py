@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotBijective, WrongLayout, WrongRegisterKind
-from .group import GroupSpec, power_indices
+from .group import GroupSpec
 from .qstate import (
     BasisPermutation,
     ExponentRegister,
@@ -175,7 +175,7 @@ def div_alpha_apply(state: QState, alpha: int) -> QState:
     spec = _group_group(state)
     # the left label g**k picks up (g**-alpha)**k
     return controlled_multiply(state, spec.pow(spec.generator, -alpha),
-                               power_indices(spec))
+                               spec.power_indices)
 
 
 def div_x_apply(state: QState, x: int) -> QState:

@@ -15,6 +15,7 @@ from chi_dlog.chi import (
     prepare_chi,
     save_chi,
 )
+from chi_dlog.dlog import run_dlog
 from chi_dlog.errors import ArtifactMismatch, RetryLimitExceeded, UnverifiedChi
 from chi_dlog.group import totient, validate_group
 from chi_dlog.qstate import QState, fidelity
@@ -58,6 +59,15 @@ def test_handle_verify_flags_corruption():
     bad = ChiHandle(power=2, state=QState(good.state.layout, amps / np.linalg.norm(amps)))
     assert bad.verify() < 1.0 - 1e-9
     assert not bad.verified
+
+
+def test_handle_verify_refuses_a_scaled_state():
+    handle, _ = prepare_chi(Z13, seed=0)
+    handle.state = QState(handle.state.layout, handle.state.amplitudes * 1.01)
+    assert handle.verify() == pytest.approx(1.0201)
+    assert not handle.verified
+    with pytest.raises(UnverifiedChi):
+        run_dlog(Z13, handle, 6)
 
 
 def test_prepare_exhaustive_z5():

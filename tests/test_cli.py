@@ -180,6 +180,29 @@ def test_dlog_mislabeled_chi_power_exits_4(capsys, tmp_path):
     assert "fidelity" in err
 
 
+def test_dlog_reads_a_trivial_group_chi_file(capsys, tmp_path):
+    # m = 1 stores power 1 as its residue 0, which still counts as power 1
+    path = tmp_path / "chi.txt"
+    assert run_cli(capsys, ["prepare-chi", "--n", "2", "--g", "1",
+                            "--output", str(path)])[0] == 0
+    assert path.read_text().startswith("chi m=1 power=0 n=2 g=1\n")
+    code, out, _ = run_cli(capsys, ["dlog", "--n", "2", "--g", "1", "--x", "1",
+                                    "--chi", str(path)])
+    assert code == 0
+    assert json.loads(out)["p_measured"] == 0
+
+
+def test_chi_header_power_must_be_a_residue(capsys, tmp_path):
+    path = tmp_path / "chi.txt"
+    run_cli(capsys, ["prepare-chi", "--n", "13", "--g", "2", "--output", str(path)])
+    body = path.read_text().splitlines()[1:]
+    path.write_text("chi m=12 power=13 n=13 g=2\n" + "\n".join(body) + "\n")
+    code, out, err = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x", "6",
+                                      "--chi", str(path)])
+    assert (code, out) == (4, "")
+    assert "power 13" in err
+
+
 def test_dim_cap_env_exits_3(capsys, monkeypatch):
     monkeypatch.setenv(DIM_CAP_ENV, "100")  # joint dim for m=12 is 144
     code, _, err = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x", "2",

@@ -23,7 +23,8 @@ from chi_dlog.dlog import (
     run_dlog_repeated,
 )
 from chi_dlog.errors import InvariantViolation, LayoutMismatch, NotInGroup, UnverifiedChi
-from chi_dlog.group import dlog_oracle, validate_group
+from chi_dlog.group import GroupSpec, dlog_oracle, validate_group
+from chi_dlog.qstate import QState
 from chi_dlog.transforms import div_x_apply
 
 # the order-3 subgroup modulo the prime 2**40 - 585, the largest modulus class
@@ -237,3 +238,36 @@ def test_run_dlog_gates_exhaustive_success_mass(monkeypatch):
     with pytest.raises(InvariantViolation, match="success mass"):
         run_dlog(Z13, handle, 6, verify=False)
     assert handle.verified
+
+
+def test_run_dlog_gates_success_mass_above_one():
+    # a handle scaled after verify() puts 1.0201 of mass on the true answer;
+    # the post-run register is renormalized, so only the mass gate sees it
+    handle = fresh_chi(Z13)
+    handle.state = QState(handle.state.layout, handle.state.amplitudes * 1.01)
+    with pytest.raises(InvariantViolation, match="success mass 1.020e"):
+        run_dlog(Z13, handle, 6, verify=False)
+
+
+def test_run_dlog_accepts_a_power_congruent_to_one():
+    handle = ChiHandle(power=Z13.order + 1, state=chi_reference(Z13, 1))
+    handle.verify()
+    assert run_dlog(Z13, handle, 6).measured_p == 5
+
+
+def test_one_power_walk_per_operator(monkeypatch):
+    # the group is multiplied only to build each controlled_multiply's step
+    # permutation: two per preparation, one per run, m products each
+    spec = validate_group(257, 3)
+    real_mul = GroupSpec.mul
+    calls = []
+
+    def counted(self, a, b):
+        calls.append(1)
+        return real_mul(self, a, b)
+    monkeypatch.setattr(GroupSpec, "mul", counted)
+    handle, _ = prepare_chi(spec, seed=0)
+    assert len(calls) == 2 * spec.order == 512
+    calls.clear()
+    run_dlog(spec, handle, 5, mode="sampled", seed=0)
+    assert len(calls) == spec.order == 256

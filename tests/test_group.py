@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from chi_dlog.cli import main
 from chi_dlog.errors import (
     CapExceeded,
     NoInverse,
@@ -24,6 +26,7 @@ from chi_dlog.group import (
     totient,
     validate_group,
 )
+from chi_dlog.qstate import DIM_CAP_ENV
 
 
 def brute_totient(n):
@@ -220,6 +223,40 @@ def test_group_from_mul_table_backend():
     assert spec.elements == (1, 2, 3, 4, 5, 6)
     assert spec.identity == 1
     assert spec.pow(3, 6) == 1
+
+
+@pytest.mark.parametrize("spec", [validate_group(13, 2), validate_group(7, 2),
+                                  validate_group(2, 1), cyclic_group(9),
+                                  group_from_mul(3, lambda a, b: a * b % 7)],
+                         ids=repr)
+def test_power_indices_follow_the_power_walk(spec):
+    want = [spec.index_of(spec.pow(spec.generator, k)) for k in range(spec.order)]
+    assert spec.power_indices.tolist() == want
+    assert spec.identity == spec.element(spec.power_indices[0])
+    with pytest.raises(ValueError):
+        spec.power_indices[0] = 1
+
+
+def test_group_walks_stop_at_the_dim_cap(monkeypatch):
+    # no group above the cap is walked: 1008**2 > 1000 is refused from the
+    # order alone, and the callback walk stops once its length squared passes
+    monkeypatch.setenv(DIM_CAP_ENV, "1000")
+    with pytest.raises(CapExceeded, match="1016064") as exc:
+        validate_group(1009, 11)
+    assert "1000" in str(exc.value)
+    calls = []
+
+    def add(a, b):
+        calls.append(1)
+        return (a + b) % 1000
+    with pytest.raises(CapExceeded):
+        group_from_mul(1, add)
+    assert len(calls) <= 33
+    assert main(["prepare-chi", "--n", "1009", "--g", "11", "--dim-cap", "1000"]) == 3
+    # the largest order that fits, 31**2 = 961, still builds
+    assert cyclic_group(31).order == 31
+    with pytest.raises(CapExceeded):
+        cyclic_group(32)
 
 
 def test_group_from_mul_rejects_broken_mul():
