@@ -151,6 +151,7 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
                 f"no coprime measurement within {max_attempts} attempts for order {m}")
     success = observed[-1]
     survivor = collapse(state, 0, success).post_state
+    del state  # the round's m x m buffer goes before the joint state is built
 
     if gcd(success, m) != 1:
         raise InvariantViolation(f"accepted s={success} shares a factor with m={m}")

@@ -74,15 +74,20 @@ def mod_inverse(s: int, m: int) -> int:
     return pow(s, -1, m)
 
 
-def multiplicative_order(g: int, n: int) -> int:
-    """Order of g in the unit group mod n (g must be coprime to n)."""
-    if gcd(g % n, n) != 1:
-        raise NotCoprime(f"gcd({g % n}, {n}) != 1")
-    order = totient(n)
+def _order_from_totient(g: int, n: int, phi: int) -> int:
+    """Order of the unit g mod n, reduced from phi = totient(n)."""
+    order = phi
     for p in prime_factors(order):
         while order % p == 0 and pow(g, order // p, n) == 1:
             order //= p
     return order
+
+
+def multiplicative_order(g: int, n: int) -> int:
+    """Order of g in the unit group mod n (g must be coprime to n)."""
+    if gcd(g % n, n) != 1:
+        raise NotCoprime(f"gcd({g % n}, {n}) != 1")
+    return _order_from_totient(g, n, totient(n))
 
 
 def is_cyclic_modulus(n: int) -> bool:
@@ -207,11 +212,12 @@ def validate_group(n: int, g: int, require_full_group: bool = False) -> GroupSpe
     if gcd(g, n) != 1:
         raise NotCoprime(f"gcd({g}, {n}) = {gcd(g, n)}, so {g} is not a unit mod {n}")
     phi = totient(n)
-    order = multiplicative_order(g, n)
+    order = _order_from_totient(g, n, phi)
     cap = dim_cap()
     if order * order > cap:
         raise CapExceeded(f"{g} has order {order} mod {n}; its two-register state "
-                          f"holds {order * order} amplitudes, above the cap {cap}")
+                          f"holds {order * order} amplitudes ({16 * order * order} "
+                          f"bytes), above the cap {cap}")
     if require_full_group and order != phi:
         raise NotAGenerator(
             f"{g} has order {order} mod {n}, less than phi({n}) = {phi}")

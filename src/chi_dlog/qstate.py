@@ -2,8 +2,12 @@
 
 Joint index convention: register 0 (the leftmost) is the fastest-varying
 digit, so a two-register state keeps amplitude(i0, i1) at flat index
-i0 + dim0 * i1. The text dump format uses the same indexing. All operations
-return new states; amplitudes are never mutated in place.
+i0 + dim0 * i1. The text dump format uses the same indexing.
+
+transforms.qft_apply and transforms.controlled_multiply, with its three
+wrappers, consume their input state and return it. Everything else returns
+new arrays. Readout and factor_out work in blocks of rows, so none of them
+makes a temporary the size of a two-register state.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ __all__ = [
     "DEFAULT_DIM_CAP",
     "DIM_CAP_ENV",
     "NORM_TOL",
+    "READOUT_BLOCK",
     "BasisPermutation",
     "ExponentRegister",
     "GroupRegister",
@@ -59,6 +64,7 @@ NORM_TOL = 1e-9
 CORRUPT_TOL = 1e-6
 DEFAULT_DIM_CAP = 2 ** 24
 DIM_CAP_ENV = "CHI_DLOG_DIM_CAP"
+READOUT_BLOCK = 1 << 16  # amplitudes per row block of a readout or residual
 
 
 def dim_cap() -> int:
@@ -254,11 +260,27 @@ def marginal_distribution(state: QState, register_index: int) -> np.ndarray:
     regs = state.layout.registers
     if not 0 <= register_index < len(regs):
         raise LayoutMismatch(f"no register {register_index} in this layout")
-    dens = np.abs(state.amplitudes) ** 2
-    if len(regs) == 1:
-        return dens
-    grid = dens.reshape(regs[1].dim, regs[0].dim)
-    return grid.sum(axis=0) if register_index == 0 else grid.sum(axis=1)
+    d0 = regs[0].dim
+    if len(regs) == 1 or d0 == 1:
+        # no grid to block; numpy sums a single column pairwise, not row by row
+        dens = np.abs(state.amplitudes) ** 2
+        return dens if len(regs) == 1 else dens.reshape(-1, 1).sum(axis=register_index)
+    grid = _grid(state)
+    rows = max(1, READOUT_BLOCK // d0)
+    # buf[0] carries the running column sum, so register 0 adds the rows in
+    # order exactly as grid.sum(axis=0) does; a row sum never straddles blocks
+    buf = np.zeros((rows + 1, d0))
+    out = np.empty(grid.shape[0])
+    for start in range(0, grid.shape[0], rows):
+        block = grid[start:start + rows]
+        dens = buf[1:1 + len(block)]
+        np.abs(block, out=dens)
+        np.square(dens, out=dens)
+        if register_index == 0:
+            buf[0] = np.add.reduce(buf[:1 + len(block)], axis=0)
+        else:
+            np.add.reduce(dens, axis=1, out=out[start:start + len(block)])
+    return buf[0].copy() if register_index == 0 else out
 
 
 def collapse(state: QState, register_index: int, label: int) -> MeasurementOutcome:
@@ -320,7 +342,8 @@ def tensor(a: QState, b: QState) -> QState:
     if len(regs) > 2:
         raise LayoutMismatch(f"joint layout would hold {len(regs)} registers")
     # joint[i0 + d0*i1] = a[i0] * b[i1]
-    return QState(RegisterLayout(regs), np.kron(b.amplitudes, a.amplitudes))
+    return QState(RegisterLayout(regs),
+                  np.multiply.outer(b.amplitudes, a.amplitudes).reshape(-1))
 
 
 def factor_out(state: QState, register_index: int, expected: QState) -> QState:
@@ -339,15 +362,19 @@ def factor_out(state: QState, register_index: int, expected: QState) -> QState:
     e = expected.amplitudes
     if register_index == 1:
         remaining = e.conj() @ grid          # shape (d0,)
-        recon = np.outer(e, remaining)
-        keep = regs[0]
+        column, row, keep = e, remaining, regs[0]
     else:
         remaining = grid @ e.conj()          # shape (d1,)
-        recon = np.outer(remaining, e)
-        keep = regs[1]
-    recon -= grid
-    residual = float(np.max(np.abs(recon)))
-    if residual > NORM_TOL:
+        column, row, keep = remaining, e, regs[1]
+    # max-abs residual of outer(column, row) - grid, one row block at a time
+    rows = max(1, READOUT_BLOCK // grid.shape[1])
+    blocks = []
+    for start in range(0, grid.shape[0], rows):
+        recon = np.outer(column[start:start + rows], row)
+        recon -= grid[start:start + rows]
+        blocks.append(np.max(np.abs(recon)))
+    residual = float(np.max(blocks))
+    if not residual <= NORM_TOL:
         raise NotAProductState(
             f"residual {residual:.3e} after projecting register {register_index}")
     return QState(RegisterLayout((keep,)), remaining.copy())

@@ -4,7 +4,8 @@ The Fourier transform is numpy's pocketfft, which covers every length (primes
 through Bluestein's algorithm) with kernel exp(2*pi*i*x*y/m)/sqrt(m). The
 division and power operators are one primitive, controlled_multiply, which
 moves amplitudes along the power walk of a single multiplier built from group
-multiplication alone (never from a discrete-log lookup).
+multiplication alone (never from a discrete-log lookup). Both consume the
+state they are given: they overwrite its amplitudes and return it.
 
 The dense Fourier matrix and the joint-index permutation tables below are
 reference oracles for the verify suites and the tests; nothing on the
@@ -53,23 +54,32 @@ def fourier_matrix(m: int, inverse: bool = False) -> np.ndarray:
     return mat
 
 
+def _consume(state: QState) -> np.ndarray:
+    """The amplitudes a transform overwrites, made C-contiguous complex128 once."""
+    state.amplitudes = np.require(state.amplitudes, np.complex128, ("C", "W"))
+    return state.amplitudes
+
+
 def qft_apply(state: QState, register_index: int, inverse: bool = False) -> QState:
-    """Fourier-transform one exponent register with an O(m log m) FFT."""
+    """Fourier-transform one exponent register with an O(m log m) FFT.
+
+    Consumes its input: the amplitudes are transformed in place and the same
+    state is returned.
+    """
     regs = state.layout.registers
     if not 0 <= register_index < len(regs):
         raise WrongLayout(f"no register {register_index} in this layout")
     if not isinstance(regs[register_index], ExponentRegister):
         raise WrongRegisterKind("the Fourier transform acts on exponent registers only")
-    if len(regs) == 1:
-        axis = 0
-        data = state.amplitudes
-    else:
-        data = state.amplitudes.reshape(regs[1].dim, regs[0].dim)
+    data = _consume(state)
+    axis = 0
+    if len(regs) == 2:
+        data = data.reshape(regs[1].dim, regs[0].dim)
         axis = 1 if register_index == 0 else 0
     # the forward transform has the +2*pi*i/m kernel, which numpy calls ifft
     transform = np.fft.fft if inverse else np.fft.ifft
-    out = transform(data, axis=axis, norm="ortho")
-    return QState(state.layout, np.ascontiguousarray(out).reshape(-1))
+    transform(data, axis=axis, norm="ortho", out=data)
+    return state
 
 
 def _mult_index_perm(spec: GroupSpec, c: int) -> np.ndarray:
@@ -83,7 +93,8 @@ def controlled_multiply(state: QState, step: int, order) -> QState:
 
     Register 1 must be a group register; order lists every basis index of
     register 0 once. Row k of the map is the permutation "multiply by step"
-    composed k times, so one bijectivity check covers every row.
+    composed k times, so one bijectivity check covers every row. Consumes its
+    input: the amplitudes are permuted in place and the same state is returned.
     """
     regs = state.layout.registers
     if len(regs) != 2 or not isinstance(regs[1], GroupRegister):
@@ -97,15 +108,13 @@ def controlled_multiply(state: QState, step: int, order) -> QState:
         if perm.shape != (n,) or perm.min() < 0 or perm.max() >= n \
                 or np.bincount(perm, minlength=n).max() != 1:
             raise NotBijective(f"{what} is not a permutation of {n} basis indices")
-    new = np.empty_like(state.amplitudes)
     # row c of the transposed grid holds the amplitudes of control index c
-    src = state.amplitudes.reshape(m, d0).T
-    dst = new.reshape(m, d0).T
+    grid = _consume(state).reshape(m, d0).T
     cur = np.arange(m)
     for c in order.tolist():
-        dst[c][cur] = src[c]
+        grid[c][cur] = grid[c].copy()
         cur = one[cur]
-    return QState(state.layout, new)
+    return state
 
 
 def _joint_table(rows: np.ndarray, d0: int) -> np.ndarray:

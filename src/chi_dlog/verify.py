@@ -136,7 +136,7 @@ def fourier_suite(max_m: int) -> SuiteResult:
             err = float(np.max(np.abs(finv @ (f @ v) - v)))
             res.add(err <= TOL, f"F then F^-1 moved basis state {x} of {m} by {err:.3e}")
             # the FFT that runs the simulation against the dense oracle
-            fwd = qft_apply(QState(layout, v), 0)
+            fwd = qft_apply(QState(layout, v.copy()), 0)
             err = float(np.max(np.abs(fwd.amplitudes - f @ v)))
             res.add(err <= TOL, f"FFT differs from F on basis state {x} of {m} by {err:.3e}")
             back = qft_apply(fwd, 0, inverse=True).amplitudes
@@ -159,15 +159,17 @@ def division_suite(max_m: int) -> SuiteResult:
         pair = _random_state(RegisterLayout((GroupRegister(spec),) * 2), m)
         run = _random_state(RegisterLayout((ExponentRegister(m), GroupRegister(spec))), m)
         want = apply_basis_permutation(run, power_oracle_permutation(spec))
-        res.add(bool(np.array_equal(power_oracle_apply(run).amplitudes, want.amplitudes)),
+        res.add(bool(np.array_equal(power_oracle_apply(run.copy()).amplitudes,
+                                    want.amplitudes)),
                 f"power oracle disagrees with its table at m={m}")
         for x in spec.elements:
             want = apply_basis_permutation(run, div_x_permutation(spec, x))
-            res.add(bool(np.array_equal(div_x_apply(run, x).amplitudes, want.amplitudes)),
+            res.add(bool(np.array_equal(div_x_apply(run.copy(), x).amplitudes,
+                                        want.amplitudes)),
                     f"D_x disagrees with its table at m={m}, x={x}")
         for alpha in range(m):
             want = apply_basis_permutation(pair, div_alpha_permutation(spec, alpha))
-            res.add(bool(np.array_equal(div_alpha_apply(pair, alpha).amplitudes,
+            res.add(bool(np.array_equal(div_alpha_apply(pair.copy(), alpha).amplitudes,
                                         want.amplitudes)),
                     f"division by x^{alpha} disagrees with its table at m={m}")
             t = div_alpha_permutation(spec, alpha).table
@@ -209,7 +211,7 @@ def kickback_suite(max_m: int) -> SuiteResult:
             p = dlog_oracle(spec, x)
             phases = np.exp(2j * np.pi * ((p * np.arange(m)) % m) / m)
             expected = np.kron(chi.amplitudes, uniform * phases)
-            got = div_x_apply(joint, x).amplitudes
+            got = div_x_apply(joint.copy(), x).amplitudes
             err = float(np.max(np.abs(got - expected)))
             res.add(err <= TOL,
                     f"kick-back drifted {err:.3e} for x={x} (p={p}) at m={m}")

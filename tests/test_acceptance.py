@@ -166,7 +166,7 @@ def test_criterion_5_phase_kickback():
             p = dlog_oracle(spec, x)
             for alpha in range(m):
                 start = tensor(basis_state(exp_layout, (alpha,)), chi)
-                after = div_x_apply(start, x)
+                after = div_x_apply(start.copy(), x)
                 phase = np.exp(2j * np.pi * ((alpha * p) % m) / m)
                 drift = float(np.max(np.abs(after.amplitudes - phase * start.amplitudes)))
                 worst = max(worst, drift)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chi_dlog import group
 from chi_dlog.cli import main
 from chi_dlog.errors import (
     CapExceeded,
@@ -257,6 +258,30 @@ def test_group_walks_stop_at_the_dim_cap(monkeypatch):
     assert cyclic_group(31).order == 31
     with pytest.raises(CapExceeded):
         cyclic_group(32)
+
+
+def test_cap_refusal_names_the_state_bytes(monkeypatch):
+    monkeypatch.setenv(DIM_CAP_ENV, "1000")
+    with pytest.raises(CapExceeded, match=r"1016064 amplitudes \(16257024 bytes\)"):
+        validate_group(1009, 11)
+
+
+def test_validate_group_factors_the_modulus_once(monkeypatch):
+    # near the 2**40 cap one trial-division factoring of n takes about 0.1 s
+    n = 1099511627191
+    factored = []
+    real = group.prime_factors
+
+    def counted(k):
+        factored.append(k)
+        return real(k)
+    monkeypatch.setattr(group, "prime_factors", counted)
+    spec = validate_group(n, pow(2, (n - 1) // 3, n))
+    assert spec.order == 3
+    assert factored.count(n) == 1
+    factored.clear()
+    assert multiplicative_order(spec.generator, n) == 3
+    assert factored.count(n) == 1
 
 
 def test_group_from_mul_rejects_broken_mul():

@@ -16,6 +16,7 @@ from chi_dlog.errors import (
 from chi_dlog.group import validate_group
 from chi_dlog.qstate import (
     DIM_CAP_ENV,
+    READOUT_BLOCK,
     BasisPermutation,
     ExponentRegister,
     GroupRegister,
@@ -196,6 +197,23 @@ def test_marginals():
     assert np.allclose(marginal_distribution(bell, 1), [0.5, 0.5])
 
 
+# (d0, d1): a single column, one block, many blocks with a ragged last one,
+# blocks that divide d1 exactly, and rows wider than a block's share
+@pytest.mark.parametrize("d0,d1", [(1, 1000), (7, 3), (7, 20000), (256, 1024),
+                                   (1009, 200)])
+def test_blocked_marginal_matches_the_plain_sum(d0, d1):
+    assert READOUT_BLOCK == 1 << 16
+    state = random_state(RegisterLayout((ExponentRegister(d0), ExponentRegister(d1))), d0)
+    dens = (np.abs(state.amplitudes) ** 2).reshape(d1, d0)
+    assert np.array_equal(marginal_distribution(state, 0), dens.sum(axis=0))
+    assert np.array_equal(marginal_distribution(state, 1), dens.sum(axis=1))
+
+
+def test_one_register_marginal_is_the_density():
+    state = random_state(exp_layout(1009), 4)
+    assert np.array_equal(marginal_distribution(state, 0), np.abs(state.amplitudes) ** 2)
+
+
 def test_collapse():
     # the measured register becomes classical: post_state is the other one
     bell = collapse(bell_state(), 0, 1)
@@ -320,6 +338,18 @@ def test_factor_out_rejects_entanglement():
         factor_out(bell_state(), 0, basis_state(exp_layout(2), (0,)))
     with pytest.raises(LayoutMismatch):
         factor_out(bell_state(), 0, basis_state(exp_layout(3), (0,)))
+
+
+def test_factor_out_checks_every_row_block():
+    # 200 rows of 1009 amplitudes make four row blocks, the last one ragged
+    a, b = random_state(exp_layout(1009), 1), random_state(exp_layout(200), 2)
+    for flat in (0, 1009 * 100 + 5, 1009 * 200 - 1):
+        joint = tensor(a, b)
+        joint.amplitudes[flat] += 1e-6
+        with pytest.raises(NotAProductState):
+            factor_out(joint, 1, b)
+        with pytest.raises(NotAProductState):
+            factor_out(joint, 0, a)
 
 
 def test_dump_format_and_roundtrip():

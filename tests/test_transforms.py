@@ -86,7 +86,7 @@ def test_fourier_matrix_is_read_only():
 def test_qft_roundtrip():
     lay = RegisterLayout((ExponentRegister(6), GroupRegister(Z7)))
     state = random_state(lay, 0)
-    back = qft_apply(qft_apply(state, 0), 0, inverse=True)
+    back = qft_apply(qft_apply(state.copy(), 0), 0, inverse=True)
     assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
 
 
@@ -145,7 +145,7 @@ def test_div_alpha_exhaustive_against_group_ops():
 
 def test_div_alpha_zero_is_identity():
     state = random_state(pair_layout(Z7), 3)
-    out = div_alpha_apply(state, 0)
+    out = div_alpha_apply(state.copy(), 0)
     assert np.array_equal(out.amplitudes, state.amplitudes)
 
 
@@ -180,7 +180,7 @@ def test_div_x_exhaustive_against_group_ops():
 
 def test_div_x_identity_element_is_identity_map():
     state = random_state(run_layout(Z7), 6)
-    out = div_x_apply(state, 1)
+    out = div_x_apply(state.copy(), 1)
     assert np.array_equal(out.amplitudes, state.amplitudes)
 
 
@@ -252,7 +252,7 @@ def test_div_alpha_apply_matches_table_exhaustively():
     for spec in oracle_groups():
         state = random_state(pair_layout(spec), spec.order)
         for alpha in range(spec.order):
-            assert_matches_table(div_alpha_apply(state, alpha), state,
+            assert_matches_table(div_alpha_apply(state.copy(), alpha), state,
                                  div_alpha_permutation(spec, alpha))
 
 
@@ -260,13 +260,13 @@ def test_div_x_apply_matches_table_exhaustively():
     for spec in oracle_groups():
         state = random_state(run_layout(spec), spec.order)
         for x in spec.elements:
-            assert_matches_table(div_x_apply(state, x), state, div_x_permutation(spec, x))
+            assert_matches_table(div_x_apply(state.copy(), x), state, div_x_permutation(spec, x))
 
 
 def test_power_oracle_apply_matches_table_exhaustively():
     for spec in oracle_groups():
         state = random_state(run_layout(spec), spec.order)
-        assert_matches_table(power_oracle_apply(state), state,
+        assert_matches_table(power_oracle_apply(state.copy()), state,
                              power_oracle_permutation(spec))
 
 
@@ -277,7 +277,7 @@ def test_controlled_multiply_known_mapping():
     assert out.amplitudes[joint_index(run_layout(Z7), (0, 6))] == 1.0
     # row k=0 of the order is left alone whatever the step
     state = basis_state(run_layout(Z7), (2, 5))
-    out = controlled_multiply(state, 3, [2, 0, 1, 3, 4, 5])
+    out = controlled_multiply(state.copy(), 3, [2, 0, 1, 3, 4, 5])
     assert np.array_equal(out.amplitudes, state.amplitudes)
 
 
@@ -296,3 +296,47 @@ def test_controlled_multiply_guards():
     with pytest.raises(WrongLayout):
         controlled_multiply(random_state(RegisterLayout((GroupRegister(Z7),)), 3),
                             3, range(6))
+
+
+def test_transforms_consume_their_input():
+    for layout in (RegisterLayout((ExponentRegister(6), ExponentRegister(7))),
+                   RegisterLayout((ExponentRegister(9),))):
+        for register_index in range(len(layout.registers)):
+            state = random_state(layout, 5)
+            buffer = state.amplitudes
+            out = qft_apply(state, register_index, inverse=register_index == 1)
+            assert out is state and np.shares_memory(out.amplitudes, buffer)
+    for op, args in ((controlled_multiply, (3, [2, 0, 1, 3, 4, 5])),
+                     (div_x_apply, (5,)), (power_oracle_apply, ())):
+        state = random_state(run_layout(Z7), 6)
+        buffer = state.amplitudes
+        out = op(state, *args)
+        assert out is state and np.shares_memory(out.amplitudes, buffer)
+    state = random_state(pair_layout(Z7), 7)
+    buffer = state.amplitudes
+    assert np.shares_memory(div_alpha_apply(state, 2).amplitudes, buffer)
+
+
+def test_transforms_copy_a_buffer_they_cannot_overwrite():
+    # a strided view or a read-only array is copied once, then transformed
+    state = random_state(run_layout(Z7), 8)
+    want = qft_apply(state.copy(), 0).amplitudes
+    strided = np.repeat(state.amplitudes, 2)[::2]
+    assert np.array_equal(qft_apply(QState(state.layout, strided), 0).amplitudes, want)
+    frozen = state.amplitudes.copy()
+    frozen.setflags(write=False)
+    out = qft_apply(QState(state.layout, frozen), 0)
+    assert np.array_equal(out.amplitudes, want)
+    assert np.array_equal(frozen, state.amplitudes)
+    want = div_x_apply(state.copy(), 3).amplitudes
+    assert np.array_equal(div_x_apply(QState(state.layout, frozen), 3).amplitudes, want)
+
+
+def test_refused_transforms_leave_their_input_alone():
+    state = random_state(run_layout(Z7), 9)
+    before = state.amplitudes.copy()
+    with pytest.raises(NotBijective):
+        controlled_multiply(state, 3, range(5))
+    with pytest.raises(WrongRegisterKind):
+        qft_apply(state, 1)
+    assert np.array_equal(state.amplitudes, before)
