@@ -122,13 +122,15 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
         raise ValueError("max_attempts must be at least 1")
     m = spec.order
     check = (m <= VERIFY_MAX_ORDER) if verify is None else verify
-    layout = RegisterLayout((ExponentRegister(m), GroupRegister(spec)))
 
-    # round: superpose exponents, load powers, transform again. A device reruns
-    # it on every attempt, but the simulated unitary and its input are fixed,
-    # so every attempt draws from this one distribution
-    state = basis_state(layout, (0, spec.identity))
-    state = qft_apply(state, 0)
+    # round: superpose exponents, load powers, transform again. The fresh
+    # exponent register is transformed before it joins the group register, so
+    # the first transform touches m amplitudes. A device reruns the round on
+    # every attempt, but the simulated unitary and its input are fixed, so
+    # every attempt draws from this one distribution
+    exp_zero = basis_state(RegisterLayout((ExponentRegister(m),)), (0,))
+    identity = basis_state(RegisterLayout((GroupRegister(spec),)), (spec.identity,))
+    state = tensor(qft_apply(exp_zero, 0), identity)
     state = power_oracle_apply(state)
     state = qft_apply(state, 0)
     if check:
@@ -151,13 +153,17 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
                 f"no coprime measurement within {max_attempts} attempts for order {m}")
     success = observed[-1]
     survivor = collapse(state, 0, success).post_state
-    del state  # the round's m x m buffer goes before the joint state is built
+    # the uniform register is built first, so nothing is allocated between
+    # freeing the round's m x m buffer and building the joint state, which can
+    # then reuse it (otherwise peak RSS can hold a second state, as at m = 1008)
+    uniform = chi_reference(spec, 0)
+    del state
 
     if gcd(success, m) != 1:
         raise InvariantViolation(f"accepted s={success} shares a factor with m={m}")
     # the measurement left the chi register of power s alone: pair it with a
     # uniform chi register and divide down to power 1
-    joint = tensor(chi_reference(spec, 0), survivor)
+    joint = tensor(uniform, survivor)
     joint = div_alpha_apply(joint, mod_inverse(success, m))
     chi_state = factor_out(joint, 1, chi_reference(spec, success))
 

@@ -1,11 +1,12 @@
 """The two-register discrete-log procedure over a prepared chi handle.
 
-One run: transform a fresh exponent register out of |0>, divide the chi
-register by x raised to that exponent (which only kicks phases back onto the
-exponent register), transform back, and read the exponent register. The chi
-register survives and the handle carries its post-run state forward, so reuse
-is observable rather than assumed. Resource counts are incremented at the
-operation call sites, never hand-entered.
+One run: transform a fresh exponent register out of |0> before it joins the
+chi register (m amplitudes, not m**2), divide the chi register by x raised to
+that exponent (which only kicks phases back onto the exponent register),
+transform back, and read the exponent register. The chi register survives and
+the handle carries its post-run state forward, so reuse is observable rather
+than assumed. Resource counts are incremented at the operation call sites,
+never hand-entered.
 """
 from __future__ import annotations
 
@@ -111,12 +112,12 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
     p_true = dlog_oracle(spec, x)
     ledger = ResourceLedger()
 
+    # (F x I)(|0> x chi) = F|0> x chi: transform the fresh register alone
     exp_zero = basis_state(RegisterLayout((ExponentRegister(m),)), (0,))
-    joint = tensor(exp_zero, chi.state)
+    joint = tensor(qft_apply(exp_zero, 0), chi.state)
+    ledger.fourier_count += 1
     ledger.registers_used = len(joint.layout.registers)
 
-    joint = qft_apply(joint, 0)
-    ledger.fourier_count += 1
     before = joint.amplitudes.copy() if check else None
     joint = div_x_apply(joint, x)
     ledger.division_ops += 1

@@ -179,14 +179,16 @@ def test_prepare_sampled_stream_is_pinned(n, seed, attempts, observed_s, success
 
 @pytest.mark.parametrize("n, g, seed", [(13, 2, 5), (1009, 11, 3)])
 def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
-    calls = {"power_oracle_apply": 0, "qft_apply": 0, "marginal_distribution": 0}
+    # each call's entry is the register count of the state it was handed, so
+    # qft_apply shows that the fresh exponent register is transformed alone
+    calls = {"power_oracle_apply": [], "qft_apply": [], "marginal_distribution": []}
 
     def counted(name):
         inner = getattr(chi, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
+        def wrapper(state, *args, **kwargs):
+            calls[name].append(len(state.layout.registers))
+            return inner(state, *args, **kwargs)
         return wrapper
 
     for name in calls:
@@ -194,12 +196,12 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
     spec = validate_group(n, g)
     for mode in ("sampled", "exhaustive"):
         for name in calls:
-            calls[name] = 0
+            calls[name] = []
         handle, stats = prepare_chi(spec, seed=seed, mode=mode)
         assert handle.verified
         assert stats.attempts >= (3 if mode == "sampled" else 1)
-        assert calls == {"power_oracle_apply": 1, "qft_apply": 2,
-                         "marginal_distribution": 1}
+        assert calls == {"power_oracle_apply": [2], "qft_apply": [1, 2],
+                         "marginal_distribution": [2]}
 
 
 def test_prepare_sampled_retry_cap():

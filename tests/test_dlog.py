@@ -271,3 +271,23 @@ def test_one_power_walk_per_operator(monkeypatch):
     calls.clear()
     run_dlog(spec, handle, 5, mode="sampled", seed=0)
     assert len(calls) == spec.order == 256
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_run_transforms_the_fresh_register_before_it_joins(monkeypatch, mode):
+    # one m-amplitude transform of |0> and one joint inverse transform; the
+    # ledger still counts the procedure's two transforms and two registers
+    spec = validate_group(1009, 11)
+    handle = fresh_chi(spec)
+    registers = []
+    real_qft = dlog.qft_apply
+
+    def counted(state, *args, **kwargs):
+        registers.append(len(state.layout.registers))
+        return real_qft(state, *args, **kwargs)
+    monkeypatch.setattr(dlog, "qft_apply", counted)
+    result = run_dlog(spec, handle, 5, mode=mode, seed=0)
+    assert result.measured_p == dlog_oracle(spec, 5)
+    assert registers == [1, 2]
+    assert result.resources.fourier_count == 2
+    assert result.resources.registers_used == 2

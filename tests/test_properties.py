@@ -4,12 +4,15 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chi_dlog.chi import FIDELITY_TOL, chi_reference, load_chi, prepare_chi, save_chi
 from chi_dlog.group import cyclic_group, multiplicative_order, validate_group
-from chi_dlog.qstate import fidelity
+from chi_dlog.qstate import ExponentRegister, RegisterLayout, basis_state, fidelity, tensor
+from chi_dlog.transforms import qft_apply
 
 MAX_ORDER = 64
 MAX_MODULUS = 10 ** 6  # keeps the trial-division factoring in each draw cheap
@@ -58,3 +61,31 @@ def test_chi_file_round_trip_is_bit_identical(spec, seed):
     assert loaded.power == handle.power % spec.order  # the header stores power mod m
     assert loaded.state.layout == handle.state.layout
     assert loaded.state.amplitudes.tobytes() == handle.state.amplitudes.tobytes()
+
+
+def _both_orders(spec, power):
+    """The joint state after the first transform: fresh register first, then joined."""
+    def zero():
+        return basis_state(RegisterLayout((ExponentRegister(spec.order),)), (0,))
+    chi = chi_reference(spec, power)
+    early = tensor(qft_apply(zero(), 0), chi).amplitudes
+    # the joint transform of |0> x chi is kept here only as an oracle
+    joint = qft_apply(tensor(zero(), chi), 0).amplitudes
+    return early, joint
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec=any_groups, power=st.integers(0, MAX_ORDER - 1))
+def test_transforming_the_fresh_register_first_is_exact(spec, power):
+    early, joint = _both_orders(spec, power)
+    assert np.array_equal(early, joint)
+
+
+# m = 1018 = 2 * 509 takes pocketfft's Bluestein path, which rounds the two
+# orders apart
+@pytest.mark.parametrize("n, g, exact", [(257, 3, True), (1009, 11, True),
+                                         (1019, 2, False)])
+def test_transforming_the_fresh_register_first_at_size(n, g, exact):
+    early, joint = _both_orders(validate_group(n, g), 1)
+    assert np.array_equal(early, joint) == exact
+    assert np.max(np.abs(early - joint)) <= 2e-15
