@@ -16,7 +16,6 @@ from .errors import (
     NotBijective,
     NotCoprime,
     NotInGroup,
-    NotUnitary,
     RetryLimitExceeded,
     UnverifiedChi,
     WrongLayout,
@@ -38,14 +37,11 @@ from .group import (
     validate_group,
 )
 from .qstate import (
-    BasisPermutation,
     ExponentRegister,
     GroupRegister,
     MeasurementOutcome,
     QState,
     RegisterLayout,
-    apply_basis_permutation,
-    apply_register_unitary,
     basis_state,
     collapse,
     dim_cap,
@@ -61,12 +57,8 @@ from .qstate import (
 from .transforms import (
     controlled_multiply,
     div_alpha_apply,
-    div_alpha_permutation,
     div_x_apply,
-    div_x_permutation,
-    fourier_matrix,
     power_oracle_apply,
-    power_oracle_permutation,
     qft_apply,
 )
 from .chi import (

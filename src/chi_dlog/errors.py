@@ -25,10 +25,6 @@ class BadLabel(ChiDlogError):
     """A basis label is outside the register's range."""
 
 
-class NotUnitary(ChiDlogError):
-    """A matrix failed the unitarity check."""
-
-
 class InvariantViolation(ChiDlogError):
     """A structural check of the simulation failed; the result cannot be trusted."""
 

@@ -4,10 +4,11 @@ Joint index convention: register 0 (the leftmost) is the fastest-varying
 digit, so a two-register state keeps amplitude(i0, i1) at flat index
 i0 + dim0 * i1. The text dump format uses the same indexing.
 
-transforms.qft_apply and transforms.controlled_multiply, with its three
-wrappers, consume their input state and return it. Everything else returns
-new arrays. Readout and factor_out work in blocks of rows, so none of them
-makes a temporary the size of a two-register state.
+This module holds states, not operators: every gate of the simulation is in
+transforms, whose qft_apply and controlled_multiply (with its three wrappers)
+consume their input state and return it. Everything here returns new arrays.
+Readout and factor_out work in blocks of rows, so none of them makes a
+temporary the size of a two-register state.
 """
 from __future__ import annotations
 
@@ -25,9 +26,7 @@ from .errors import (
     DegenerateNorm,
     LayoutMismatch,
     NotAProductState,
-    NotBijective,
     NotInGroup,
-    NotUnitary,
 )
 
 if TYPE_CHECKING:  # group imports dim_cap from here
@@ -39,14 +38,11 @@ __all__ = [
     "DIM_CAP_ENV",
     "NORM_TOL",
     "READOUT_BLOCK",
-    "BasisPermutation",
     "ExponentRegister",
     "GroupRegister",
     "MeasurementOutcome",
     "QState",
     "RegisterLayout",
-    "apply_basis_permutation",
-    "apply_register_unitary",
     "basis_state",
     "collapse",
     "dim_cap",
@@ -169,33 +165,6 @@ class MeasurementOutcome:
     post_state: QState
 
 
-class BasisPermutation:
-    """A bijection on joint basis indices; table[i] is the image of index i."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table):
-        arr = np.asarray(table, dtype=np.int64)
-        if arr.ndim != 1:
-            raise NotBijective(f"table must be one-dimensional, got shape {arr.shape}")
-        n = arr.shape[0]
-        if n == 0 or arr.min() < 0 or arr.max() >= n:
-            raise NotBijective("table entries must cover [0, n)")
-        if np.bincount(arr, minlength=n).max() != 1:
-            raise NotBijective("table repeats an image index")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        self.table = arr
-
-    def __len__(self) -> int:
-        return self.table.shape[0]
-
-    def inverse(self) -> "BasisPermutation":
-        inv = np.empty_like(self.table)
-        inv[self.table] = np.arange(len(self))
-        return BasisPermutation(inv)
-
-
 def _grid(state: QState) -> np.ndarray:
     """(dim1, dim0) view of a two-register state; grid[i1, i0]."""
     d0 = state.layout.dim(0)
@@ -216,43 +185,6 @@ def basis_state(layout: RegisterLayout, labels: Sequence[int]) -> QState:
     amps = np.zeros(layout.total_dim, dtype=np.complex128)
     amps[flat] = 1.0
     return QState(layout, amps)
-
-
-def apply_register_unitary(state: QState, register_index: int, matrix,
-                           check_unitary: bool = False) -> QState:
-    """Apply a dense unitary to one register, identity on the other.
-
-    With check_unitary the operator must satisfy max|U U^H - I| <= 1e-9,
-    otherwise NotUnitary; the check is meant for verification runs only.
-    """
-    regs = state.layout.registers
-    if not 0 <= register_index < len(regs):
-        raise LayoutMismatch(f"no register {register_index} in this layout")
-    d = regs[register_index].dim
-    mat = np.asarray(matrix, dtype=np.complex128)
-    if mat.shape != (d, d):
-        raise LayoutMismatch(f"operator shape {mat.shape} does not fit dimension {d}")
-    if check_unitary:
-        err = float(np.max(np.abs(mat @ mat.conj().T - np.eye(d))))
-        if err > NORM_TOL:
-            raise NotUnitary(f"max |U U^H - I| = {err:.3e} exceeds {NORM_TOL}")
-    if len(regs) == 1:
-        new = mat @ state.amplitudes
-    elif register_index == 0:
-        new = (_grid(state) @ mat.T).reshape(-1)
-    else:
-        new = (mat @ _grid(state)).reshape(-1)
-    return QState(state.layout, new)
-
-
-def apply_basis_permutation(state: QState, perm: BasisPermutation) -> QState:
-    """Relabel basis states: new[table[i]] = old[i]. Exact, no arithmetic."""
-    if len(perm) != state.layout.total_dim:
-        raise LayoutMismatch(
-            f"permutation over {len(perm)} indices applied to dimension {state.layout.total_dim}")
-    new = np.empty_like(state.amplitudes)
-    new[perm.table] = state.amplitudes
-    return QState(state.layout, new)
 
 
 def marginal_distribution(state: QState, register_index: int) -> np.ndarray:

@@ -7,9 +7,13 @@ moves amplitudes along the power walk of a single multiplier built from group
 multiplication alone (never from a discrete-log lookup). Both consume the
 state they are given: they overwrite its amplitudes and return it.
 
-The dense Fourier matrix and the joint-index permutation tables below are
-reference oracles for the verify suites and the tests; nothing on the
-simulation path calls them.
+fourier_matrix and the three joint-index tables below (div_alpha_permutation,
+div_x_permutation, power_oracle_permutation) are reference oracles: the verify
+suites and the tests compare the operators against them, and nothing on the
+simulation path calls them. Each returns a read-only array, and the package
+namespace does not re-export them. They keep their lru_caches here only while
+the benchmark's tracer reads those caches' counters by name; once it traces
+controlled_multiply instead, they belong in verify, uncached.
 """
 from __future__ import annotations
 
@@ -19,12 +23,7 @@ import numpy as np
 
 from .errors import NotBijective, WrongLayout, WrongRegisterKind
 from .group import GroupSpec
-from .qstate import (
-    BasisPermutation,
-    ExponentRegister,
-    GroupRegister,
-    QState,
-)
+from .qstate import ExponentRegister, GroupRegister, QState
 
 __all__ = [
     "controlled_multiply",
@@ -118,44 +117,45 @@ def controlled_multiply(state: QState, step: int, order) -> QState:
 
 
 def _joint_table(rows: np.ndarray, d0: int) -> np.ndarray:
-    """Assemble |i0, i1> -> |i0, rows[i0, i1]> into a flat joint table."""
+    """Assemble |i0, i1> -> |i0, rows[i0, i1]> into a flat read-only joint table."""
     i1, i0 = np.divmod(np.arange(d0 * rows.shape[1], dtype=np.int64), d0)
-    return i0 + d0 * rows[i0, i1]
+    table = i0 + d0 * rows[i0, i1]
+    table.setflags(write=False)
+    return table
+
+
+def _walk_table(spec: GroupSpec, step: int) -> np.ndarray:
+    """Joint table of |a, y> -> |a, y * step**a> on an (exponent, group) pair."""
+    m = spec.order
+    one = _mult_index_perm(spec, step)
+    rows = np.empty((m, m), dtype=np.int64)
+    rows[0] = np.arange(m)
+    for a in range(1, m):
+        rows[a] = one[rows[a - 1]]
+    return _joint_table(rows, m)
 
 
 @lru_cache(maxsize=128)
-def div_alpha_permutation(spec: GroupSpec, alpha: int) -> BasisPermutation:
+def div_alpha_permutation(spec: GroupSpec, alpha: int) -> np.ndarray:
     """Joint table of |x, y> -> |x, y * x**(-alpha)> on a (group, group) pair."""
     m = spec.order
     alpha %= m
     rows = np.empty((m, m), dtype=np.int64)
     for ix, x in enumerate(spec.elements):
         rows[ix] = _mult_index_perm(spec, spec.pow(x, -alpha))
-    return BasisPermutation(_joint_table(rows, m))
+    return _joint_table(rows, m)
 
 
 @lru_cache(maxsize=128)
-def div_x_permutation(spec: GroupSpec, x: int) -> BasisPermutation:
+def div_x_permutation(spec: GroupSpec, x: int) -> np.ndarray:
     """Joint table of |a, y> -> |a, y * x**(-a)> on an (exponent, group) pair."""
-    m = spec.order
-    step = _mult_index_perm(spec, spec.inverse(x))
-    rows = np.empty((m, m), dtype=np.int64)
-    rows[0] = np.arange(m)
-    for a in range(1, m):
-        rows[a] = step[rows[a - 1]]
-    return BasisPermutation(_joint_table(rows, m))
+    return _walk_table(spec, spec.inverse(x))
 
 
 @lru_cache(maxsize=128)
-def power_oracle_permutation(spec: GroupSpec) -> BasisPermutation:
+def power_oracle_permutation(spec: GroupSpec) -> np.ndarray:
     """Joint table of |r, y> -> |r, y * g**r> on an (exponent, group) pair."""
-    m = spec.order
-    step = _mult_index_perm(spec, spec.generator)
-    rows = np.empty((m, m), dtype=np.int64)
-    rows[0] = np.arange(m)
-    for r in range(1, m):
-        rows[r] = step[rows[r - 1]]
-    return BasisPermutation(_joint_table(rows, m))
+    return _walk_table(spec, spec.generator)
 
 
 def _group_group(state: QState) -> GroupSpec:

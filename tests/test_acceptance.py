@@ -206,9 +206,9 @@ def test_criterion_7_unitarity_and_oracle_suites():
     for spec in perm_specs:
         m = spec.order
         full = np.arange(m * m)
-        candidates = [power_oracle_permutation(spec).table]
-        candidates += [div_alpha_permutation(spec, a).table for a in range(m)]
-        candidates += [div_x_permutation(spec, x).table for x in spec.elements]
+        candidates = [power_oracle_permutation(spec)]
+        candidates += [div_alpha_permutation(spec, a) for a in range(m)]
+        candidates += [div_x_permutation(spec, x) for x in spec.elements]
         for table in candidates:
             assert np.array_equal(np.sort(table), full)
             tables += 1

@@ -279,6 +279,31 @@ def test_verify_flags_corrupted_chi_file(capsys, tmp_path):
     assert "fidelity" in out
 
 
+def test_verify_and_dlog_judge_a_chi_file_alike(capsys, tmp_path):
+    # a scale of 1 + 1e-7 moves the squared norm by 2e-7, outside the 1e-9
+    # bound ChiHandle.verify puts on it, while the shape stays a chi state
+    path = tmp_path / "chi.txt"
+    run_cli(capsys, ["prepare-chi", "--n", "101", "--g", "2", "--output", str(path)])
+    verify = ["verify", "--max-m", "2", "--chi", str(path)]
+    dlog = ["dlog", "--n", "101", "--g", "2", "--x", "5", "--chi", str(path)]
+    assert run_cli(capsys, verify)[0] == 0
+    assert run_cli(capsys, dlog)[0] == 0
+    lines = path.read_text().splitlines()
+    scaled = [lines[0]]
+    for line in lines[1:]:
+        index, re_part, im_part = line.split()
+        scaled.append(f"{index} {float(re_part) * (1 + 1e-7)!r} "
+                      f"{float(im_part) * (1 + 1e-7)!r}")
+    path.write_text("\n".join(scaled) + "\n")
+    code, out, _ = run_cli(capsys, verify)
+    assert code == 1
+    assert "FAIL chi-file: chi norm" in out
+    assert "fidelity" not in out
+    code, _, err = run_cli(capsys, dlog)
+    assert code == 4
+    assert "norm" in err
+
+
 def test_resources_table(capsys):
     code, out, _ = run_cli(capsys, ["resources"])
     assert code == 0
