@@ -49,7 +49,6 @@ from .qstate import (
     factor_out,
     fidelity,
     marginal_distribution,
-    measure,
     parse_amplitudes,
     sample_index,
     tensor,
@@ -74,7 +73,6 @@ from .dlog import (
     SHOR_EXACT_FOURIER_TRANSFORMS,
     SHOR_EXACT_REGISTERS,
     DlogResult,
-    ResourceComparison,
     ResourceLedger,
     resource_report,
     result_record,

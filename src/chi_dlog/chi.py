@@ -15,7 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactMismatch, InvariantViolation, RetryLimitExceeded, UnverifiedChi
+from .errors import (
+    ArtifactMismatch,
+    InvariantViolation,
+    NotCoprime,
+    RetryLimitExceeded,
+    UnverifiedChi,
+)
 from .group import GroupSpec, gcd, mod_inverse, validate_group
 from .qstate import (
     ExponentRegister,
@@ -130,12 +136,12 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     # every attempt draws from this one distribution
     exp_zero = basis_state(RegisterLayout((ExponentRegister(m),)), (0,))
     identity = basis_state(RegisterLayout((GroupRegister(spec),)), (spec.identity,))
-    state = tensor(qft_apply(exp_zero, 0), identity)
+    state = tensor(qft_apply(exp_zero), identity)
     state = power_oracle_apply(state)
-    state = qft_apply(state, 0)
+    state = qft_apply(state)
     if check:
         _check_superposed_structure(spec, state)
-    probs = marginal_distribution(state, 0)
+    probs = marginal_distribution(state)
 
     acceptance = None
     if mode == "exhaustive":
@@ -152,7 +158,7 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
             raise RetryLimitExceeded(
                 f"no coprime measurement within {max_attempts} attempts for order {m}")
     success = observed[-1]
-    survivor = collapse(state, 0, success).post_state
+    survivor = collapse(state, success).post_state
     # the uniform register is built first, so nothing is allocated between
     # freeing the round's m x m buffer and building the joint state, which can
     # then reuse it (otherwise peak RSS can hold a second state, as at m = 1008)
@@ -216,8 +222,15 @@ def save_chi(handle: ChiHandle, path) -> None:
 
 
 def load_chi(path) -> tuple[GroupSpec, ChiHandle]:
-    """Read a chi file back; the caller decides whether to verify the handle."""
-    text = Path(path).read_text()
+    """Read a chi file back; the caller decides whether to verify the handle.
+
+    A file that cannot be read as text, or whose header names no valid group,
+    raises ArtifactMismatch naming the path.
+    """
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ArtifactMismatch(f"cannot read chi file {path}: {exc}") from None
     head, _, body = text.partition("\n")
     match = _HEADER.match(head.strip())
     if match is None:
@@ -225,7 +238,10 @@ def load_chi(path) -> tuple[GroupSpec, ChiHandle]:
     m, power, n, g = (int(v) for v in match.groups())
     if power >= m:
         raise ArtifactMismatch(f"header power {power} is not a residue mod the order {m}")
-    spec = validate_group(n, g)
+    try:
+        spec = validate_group(n, g)
+    except (ValueError, NotCoprime) as exc:
+        raise ArtifactMismatch(f"chi file {path} names an invalid group: {exc}") from None
     if spec.order != m:
         raise ArtifactMismatch(
             f"header claims order {m}, but {g} has order {spec.order} mod {n}")

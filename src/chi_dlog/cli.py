@@ -4,7 +4,8 @@ Every emitted record is one JSON object per line with a fixed key order, and
 always carries n, g, m, the seed, and the tool version, so identical
 configurations with identical seeds produce byte-identical output. Exit
 codes: 0 success, 1 invariant failure, 2 invalid group, 3 resource cap hit,
-4 artifact mismatch.
+4 artifact mismatch (including a chi file that is unreadable or names an
+invalid group).
 """
 from __future__ import annotations
 
@@ -224,10 +225,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_resources(args) -> int:
     spec = validate_group(args.n, args.g, require_full_group=not args.allow_subgroup)
-    report = resource_report(spec)
     print(f"resource counts per run (n={spec.modulus}, g={spec.generator}, m={spec.order})")
     print(f"{'resource':<20} {'this_run':>9} {'exact_shor_baseline':>20}")
-    for name, ours, baseline in report.rows():
+    for name, ours, baseline in resource_report(spec):
         shown = "-" if baseline is None else str(baseline)
         print(f"{name:<20} {ours:>9} {shown:>20}")
     return EXIT_OK

@@ -24,7 +24,7 @@ from .qstate import (
     basis_state,
     collapse,
     marginal_distribution,
-    measure,
+    sample_index,
     tensor,
 )
 from .transforms import div_x_apply, qft_apply
@@ -33,7 +33,6 @@ __all__ = [
     "SHOR_EXACT_FOURIER_TRANSFORMS",
     "SHOR_EXACT_REGISTERS",
     "DlogResult",
-    "ResourceComparison",
     "ResourceLedger",
     "resource_report",
     "result_record",
@@ -48,21 +47,11 @@ SHOR_EXACT_FOURIER_TRANSFORMS = 4
 
 @dataclass
 class ResourceLedger:
-    """Per-run operation counts, summable across runs."""
+    """Per-run operation counts."""
     fourier_count: int = 0
     division_ops: int = 0
     registers_used: int = 0
     measurements: int = 0
-
-    def __add__(self, other: "ResourceLedger") -> "ResourceLedger":
-        if not isinstance(other, ResourceLedger):
-            return NotImplemented
-        return ResourceLedger(
-            self.fourier_count + other.fourier_count,
-            self.division_ops + other.division_ops,
-            self.registers_used + other.registers_used,
-            self.measurements + other.measurements,
-        )
 
 
 @dataclass
@@ -92,9 +81,10 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
              seed=None, verify: bool | None = None) -> DlogResult:
     """Find the exponent of x using one chi handle verified at power 1 mod m.
 
-    Exhaustive mode reads off the exact exponent-register marginal, reports
-    the probability mass sitting on the true answer, and collapses onto the
-    argmax label. Sampled mode draws one measurement from a seeded generator.
+    Both modes read the exponent-register marginal and collapse onto one
+    index of it. Exhaustive mode takes the argmax and reports the probability
+    mass sitting on the true answer; sampled mode draws the index with a
+    seeded generator and reports the drawn index's mass.
     Either way the post-run chi register replaces the handle's state and is
     checked with ChiHandle.verify. A run whose chi register fails that check,
     or whose exhaustive success mass is not within FIDELITY_TOL of 1, raises
@@ -114,7 +104,7 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
 
     # (F x I)(|0> x chi) = F|0> x chi: transform the fresh register alone
     exp_zero = basis_state(RegisterLayout((ExponentRegister(m),)), (0,))
-    joint = tensor(qft_apply(exp_zero, 0), chi.state)
+    joint = tensor(qft_apply(exp_zero), chi.state)
     ledger.fourier_count += 1
     ledger.registers_used = len(joint.layout.registers)
 
@@ -123,17 +113,17 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
     ledger.division_ops += 1
     if check:
         _check_phase_kickback(m, before, joint.amplitudes, p_true)
-    joint = qft_apply(joint, 0, inverse=True)
+    joint = qft_apply(joint, inverse=True)
     ledger.fourier_count += 1
 
+    marginal = marginal_distribution(joint)
     if mode == "exhaustive":
-        marginal = marginal_distribution(joint, 0)
-        outcome = collapse(joint, 0, int(np.argmax(marginal)))
+        outcome = collapse(joint, int(np.argmax(marginal)))
         success = float(marginal[p_true])
     else:
+        outcome = collapse(joint, sample_index(marginal, seed))
+        success = outcome.probability
         marginal = None
-        outcome = measure(joint, 0, seed)
-        success = float(outcome.probability)
     ledger.measurements += 1
 
     chi.state = outcome.post_state
@@ -155,25 +145,16 @@ def run_dlog_repeated(spec: GroupSpec, chi: ChiHandle, x_list, mode: str = "exha
     return results
 
 
-@dataclass(frozen=True)
-class ResourceComparison:
-    """Instrumented counts for this procedure next to the cited baseline."""
-    measured: ResourceLedger
-
-    def rows(self) -> list[tuple[str, int, int | None]]:
-        return [
-            ("registers", self.measured.registers_used, SHOR_EXACT_REGISTERS),
-            ("fourier_transforms", self.measured.fourier_count, SHOR_EXACT_FOURIER_TRANSFORMS),
-            ("division_ops", self.measured.division_ops, None),
-            ("measurements", self.measured.measurements, None),
-        ]
-
-
-def resource_report(spec: GroupSpec) -> ResourceComparison:
-    """Measure one run's ledger on this group and pair it with the baseline."""
+def resource_report(spec: GroupSpec) -> list[tuple[str, int, int | None]]:
+    """One run's ledger on this group as (resource, count, baseline) rows."""
     handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
-    result = run_dlog(spec, handle, spec.generator, mode="exhaustive")
-    return ResourceComparison(measured=result.resources)
+    measured = run_dlog(spec, handle, spec.generator, mode="exhaustive").resources
+    return [
+        ("registers", measured.registers_used, SHOR_EXACT_REGISTERS),
+        ("fourier_transforms", measured.fourier_count, SHOR_EXACT_FOURIER_TRANSFORMS),
+        ("division_ops", measured.division_ops, None),
+        ("measurements", measured.measurements, None),
+    ]
 
 
 def result_record(spec: GroupSpec, result: DlogResult, seed: int | None) -> dict:

@@ -7,8 +7,11 @@ i0 + dim0 * i1. The text dump format uses the same indexing.
 This module holds states, not operators: every gate of the simulation is in
 transforms, whose qft_apply and controlled_multiply (with its three wrappers)
 consume their input state and return it. Everything here returns new arrays.
-Readout and factor_out work in blocks of rows, so none of them makes a
-temporary the size of a two-register state.
+Only register 0 is ever read out, as in the procedure, where it is the
+exponent register: marginal_distribution gives its distribution, sample_index
+draws from that, and collapse measures it and keeps register 1. Readout and
+factor_out work in blocks of rows, so none of them makes a temporary the size
+of a two-register state.
 """
 from __future__ import annotations
 
@@ -50,7 +53,6 @@ __all__ = [
     "factor_out",
     "fidelity",
     "marginal_distribution",
-    "measure",
     "parse_amplitudes",
     "sample_index",
     "tensor",
@@ -136,12 +138,6 @@ class RegisterLayout:
         except NotInGroup as exc:
             raise BadLabel(str(exc)) from None
 
-    def index_to_label(self, register_index: int, index: int) -> int:
-        reg = self.registers[register_index]
-        if isinstance(reg, ExponentRegister):
-            return int(index)
-        return reg.group.element(index)
-
 
 @dataclass
 class QState:
@@ -158,8 +154,7 @@ class QState:
 
 @dataclass
 class MeasurementOutcome:
-    """Observed label, its probability, and the renormalized state it leaves."""
-    register_index: int
+    """Observed index of register 0, its probability, and register 1 after it."""
     observed: int
     probability: float
     post_state: QState
@@ -187,56 +182,46 @@ def basis_state(layout: RegisterLayout, labels: Sequence[int]) -> QState:
     return QState(layout, amps)
 
 
-def marginal_distribution(state: QState, register_index: int) -> np.ndarray:
-    """Measurement distribution of one register, marginalized over the other."""
-    regs = state.layout.registers
-    if not 0 <= register_index < len(regs):
-        raise LayoutMismatch(f"no register {register_index} in this layout")
-    d0 = regs[0].dim
-    if len(regs) == 1 or d0 == 1:
+def marginal_distribution(state: QState) -> np.ndarray:
+    """Measurement distribution of register 0, marginalized over register 1.
+
+    A one-register state is a single row, so its marginal is its density.
+    """
+    d0 = state.layout.dim(0)
+    if d0 == 1:
         # no grid to block; numpy sums a single column pairwise, not row by row
-        dens = np.abs(state.amplitudes) ** 2
-        return dens if len(regs) == 1 else dens.reshape(-1, 1).sum(axis=register_index)
-    grid = _grid(state)
+        return (np.abs(state.amplitudes) ** 2).reshape(-1, 1).sum(axis=0)
+    grid = state.amplitudes.reshape(-1, d0)
     rows = max(1, READOUT_BLOCK // d0)
-    # buf[0] carries the running column sum, so register 0 adds the rows in
-    # order exactly as grid.sum(axis=0) does; a row sum never straddles blocks
+    # buf[0] carries the running column sum, so the rows are added in order
+    # exactly as grid.sum(axis=0) does
     buf = np.zeros((rows + 1, d0))
-    out = np.empty(grid.shape[0])
     for start in range(0, grid.shape[0], rows):
         block = grid[start:start + rows]
         dens = buf[1:1 + len(block)]
         np.abs(block, out=dens)
         np.square(dens, out=dens)
-        if register_index == 0:
-            buf[0] = np.add.reduce(buf[:1 + len(block)], axis=0)
-        else:
-            np.add.reduce(dens, axis=1, out=out[start:start + len(block)])
-    return buf[0].copy() if register_index == 0 else out
+        buf[0] = np.add.reduce(buf[:1 + len(block)], axis=0)
+    return buf[0].copy()
 
 
-def collapse(state: QState, register_index: int, label: int) -> MeasurementOutcome:
-    """Project one register onto a basis label and renormalize.
+def collapse(state: QState, index: int) -> MeasurementOutcome:
+    """Measure register 0 of a two-register state as basis index `index`.
 
-    Measuring one register of a two-register state makes it classical, so the
-    post-state is the other register alone: the observed column or row of the
-    grid, normalized. A one-register state collapses onto the basis state.
+    The measured register becomes classical, so the post-state is register 1
+    alone: the observed column of the grid, normalized.
     """
-    idx = state.layout.label_to_index(register_index, label)
     regs = state.layout.registers
-    if len(regs) == 1:
-        layout = state.layout
-        kept = np.zeros_like(state.amplitudes)
-        kept[idx] = state.amplitudes[idx]
-    else:
-        layout = RegisterLayout((regs[1 - register_index],))
-        grid = _grid(state)
-        kept = grid[:, idx] if register_index == 0 else grid[idx, :]
+    if len(regs) != 2:
+        raise LayoutMismatch("collapse needs a two-register state")
+    if not isinstance(index, (int, np.integer)) or not 0 <= index < regs[0].dim:
+        raise BadLabel(f"index {index!r} not in [0, {regs[0].dim})")
+    kept = _grid(state)[:, index]
     norm = float(np.linalg.norm(kept))
     p = norm * norm
     if p < 1e-12:
-        raise DegenerateNorm(f"label {label} carries probability {p:.3e}")
-    return MeasurementOutcome(register_index, label, p, QState(layout, kept / norm))
+        raise DegenerateNorm(f"index {index} carries probability {p:.3e}")
+    return MeasurementOutcome(int(index), p, QState(RegisterLayout((regs[1],)), kept / norm))
 
 
 def sample_index(probs: np.ndarray, rng=None) -> int:
@@ -253,12 +238,6 @@ def sample_index(probs: np.ndarray, rng=None) -> int:
     cdf = np.cumsum(probs)
     u = gen.random() * cdf[-1]
     return min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
-
-
-def measure(state: QState, register_index: int, rng=None) -> MeasurementOutcome:
-    """Sample one register (see sample_index) and collapse onto the draw."""
-    idx = sample_index(marginal_distribution(state, register_index), rng)
-    return collapse(state, register_index, state.layout.index_to_label(register_index, idx))
 
 
 def fidelity(a: QState, b: QState) -> float:

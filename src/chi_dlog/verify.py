@@ -142,10 +142,10 @@ def fourier_suite(max_m: int) -> SuiteResult:
             err = float(np.max(np.abs(finv @ (f @ v) - v)))
             res.add(err <= TOL, f"F then F^-1 moved basis state {x} of {m} by {err:.3e}")
             # the FFT that runs the simulation against the dense oracle
-            fwd = qft_apply(QState(layout, v.copy()), 0)
+            fwd = qft_apply(QState(layout, v.copy()))
             err = float(np.max(np.abs(fwd.amplitudes - f @ v)))
             res.add(err <= TOL, f"FFT differs from F on basis state {x} of {m} by {err:.3e}")
-            back = qft_apply(fwd, 0, inverse=True).amplitudes
+            back = qft_apply(fwd, inverse=True).amplitudes
             err = float(np.max(np.abs(back - v)))
             res.add(err <= TOL, f"FFT round trip moved basis state {x} of {m} by {err:.3e}")
     return res

@@ -180,7 +180,7 @@ def test_criterion_6_resource_counts():
     result = run_dlog(spec, handle, 6)
     assert result.resources == ResourceLedger(
         fourier_count=2, division_ops=1, registers_used=2, measurements=1)
-    rows = resource_report(spec).rows()
+    rows = resource_report(spec)
     assert rows == [
         ("registers", 2, 3),
         ("fourier_transforms", 2, 4),

@@ -203,6 +203,41 @@ def test_chi_header_power_must_be_a_residue(capsys, tmp_path):
     assert "power 13" in err
 
 
+def unreadable_chi_file(tmp_path, case):
+    """A chi file load_chi cannot turn into a group and a state."""
+    path = tmp_path / f"{case}.txt"
+    if case == "not-utf8":
+        path.write_bytes(b"chi m=12 power=1 n=13 g=2\n0 0.28 \xff\n")
+    elif case == "n=1":
+        path.write_text("chi m=1 power=0 n=1 g=1\n0 1 0\n")
+    elif case == "shared-factor":
+        path.write_text("chi m=1 power=0 n=4 g=2\n0 1 0\n")
+    return path  # "missing" is never written
+
+
+UNREADABLE = ["missing", "not-utf8", "n=1", "shared-factor"]
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_dlog_unreadable_chi_file_exits_4(capsys, tmp_path, case):
+    path = unreadable_chi_file(tmp_path, case)
+    code, out, err = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x", "6",
+                                      "--chi", str(path)])
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_verify_reports_an_unreadable_chi_file(capsys, tmp_path, case):
+    path = unreadable_chi_file(tmp_path, case)
+    code, out, _ = run_cli(capsys, ["verify", "--max-m", "2", "--chi", str(path)])
+    assert code == 1
+    failures = [line for line in out.splitlines() if "FAIL" in line]
+    assert len(failures) == 1 and failures[0].startswith("  FAIL chi-file: ")
+    assert str(path) in failures[0]
+
+
 def test_dim_cap_env_exits_3(capsys, monkeypatch):
     monkeypatch.setenv(DIM_CAP_ENV, "100")  # joint dim for m=12 is 144
     code, _, err = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x", "2",

@@ -108,9 +108,8 @@ def test_run_dlog_repeated_reuses_one_handle():
     results = run_dlog_repeated(Z13, handle, xs)
     assert [r.measured_p for r in results] == [dlog_oracle(Z13, x) for x in xs]
     assert handle.verify() >= 1 - 1e-7
-    total = sum((r.resources for r in results), ResourceLedger())
-    assert total == ResourceLedger(fourier_count=50, division_ops=25,
-                                   registers_used=50, measurements=25)
+    assert len(results) == 25
+    assert all(r.resources == ResourceLedger(2, 1, 2, 1) for r in results)
 
 
 def test_run_dlog_repeated_empty_list():
@@ -132,8 +131,7 @@ def test_run_dlog_repeated_sampled_determinism():
 
 
 def test_resource_report_rows():
-    report = resource_report(Z13)
-    assert report.rows() == [
+    assert resource_report(Z13) == [
         ("registers", 2, 3),
         ("fourier_transforms", 2, 4),
         ("division_ops", 1, None),
@@ -155,12 +153,6 @@ def test_result_record_key_order_and_values():
     assert record["p_oracle"] == record["p_measured"] == 4
     assert record["fourier_count"] == 2
     assert record["seed"] == 9
-
-
-def test_ledger_addition():
-    a = ResourceLedger(1, 2, 3, 4)
-    b = ResourceLedger(10, 20, 30, 40)
-    assert a + b == ResourceLedger(11, 22, 33, 44)
 
 
 def test_run_dlog_sweep_near_the_modulus_cap():

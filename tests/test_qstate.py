@@ -1,5 +1,5 @@
-"""Register layouts, amplitudes, measurement, the dump format, and the basis
-relabelling the verify suites compare the operators against."""
+"""Register layouts, amplitudes, measurement of register 0, the dump format,
+and the basis relabelling the verify suites compare the operators against."""
 
 import numpy as np
 import pytest
@@ -26,7 +26,6 @@ from chi_dlog.qstate import (
     factor_out,
     fidelity,
     marginal_distribution,
-    measure,
     parse_amplitudes,
     sample_index,
     tensor,
@@ -74,7 +73,6 @@ def test_label_index_maps():
     lay = RegisterLayout((ExponentRegister(3), GroupRegister(Z5)))
     assert lay.label_to_index(0, 2) == 2
     assert lay.label_to_index(1, 3) == 2  # elements of Z5* are (1, 2, 3, 4)
-    assert lay.index_to_label(1, 2) == 3
     with pytest.raises(BadLabel):
         lay.label_to_index(0, 3)
     with pytest.raises(BadLabel):
@@ -102,7 +100,7 @@ def test_unitary_known_columns():
     # column k of F is the forward transform of the basis state |k>
     for f in (F2, F4):
         for k in range(len(f)):
-            out = qft_apply(basis_state(exp_layout(len(f)), (k,)), 0)
+            out = qft_apply(basis_state(exp_layout(len(f)), (k,)))
             assert np.allclose(out.amplitudes, f[:, k])
 
 
@@ -144,11 +142,9 @@ def bell_state():
 
 
 def test_marginals():
-    assert np.allclose(marginal_distribution(basis_state(exp_layout(4), (2,)), 0),
+    assert np.allclose(marginal_distribution(basis_state(exp_layout(4), (2,))),
                        [0, 0, 1, 0])
-    bell = bell_state()
-    assert np.allclose(marginal_distribution(bell, 0), [0.5, 0.5])
-    assert np.allclose(marginal_distribution(bell, 1), [0.5, 0.5])
+    assert np.allclose(marginal_distribution(bell_state()), [0.5, 0.5])
 
 
 # (d0, d1): a single column, one block, many blocks with a ragged last one,
@@ -159,55 +155,54 @@ def test_blocked_marginal_matches_the_plain_sum(d0, d1):
     assert READOUT_BLOCK == 1 << 16
     state = random_state(RegisterLayout((ExponentRegister(d0), ExponentRegister(d1))), d0)
     dens = (np.abs(state.amplitudes) ** 2).reshape(d1, d0)
-    assert np.array_equal(marginal_distribution(state, 0), dens.sum(axis=0))
-    assert np.array_equal(marginal_distribution(state, 1), dens.sum(axis=1))
+    assert np.array_equal(marginal_distribution(state), dens.sum(axis=0))
 
 
 def test_one_register_marginal_is_the_density():
     state = random_state(exp_layout(1009), 4)
-    assert np.array_equal(marginal_distribution(state, 0), np.abs(state.amplitudes) ** 2)
+    assert np.array_equal(marginal_distribution(state), np.abs(state.amplitudes) ** 2)
 
 
 def test_collapse():
-    # the measured register becomes classical: post_state is the other one
-    bell = collapse(bell_state(), 0, 1)
+    # the measured register becomes classical: post_state is register 1 alone
+    bell = collapse(bell_state(), 1)
     assert bell.probability == pytest.approx(0.5)
     assert np.allclose(bell.post_state.amplitudes, [0, 1])
     lay = RegisterLayout((ExponentRegister(3), GroupRegister(Z5)))
     state = random_state(lay, 21)
     grid = state.amplitudes.reshape(Z5.order, 3)  # [group index, exponent label]
-    out = collapse(state, 0, 2)
+    out = collapse(state, 2)
     assert out.observed == 2
     assert out.probability == pytest.approx(np.sum(np.abs(grid[:, 2]) ** 2))
     assert out.post_state.layout == RegisterLayout((GroupRegister(Z5),))
     assert np.allclose(out.post_state.amplitudes, grid[:, 2] / np.linalg.norm(grid[:, 2]))
     assert out.post_state.norm() == pytest.approx(1.0, abs=1e-12)
-    label = Z5.element(1)
-    out = collapse(state, 1, label)
-    assert out.observed == label
-    assert out.probability == pytest.approx(np.sum(np.abs(grid[1, :]) ** 2))
-    assert out.post_state.layout == exp_layout(3)
-    assert np.allclose(out.post_state.amplitudes, grid[1, :] / np.linalg.norm(grid[1, :]))
-    assert out.post_state.norm() == pytest.approx(1.0, abs=1e-12)
-    # a one-register state collapses onto the basis state
-    single = collapse(QState(exp_layout(2), np.array([0.6, 0.8j])), 0, 1)
-    assert single.probability == pytest.approx(0.64)
-    assert np.allclose(single.post_state.amplitudes, [0, 1j])
     with pytest.raises(DegenerateNorm):
-        collapse(basis_state(bell_state().layout, (0, 0)), 0, 1)
+        collapse(basis_state(bell_state().layout, (0, 0)), 1)
+    # an index outside register 0 is refused, negative ones included
+    for index in (3, -1, 1.0):
+        with pytest.raises(BadLabel):
+            collapse(state, index)
+    with pytest.raises(LayoutMismatch):
+        collapse(QState(exp_layout(2), np.array([0.6, 0.8j])), 1)
+
+
+def read_out(state, rng):
+    """The readout of run_dlog and prepare_chi: draw from the marginal, collapse."""
+    return collapse(state, sample_index(marginal_distribution(state), rng))
 
 
 def test_measure_basis_state_is_certain():
     lay = RegisterLayout((ExponentRegister(3), GroupRegister(Z5)))
-    out = measure(basis_state(lay, (2, 4)), 0, np.random.default_rng(0))
+    out = read_out(basis_state(lay, (2, 4)), np.random.default_rng(0))
     assert out.observed == 2
     assert out.probability == pytest.approx(1.0)
 
 
 def test_measure_is_seed_deterministic():
-    rand = random_state(exp_layout(7), 13)
-    a = measure(rand, 0, np.random.default_rng(42))
-    b = measure(rand, 0, np.random.default_rng(42))
+    rand = random_state(RegisterLayout((ExponentRegister(7), GroupRegister(Z5))), 13)
+    a = read_out(rand, np.random.default_rng(42))
+    b = read_out(rand, np.random.default_rng(42))
     assert a.observed == b.observed
     assert np.array_equal(a.post_state.amplitudes, b.post_state.amplitudes)
 
@@ -215,10 +210,10 @@ def test_measure_is_seed_deterministic():
 def test_measure_empirical_frequencies():
     # two-outcome register with 0.3/0.7 weights, binomial 4 sigma band
     lay = exp_layout(2)
-    state = QState(lay, np.array([np.sqrt(0.3), np.sqrt(0.7)], complex))
+    probs = marginal_distribution(QState(lay, np.array([np.sqrt(0.3), np.sqrt(0.7)], complex)))
     rng = np.random.default_rng(7)
     draws = 20_000
-    ones = sum(measure(state, 0, rng).observed for _ in range(draws))
+    ones = sum(sample_index(probs, rng) for _ in range(draws))
     sigma = np.sqrt(draws * 0.3 * 0.7)
     assert abs(ones - draws * 0.7) <= 4 * sigma
 
@@ -226,23 +221,23 @@ def test_measure_empirical_frequencies():
 def test_measure_rejects_corrupted_norm():
     lay = exp_layout(4)
     with pytest.raises(DegenerateNorm):
-        measure(QState(lay, np.full(4, 1e-8, complex)), 0)
+        sample_index(marginal_distribution(QState(lay, np.full(4, 1e-8, complex))))
 
 
-@pytest.mark.parametrize("register_index", [0, 1])
-def test_measure_is_sample_index_over_the_marginal(register_index):
+def test_measure_is_sample_index_over_the_marginal():
     lay = RegisterLayout((ExponentRegister(6), GroupRegister(Z5)))
     state = random_state(lay, 5)
-    probs = marginal_distribution(state, register_index)
+    grid = state.amplitudes.reshape(Z5.order, 6)
+    probs = marginal_distribution(state)
     for seed in range(20):
         idx = sample_index(probs, np.random.default_rng(seed))
-        out = measure(state, register_index, np.random.default_rng(seed))
-        assert out.observed == lay.index_to_label(register_index, idx)
+        out = read_out(state, np.random.default_rng(seed))
+        assert out.observed == idx
+        assert out.probability == pytest.approx(probs[idx], abs=1e-15)
+        assert np.allclose(out.post_state.amplitudes, grid[:, idx] / np.sqrt(probs[idx]))
     corrupted = QState(lay, state.amplitudes * 1e-4)
     with pytest.raises(DegenerateNorm):
-        measure(corrupted, register_index, 0)
-    with pytest.raises(DegenerateNorm):
-        sample_index(marginal_distribution(corrupted, register_index), 0)
+        read_out(corrupted, 0)
 
 
 def test_fidelity():

@@ -2,11 +2,14 @@
 matrix and the three reference permutation tables, those oracles against
 direct recomputation, and the names the package exports."""
 
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import chi_dlog
-from chi_dlog import errors, qstate, transforms
+from chi_dlog import dlog, errors, qstate, transforms
 from chi_dlog.errors import (
     NotBijective,
     NotInGroup,
@@ -86,21 +89,19 @@ def test_fourier_matrix_is_read_only():
 def test_qft_roundtrip():
     lay = RegisterLayout((ExponentRegister(6), GroupRegister(Z7)))
     state = random_state(lay, 0)
-    back = qft_apply(qft_apply(state.copy(), 0), 0, inverse=True)
+    back = qft_apply(qft_apply(state.copy()), inverse=True)
     assert np.allclose(back.amplitudes, state.amplitudes, atol=1e-12)
 
 
-@pytest.mark.parametrize("register_index,dims", [(0, (9, 4)), (1, (3, 16))])
-def test_qft_fft_path_matches_dense(register_index, dims):
+@pytest.mark.parametrize("dims", [(9, 4), (3, 16)])
+def test_qft_fft_path_matches_dense(dims):
     lay = RegisterLayout((ExponentRegister(dims[0]), ExponentRegister(dims[1])))
     state = random_state(lay, 23)
     for inverse in (False, True):
         # register 0 varies fastest, so it is the right-hand kron factor
-        f = fourier_matrix(dims[register_index], inverse)
-        eye = np.eye(dims[1 - register_index])
-        full = np.kron(eye, f) if register_index == 0 else np.kron(f, eye)
+        full = np.kron(np.eye(dims[1]), fourier_matrix(dims[0], inverse))
         dense = full @ state.amplitudes
-        fast = qft_apply(state, register_index, inverse=inverse)
+        fast = qft_apply(state, inverse=inverse)
         assert np.abs(dense - fast.amplitudes).max() <= 1e-9
 
 
@@ -110,16 +111,15 @@ def test_qft_fft_path_single_register():
         state = random_state(RegisterLayout((ExponentRegister(m),)), m)
         for inverse in (False, True):
             dense = fourier_matrix(m, inverse) @ state.amplitudes
-            fast = qft_apply(state, 0, inverse=inverse)
+            fast = qft_apply(state, inverse=inverse)
             assert np.abs(dense - fast.amplitudes).max() <= 1e-9
 
 
 def test_qft_register_kind_guard():
-    state = basis_state(run_layout(Z7), (0, 1))
-    with pytest.raises(WrongRegisterKind):
-        qft_apply(state, 1)
-    with pytest.raises(WrongLayout):
-        qft_apply(state, 2)
+    # register 0 must be an exponent register, alone or joined
+    for layout in (pair_layout(Z7), RegisterLayout((GroupRegister(Z7),))):
+        with pytest.raises(WrongRegisterKind):
+            qft_apply(random_state(layout, 1))
 
 
 def joint_index(layout, labels):
@@ -235,7 +235,7 @@ def test_unitary_check_passes_the_dense_fourier_oracle():
     assert np.abs(f @ f.conj().T - np.eye(5)).max() <= 1e-9
     state = basis_state(RegisterLayout((ExponentRegister(5),)), (0,))
     dense = f @ state.amplitudes
-    out = qft_apply(state, 0)
+    out = qft_apply(state)
     assert out.norm() == pytest.approx(1.0, abs=1e-12)
     assert np.abs(out.amplitudes - dense).max() <= 1e-12
     # the same residual exposes a matrix that is not unitary
@@ -307,10 +307,10 @@ def test_controlled_multiply_guards():
 def test_transforms_consume_their_input():
     for layout in (RegisterLayout((ExponentRegister(6), ExponentRegister(7))),
                    RegisterLayout((ExponentRegister(9),))):
-        for register_index in range(len(layout.registers)):
+        for inverse in (False, True):
             state = random_state(layout, 5)
             buffer = state.amplitudes
-            out = qft_apply(state, register_index, inverse=register_index == 1)
+            out = qft_apply(state, inverse=inverse)
             assert out is state and np.shares_memory(out.amplitudes, buffer)
     for op, args in ((controlled_multiply, (3, [2, 0, 1, 3, 4, 5])),
                      (div_x_apply, (5,)), (power_oracle_apply, ())):
@@ -326,12 +326,12 @@ def test_transforms_consume_their_input():
 def test_transforms_copy_a_buffer_they_cannot_overwrite():
     # a strided view or a read-only array is copied once, then transformed
     state = random_state(run_layout(Z7), 8)
-    want = qft_apply(state.copy(), 0).amplitudes
+    want = qft_apply(state.copy()).amplitudes
     strided = np.repeat(state.amplitudes, 2)[::2]
-    assert np.array_equal(qft_apply(QState(state.layout, strided), 0).amplitudes, want)
+    assert np.array_equal(qft_apply(QState(state.layout, strided)).amplitudes, want)
     frozen = state.amplitudes.copy()
     frozen.setflags(write=False)
-    out = qft_apply(QState(state.layout, frozen), 0)
+    out = qft_apply(QState(state.layout, frozen))
     assert np.array_equal(out.amplitudes, want)
     assert np.array_equal(frozen, state.amplitudes)
     want = div_x_apply(state.copy(), 3).amplitudes
@@ -343,18 +343,29 @@ def test_refused_transforms_leave_their_input_alone():
     before = state.amplitudes.copy()
     with pytest.raises(NotBijective):
         controlled_multiply(state, 3, range(5))
+    assert np.array_equal(state.amplitudes, before)
+    state = random_state(pair_layout(Z7), 9)
+    before = state.amplitudes.copy()
     with pytest.raises(WrongRegisterKind):
-        qft_apply(state, 1)
+        qft_apply(state)
     assert np.array_equal(state.amplitudes, before)
 
 
 def test_package_exports_only_the_simulation_path():
     removed = ("apply_register_unitary", "NotUnitary", "BasisPermutation",
-               "apply_basis_permutation")
+               "apply_basis_permutation", "measure", "ResourceComparison")
     oracles = {"fourier_matrix", "div_alpha_permutation", "div_x_permutation",
                "power_oracle_permutation"}
-    for module in (chi_dlog, qstate, errors):
+    for module in (chi_dlog, qstate, errors, dlog):
         assert [name for name in removed if hasattr(module, name)] == []
+    assert "measure" not in qstate.__all__
+    assert not hasattr(qstate.RegisterLayout, "index_to_label")
+    assert "__add__" not in vars(dlog.ResourceLedger)
+    # only register 0, the exponent register, is transformed or read out
+    for fn in (qft_apply, qstate.marginal_distribution, qstate.collapse):
+        assert not any("register" in name for name in inspect.signature(fn).parameters)
+    assert [f.name for f in fields(qstate.MeasurementOutcome)] == \
+        ["observed", "probability", "post_state"]
     assert [name for name in oracles if hasattr(chi_dlog, name)] == []
     # the cached oracles stay listed here only while the benchmark's tracer
     # reads their cache counters by name
