@@ -51,10 +51,9 @@ from .qstate import (
     marginal_distribution,
     parse_amplitudes,
     sample_index,
-    tensor,
 )
 from .transforms import (
-    controlled_multiply,
+    controlled_product,
     div_alpha_apply,
     div_x_apply,
     power_oracle_apply,

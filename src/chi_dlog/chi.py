@@ -36,7 +36,6 @@ from .qstate import (
     marginal_distribution,
     parse_amplitudes,
     sample_index,
-    tensor,
 )
 from .transforms import div_alpha_apply, power_oracle_apply, qft_apply
 
@@ -136,9 +135,7 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     # every attempt draws from this one distribution
     exp_zero = basis_state(RegisterLayout((ExponentRegister(m),)), (0,))
     identity = basis_state(RegisterLayout((GroupRegister(spec),)), (spec.identity,))
-    state = tensor(qft_apply(exp_zero), identity)
-    state = power_oracle_apply(state)
-    state = qft_apply(state)
+    state = qft_apply(power_oracle_apply(qft_apply(exp_zero), identity))
     if check:
         _check_superposed_structure(spec, state)
     probs = marginal_distribution(state)
@@ -159,9 +156,10 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
                 f"no coprime measurement within {max_attempts} attempts for order {m}")
     success = observed[-1]
     survivor = collapse(state, success).post_state
-    # the uniform register is built first, so nothing is allocated between
-    # freeing the round's m x m buffer and building the joint state, which can
-    # then reuse it (otherwise peak RSS can hold a second state, as at m = 1008)
+    # the uniform register is built first, so only the division's O(m) scratch
+    # is allocated between freeing the round's m x m buffer and building the
+    # joint state, which can then reuse it (otherwise peak RSS can hold a
+    # second state, as at m = 1008)
     uniform = chi_reference(spec, 0)
     del state
 
@@ -169,8 +167,7 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
         raise InvariantViolation(f"accepted s={success} shares a factor with m={m}")
     # the measurement left the chi register of power s alone: pair it with a
     # uniform chi register and divide down to power 1
-    joint = tensor(uniform, survivor)
-    joint = div_alpha_apply(joint, mod_inverse(success, m))
+    joint = div_alpha_apply(uniform, survivor, mod_inverse(success, m))
     chi_state = factor_out(joint, 1, chi_reference(spec, success))
 
     handle = ChiHandle(power=1, state=chi_state)
@@ -196,8 +193,7 @@ def chi_power_from(spec: GroupSpec, source: ChiHandle, alpha: int,
         raise UnverifiedChi("source handle must be verified before powering")
     m = spec.order
     new_power = (start_power + alpha * source.power) % m
-    joint = tensor(chi_reference(spec, start_power), source.state)
-    joint = div_alpha_apply(joint, alpha)
+    joint = div_alpha_apply(chi_reference(spec, start_power), source.state, alpha)
     new_state = factor_out(joint, 1, source.state)
     untouched = factor_out(joint, 0, chi_reference(spec, new_power))
     drift = fidelity(untouched, source.state)

@@ -5,8 +5,10 @@ digit, so a two-register state keeps amplitude(i0, i1) at flat index
 i0 + dim0 * i1. The text dump format uses the same indexing.
 
 This module holds states, not operators: every gate of the simulation is in
-transforms, whose qft_apply and controlled_multiply (with its three wrappers)
-consume their input state and return it. Everything here returns new arrays.
+transforms. A two-register state is built there, by controlled_product (with
+its three wrappers), which writes the divided joint state of two one-register
+states straight into a fresh buffer; qft_apply then consumes the state it is
+given and returns it. Everything here returns new arrays.
 Only register 0 is ever read out, as in the procedure, where it is the
 exponent register: marginal_distribution gives its distribution, sample_index
 draws from that, and collapse measures it and keeps register 1. Readout and
@@ -55,7 +57,6 @@ __all__ = [
     "marginal_distribution",
     "parse_amplitudes",
     "sample_index",
-    "tensor",
 ]
 
 NORM_TOL = 1e-9
@@ -192,7 +193,7 @@ def marginal_distribution(state: QState) -> np.ndarray:
         # no grid to block; numpy sums a single column pairwise, not row by row
         return (np.abs(state.amplitudes) ** 2).reshape(-1, 1).sum(axis=0)
     grid = state.amplitudes.reshape(-1, d0)
-    rows = max(1, READOUT_BLOCK // d0)
+    rows = max(1, min(READOUT_BLOCK // d0, grid.shape[0]))
     # buf[0] carries the running column sum, so the rows are added in order
     # exactly as grid.sum(axis=0) does
     buf = np.zeros((rows + 1, d0))
@@ -245,16 +246,6 @@ def fidelity(a: QState, b: QState) -> float:
     if a.layout != b.layout:
         raise LayoutMismatch(f"layouts differ: {a.layout} vs {b.layout}")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def tensor(a: QState, b: QState) -> QState:
-    """Join two states; a's registers come first (leftmost, fastest index)."""
-    regs = a.layout.registers + b.layout.registers
-    if len(regs) > 2:
-        raise LayoutMismatch(f"joint layout would hold {len(regs)} registers")
-    # joint[i0 + d0*i1] = a[i0] * b[i1]
-    return QState(RegisterLayout(regs),
-                  np.multiply.outer(b.amplitudes, a.amplitudes).reshape(-1))
 
 
 def factor_out(state: QState, register_index: int, expected: QState) -> QState:

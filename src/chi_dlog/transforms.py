@@ -3,10 +3,15 @@
 The Fourier transform is numpy's pocketfft, which covers every length (primes
 through Bluestein's algorithm) with kernel exp(2*pi*i*x*y/m)/sqrt(m). It acts
 on register 0, which must be an exponent register: the procedure transforms
-no other register. The division and power operators are one primitive, controlled_multiply, which
-moves amplitudes along the power walk of a single multiplier built from group
-multiplication alone (never from a discrete-log lookup). Both consume the
-state they are given: they overwrite its amplitudes and return it.
+no other register. It consumes the state it is given: it overwrites its
+amplitudes and returns it.
+
+Every division in the procedure acts on two registers that have not met yet,
+so the division and power operators are one primitive, controlled_product,
+which takes the two one-register states and writes the divided joint state
+straight into a fresh buffer, row by row along the cycles of a single
+multiplier. Those cycles come from group multiplication alone, never from a
+discrete-log lookup. The inputs are left alone.
 
 fourier_matrix and the three joint-index tables below (div_alpha_permutation,
 div_x_permutation, power_oracle_permutation) are reference oracles: the verify
@@ -14,7 +19,7 @@ suites and the tests compare the operators against them, and nothing on the
 simulation path calls them. Each returns a read-only array, and the package
 namespace does not re-export them. They stay here, wrapped in lru_cache, only
 while the benchmark's tracer reads those caches' counters by name; once it
-traces controlled_multiply instead, they belong in verify, uncached.
+traces controlled_product instead, they belong in verify, uncached.
 """
 from __future__ import annotations
 
@@ -24,10 +29,10 @@ import numpy as np
 
 from .errors import NotBijective, WrongLayout, WrongRegisterKind
 from .group import GroupSpec
-from .qstate import ExponentRegister, GroupRegister, QState
+from .qstate import ExponentRegister, GroupRegister, QState, RegisterLayout
 
 __all__ = [
-    "controlled_multiply",
+    "controlled_product",
     "div_alpha_apply",
     "div_alpha_permutation",
     "div_x_apply",
@@ -85,19 +90,24 @@ def _mult_index_perm(spec: GroupSpec, c: int) -> np.ndarray:
                        dtype=np.int64, count=spec.order)
 
 
-def controlled_multiply(state: QState, step: int, order) -> QState:
-    """Map |order[k], y> -> |order[k], y * step**k> on a two-register state.
+def controlled_product(a: QState, b: QState, step: int, order) -> QState:
+    """The joint state |a>|b> after the map |order[k], y> -> |order[k], y * step**k>.
 
-    Register 1 must be a group register; order lists every basis index of
-    register 0 once. Row k of the map is the permutation "multiply by step"
-    composed k times, so one bijectivity check covers every row. Consumes its
-    input: the amplitudes are permuted in place and the same state is returned.
+    a is the control register (register 0 of the result) and b a group
+    register (register 1); order lists every basis index of a once. Row k of
+    the map is the permutation "multiply by step" composed k times, so one
+    bijectivity check covers every row. The divided state is written straight
+    into a fresh buffer, out[y, order[k]] = a[order[k]] * b[y * step**-k], and
+    the inputs are left alone. Along a cycle c_0, c_1 = c_0 * step, ... of
+    length L, row c_j is the window at L - 1 - j of b[cycle reversed], tiled,
+    read through the inverse of order and multiplied by a.
     """
-    regs = state.layout.registers
-    if len(regs) != 2 or not isinstance(regs[1], GroupRegister):
+    ra, rb = _lone_register(a), _lone_register(b)
+    if not isinstance(rb, GroupRegister):
         raise WrongLayout("expected a (control, group) register pair")
-    spec = regs[1].group
-    d0, m = regs[0].dim, spec.order
+    spec = rb.group
+    d0, m = ra.dim, spec.order
+    layout = RegisterLayout((ra, rb))  # refuses a joint state over the cap
     one = _mult_index_perm(spec, step)
     order = np.asarray(order, dtype=np.intp)
     for perm, n, what in ((one, m, f"multiplying by {step!r}"),
@@ -105,13 +115,36 @@ def controlled_multiply(state: QState, step: int, order) -> QState:
         if perm.shape != (n,) or perm.min() < 0 or perm.max() >= n \
                 or np.bincount(perm, minlength=n).max() != 1:
             raise NotBijective(f"{what} is not a permutation of {n} basis indices")
-    # row c of the transposed grid holds the amplitudes of control index c
-    grid = _consume(state).reshape(m, d0).T
-    cur = np.arange(m)
-    for c in order.tolist():
-        grid[c][cur] = grid[c].copy()
-        cur = one[cur]
-    return state
+    # every scratch array exists before the m x d0 output and the loop below
+    # allocates none, so no small array lands above a freed state in the heap
+    nxt = one.tolist()
+    seen = bytearray(m)
+    walk, bounds = [], []  # each cycle reversed: position p has window p
+    for start in range(m):
+        if not seen[start]:
+            cycle = []
+            while not seen[start]:
+                seen[start] = 1
+                cycle.append(start)
+                start = nxt[start]
+            bounds.append((len(walk), len(walk) + len(cycle)))
+            walk.extend(reversed(cycle))
+    # a cycle of length L is tiled in whole copies, L + d0 - 1 <= L * reps < 2L + d0
+    tiled = np.empty(2 * m + d0, dtype=np.complex128)
+    inverse = np.empty(d0, dtype=np.intp)  # window entry k lands in column order[k]
+    inverse[order] = np.arange(d0)
+    window = np.empty(d0, dtype=np.complex128)
+    along = b.amplitudes.take(walk)  # b along each reversed cycle
+    out = np.empty((m, d0), dtype=np.complex128)
+    for begin, end in bounds:
+        size = end - begin
+        reps = -(-(size + d0 - 1) // size)
+        tiled[:reps * size].reshape(reps, size)[...] = along[begin:end]
+        for p in range(size):
+            # out of place: numpy rounds a one-element product made in place differently
+            tiled[p:p + d0].take(inverse, out=window, mode="clip")
+            np.multiply(window, a.amplitudes, out=out[walk[begin + p]])
+    return QState(layout, out.reshape(-1))
 
 
 def _joint_table(rows: np.ndarray, d0: int) -> np.ndarray:
@@ -156,42 +189,47 @@ def power_oracle_permutation(spec: GroupSpec) -> np.ndarray:
     return _walk_table(spec, spec.generator)
 
 
-def _group_group(state: QState) -> GroupSpec:
+def _lone_register(state: QState):
     regs = state.layout.registers
-    if len(regs) != 2 or not all(isinstance(r, GroupRegister) for r in regs):
+    if len(regs) != 1:
+        raise WrongLayout(f"expected a one-register state, got {len(regs)} registers")
+    return regs[0]
+
+
+def _group_group(a: QState, b: QState) -> GroupSpec:
+    ra, rb = _lone_register(a), _lone_register(b)
+    if not isinstance(ra, GroupRegister) or not isinstance(rb, GroupRegister):
         raise WrongLayout("expected a (group, group) register pair")
-    if regs[0].group != regs[1].group:
+    if ra.group != rb.group:
         raise WrongLayout("both registers must carry the same group")
-    return regs[0].group
+    return rb.group
 
 
-def _exponent_group(state: QState) -> GroupSpec:
-    regs = state.layout.registers
-    if len(regs) != 2 or not isinstance(regs[0], ExponentRegister) \
-            or not isinstance(regs[1], GroupRegister):
+def _exponent_group(a: QState, b: QState) -> GroupSpec:
+    ra, rb = _lone_register(a), _lone_register(b)
+    if not isinstance(ra, ExponentRegister) or not isinstance(rb, GroupRegister):
         raise WrongLayout("expected an (exponent, group) register pair")
-    spec = regs[1].group
-    if regs[0].dim != spec.order:
+    spec = rb.group
+    if ra.dim != spec.order:
         raise WrongLayout(
-            f"exponent register dimension {regs[0].dim} != group order {spec.order}")
+            f"exponent register dimension {ra.dim} != group order {spec.order}")
     return spec
 
 
-def div_alpha_apply(state: QState, alpha: int) -> QState:
-    """Divide the right register by the left register raised to alpha."""
-    spec = _group_group(state)
+def div_alpha_apply(a: QState, b: QState, alpha: int) -> QState:
+    """Join two group registers and divide the right one by the left raised to alpha."""
+    spec = _group_group(a, b)
     # the left label g**k picks up (g**-alpha)**k
-    return controlled_multiply(state, spec.pow(spec.generator, -alpha),
-                               spec.power_indices)
+    return controlled_product(a, b, spec.pow(spec.generator, -alpha), spec.power_indices)
 
 
-def div_x_apply(state: QState, x: int) -> QState:
-    """Divide the right register by x raised to the left exponent register."""
-    spec = _exponent_group(state)
-    return controlled_multiply(state, spec.inverse(x), range(spec.order))
+def div_x_apply(a: QState, b: QState, x: int) -> QState:
+    """Join an exponent register and a group register; divide the right by x**left."""
+    spec = _exponent_group(a, b)
+    return controlled_product(a, b, spec.inverse(x), range(spec.order))
 
 
-def power_oracle_apply(state: QState) -> QState:
-    """Multiply the right register by g raised to the left exponent register."""
-    spec = _exponent_group(state)
-    return controlled_multiply(state, spec.generator, range(spec.order))
+def power_oracle_apply(a: QState, b: QState) -> QState:
+    """Join an exponent register and a group register; multiply the right by g**left."""
+    spec = _exponent_group(a, b)
+    return controlled_product(a, b, spec.generator, range(spec.order))

@@ -168,25 +168,36 @@ def _relabel(state: QState, table: np.ndarray) -> QState:
     return QState(state.layout, new)
 
 
+def _product(a: QState, b: QState) -> QState:
+    """a x b as one joint state, built by np.kron as the oracle input."""
+    layout = RegisterLayout(a.layout.registers + b.layout.registers)
+    return QState(layout, np.kron(b.amplitudes, a.amplitudes))
+
+
 def division_suite(max_m: int) -> SuiteResult:
     res = SuiteResult("division")
     for spec in _table_groups(min(max_m, 16)) + _unit_groups(min(max_m, 16), n_limit=20):
         m = spec.order
         ident = np.arange(m * m)
-        pair = _random_state(RegisterLayout((GroupRegister(spec),) * 2), m)
-        run = _random_state(RegisterLayout((ExponentRegister(m), GroupRegister(spec))), m)
+        group = RegisterLayout((GroupRegister(spec),))
+        exponent = RegisterLayout((ExponentRegister(m),))
+        # generic product inputs: every product of amplitudes is distinct, so
+        # an exact match pins where each basis pair goes
+        left, right = _random_state(group, m), _random_state(group, m + 1)
+        fresh = _random_state(exponent, m + 2)
+        pair, run = _product(left, right), _product(fresh, right)
         want = _relabel(run, power_oracle_permutation(spec))
-        res.add(bool(np.array_equal(power_oracle_apply(run.copy()).amplitudes,
+        res.add(bool(np.array_equal(power_oracle_apply(fresh, right).amplitudes,
                                     want.amplitudes)),
                 f"power oracle disagrees with its table at m={m}")
         for x in spec.elements:
             want = _relabel(run, div_x_permutation(spec, x))
-            res.add(bool(np.array_equal(div_x_apply(run.copy(), x).amplitudes,
+            res.add(bool(np.array_equal(div_x_apply(fresh, right, x).amplitudes,
                                         want.amplitudes)),
                     f"D_x disagrees with its table at m={m}, x={x}")
         for alpha in range(m):
             want = _relabel(pair, div_alpha_permutation(spec, alpha))
-            res.add(bool(np.array_equal(div_alpha_apply(pair.copy(), alpha).amplitudes,
+            res.add(bool(np.array_equal(div_alpha_apply(left, right, alpha).amplitudes,
                                         want.amplitudes)),
                     f"division by x^{alpha} disagrees with its table at m={m}")
             t = div_alpha_permutation(spec, alpha)
@@ -219,16 +230,15 @@ def kickback_suite(max_m: int) -> SuiteResult:
     bound = min(max_m, 24)
     for spec in _table_groups(bound) + _unit_groups(bound):
         m = spec.order
-        layout = RegisterLayout((ExponentRegister(m), GroupRegister(spec)))
-        # build the product state directly from definitions
+        # the uniform exponent register and chi, built from definitions
         uniform = np.full(m, 1 / np.sqrt(m), dtype=np.complex128)
+        fresh = QState(RegisterLayout((ExponentRegister(m),)), uniform)
         chi = chi_reference(spec, 1)
-        joint = QState(layout, np.kron(chi.amplitudes, uniform))
         for x in spec.elements:
             p = dlog_oracle(spec, x)
             phases = np.exp(2j * np.pi * ((p * np.arange(m)) % m) / m)
             expected = np.kron(chi.amplitudes, uniform * phases)
-            got = div_x_apply(joint.copy(), x).amplitudes
+            got = div_x_apply(fresh, chi, x).amplitudes
             err = float(np.max(np.abs(got - expected)))
             res.add(err <= TOL,
                     f"kick-back drifted {err:.3e} for x={x} (p={p}) at m={m}")

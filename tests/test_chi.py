@@ -179,16 +179,18 @@ def test_prepare_sampled_stream_is_pinned(n, seed, attempts, observed_s, success
 
 @pytest.mark.parametrize("n, g, seed", [(13, 2, 5), (1009, 11, 3)])
 def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
-    # each call's entry is the register count of the state it was handed, so
+    # each call's entry is the register count of the states it was handed, so
     # qft_apply shows that the fresh exponent register is transformed alone
+    # and power_oracle_apply that it joins the group register there
     calls = {"power_oracle_apply": [], "qft_apply": [], "marginal_distribution": []}
 
     def counted(name):
         inner = getattr(chi, name)
 
-        def wrapper(state, *args, **kwargs):
-            calls[name].append(len(state.layout.registers))
-            return inner(state, *args, **kwargs)
+        def wrapper(*args, **kwargs):
+            calls[name].append(sum(len(arg.layout.registers) for arg in args
+                                   if isinstance(arg, QState)))
+            return inner(*args, **kwargs)
         return wrapper
 
     for name in calls:

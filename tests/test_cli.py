@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from chi_dlog import __version__, cli
+from chi_dlog import __version__, cli, dlog
 from chi_dlog.chi import load_chi
 from chi_dlog.cli import main
 from chi_dlog.errors import InvariantViolation
@@ -291,6 +291,18 @@ def test_invariant_violation_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "phase kick-back" in err
+
+
+def test_sampled_dlog_with_a_wrong_division_exits_1(capsys, monkeypatch):
+    # the run divides by 2x: the drawn exponent is wrong with mass 1 and chi
+    # stays an eigenstate, so only the mass on the true answer shows it
+    real = dlog.div_x_apply
+    monkeypatch.setattr(dlog, "div_x_apply",
+                        lambda *args: real(*args[:-1], args[-1] * 2 % 101))
+    code, out, err = run_cli(capsys, ["dlog", "--n", "101", "--g", "2", "--x", "5",
+                                      "--prepare", "--mode", "sampled"])
+    assert code == 1 and out == ""
+    assert "success mass" in err
 
 
 def test_verify_subcommand(capsys):

@@ -222,14 +222,37 @@ def test_run_dlog_gates_a_handle_corrupted_after_verify():
         run_dlog(spec, handle, 73)
 
 
+def divide_by_two(monkeypatch):
+    """Make every run divide by 2, whatever x it was given."""
+    monkeypatch.setattr(dlog, "div_x_apply", lambda a, b, x: div_x_apply(a, b, 2))
+
+
 def test_run_dlog_gates_exhaustive_success_mass(monkeypatch):
     # a division by the wrong x leaves the chi register intact but moves the
     # exponent marginal off the true answer
     handle = fresh_chi(Z13)
-    monkeypatch.setattr(dlog, "div_x_apply", lambda state, x: div_x_apply(state, 2))
+    divide_by_two(monkeypatch)
     with pytest.raises(InvariantViolation, match="success mass"):
         run_dlog(Z13, handle, 6, verify=False)
     assert handle.verified
+
+
+def test_run_dlog_gates_sampled_success_mass(monkeypatch):
+    # the draw lands on the wrong exponent with mass 1, so only the mass on
+    # the true answer, read before the marginal is dropped, shows the fault
+    spec = validate_group(101, 2)
+    handle = fresh_chi(spec)
+    divide_by_two(monkeypatch)
+    with pytest.raises(InvariantViolation, match="success mass"):
+        run_dlog(spec, handle, 5, mode="sampled", seed=0, verify=False)
+
+
+def test_checked_run_with_a_wrong_division_raises(monkeypatch):
+    handle = fresh_chi(Z13)
+    divide_by_two(monkeypatch)
+    for mode in ("exhaustive", "sampled"):
+        with pytest.raises(InvariantViolation, match="phase kick-back drifted"):
+            run_dlog(Z13, handle, 6, mode=mode, seed=0, verify=True)
 
 
 def test_run_dlog_gates_success_mass_above_one():
@@ -248,7 +271,7 @@ def test_run_dlog_accepts_a_power_congruent_to_one():
 
 
 def test_one_power_walk_per_operator(monkeypatch):
-    # the group is multiplied only to build each controlled_multiply's step
+    # the group is multiplied only to build each controlled_product's step
     # permutation: two per preparation, one per run, m products each
     spec = validate_group(257, 3)
     real_mul = GroupSpec.mul

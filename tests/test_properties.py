@@ -18,8 +18,9 @@ from chi_dlog.chi import FIDELITY_TOL, chi_reference, load_chi, prepare_chi, sav
 from chi_dlog.cli import main
 from chi_dlog.dlog import run_dlog
 from chi_dlog.group import cyclic_group, multiplicative_order, validate_group
-from chi_dlog.qstate import ExponentRegister, RegisterLayout, basis_state, fidelity, tensor
-from chi_dlog.transforms import qft_apply
+from chi_dlog.qstate import ExponentRegister, RegisterLayout, basis_state, fidelity
+from chi_dlog.transforms import div_x_apply, qft_apply
+from chi_dlog.verify import _product
 
 MAX_ORDER = 64
 MAX_MODULUS = 10 ** 6  # keeps the trial-division factoring in each draw cheap
@@ -75,9 +76,10 @@ def _both_orders(spec, power):
     def zero():
         return basis_state(RegisterLayout((ExponentRegister(spec.order),)), (0,))
     chi = chi_reference(spec, power)
-    early = tensor(qft_apply(zero()), chi).amplitudes
+    # dividing by the identity joins the registers and does nothing else
+    early = div_x_apply(qft_apply(zero()), chi, spec.identity).amplitudes
     # the joint transform of |0> x chi is kept here only as an oracle
-    joint = qft_apply(tensor(zero(), chi)).amplitudes
+    joint = qft_apply(_product(zero(), chi)).amplitudes
     return early, joint
 
 

@@ -28,10 +28,9 @@ from chi_dlog.qstate import (
     marginal_distribution,
     parse_amplitudes,
     sample_index,
-    tensor,
 )
 from chi_dlog.transforms import qft_apply
-from chi_dlog.verify import _relabel
+from chi_dlog.verify import _product, _relabel
 
 Z5 = validate_group(5, 2)
 
@@ -251,21 +250,10 @@ def test_fidelity():
         fidelity(a, basis_state(exp_layout(4), (0,)))
 
 
-def test_tensor_layout_and_order():
-    a = random_state(exp_layout(2), 1)
-    b = random_state(RegisterLayout((GroupRegister(Z5),)), 2)
-    joint = tensor(a, b)
-    assert joint.layout.total_dim == 8
-    # register 0 fastest: flat amplitudes are kron(right, left)
-    assert np.array_equal(joint.amplitudes, np.kron(b.amplitudes, a.amplitudes))
-    with pytest.raises(LayoutMismatch):
-        tensor(joint, a)
-
-
 def test_factor_out_recovers_both_registers():
     a = random_state(exp_layout(3), 5)
     b = random_state(RegisterLayout((GroupRegister(Z5),)), 6)
-    joint = tensor(a, b)
+    joint = _product(a, b)
     left = factor_out(joint, 1, b)
     right = factor_out(joint, 0, a)
     assert fidelity(left, a) == pytest.approx(1.0, abs=1e-12)
@@ -275,7 +263,7 @@ def test_factor_out_recovers_both_registers():
 def test_factor_out_moves_global_phase_to_remainder():
     a = random_state(exp_layout(3), 9)
     b = random_state(exp_layout(4), 10)
-    joint = tensor(a, b)
+    joint = _product(a, b)
     phased = QState(joint.layout, joint.amplitudes * np.exp(1.3j))
     left = factor_out(phased, 1, b)
     assert fidelity(left, a) == pytest.approx(1.0, abs=1e-12)
@@ -293,7 +281,7 @@ def test_factor_out_checks_every_row_block():
     # 200 rows of 1009 amplitudes make four row blocks, the last one ragged
     a, b = random_state(exp_layout(1009), 1), random_state(exp_layout(200), 2)
     for flat in (0, 1009 * 100 + 5, 1009 * 200 - 1):
-        joint = tensor(a, b)
+        joint = _product(a, b)
         joint.amplitudes[flat] += 1e-6
         with pytest.raises(NotAProductState):
             factor_out(joint, 1, b)

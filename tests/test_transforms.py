@@ -1,4 +1,4 @@
-"""The FFT and the controlled-multiply operators, against the dense Fourier
+"""The FFT and the controlled-product operators, against the dense Fourier
 matrix and the three reference permutation tables, those oracles against
 direct recomputation, and the names the package exports."""
 
@@ -25,7 +25,7 @@ from chi_dlog.qstate import (
     basis_state,
 )
 from chi_dlog.transforms import (
-    controlled_multiply,
+    controlled_product,
     div_alpha_apply,
     div_alpha_permutation,
     div_x_apply,
@@ -35,7 +35,7 @@ from chi_dlog.transforms import (
     power_oracle_permutation,
     qft_apply,
 )
-from chi_dlog.verify import _relabel
+from chi_dlog.verify import _product, _relabel
 
 Z5 = validate_group(5, 2)
 Z7 = validate_group(7, 3)
@@ -53,6 +53,14 @@ def pair_layout(spec):
 
 def run_layout(spec):
     return RegisterLayout((ExponentRegister(spec.order), GroupRegister(spec)))
+
+
+def group_state(spec, seed):
+    return random_state(RegisterLayout((GroupRegister(spec),)), seed)
+
+
+def exponent_state(m, seed):
+    return random_state(RegisterLayout((ExponentRegister(m),)), seed)
 
 
 def test_fourier_known_columns():
@@ -147,9 +155,9 @@ def test_div_alpha_exhaustive_against_group_ops():
 
 
 def test_div_alpha_zero_is_identity():
-    state = random_state(pair_layout(Z7), 3)
-    out = div_alpha_apply(state.copy(), 0)
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    a, b = group_state(Z7, 3), group_state(Z7, 4)
+    out = div_alpha_apply(a, b, 0)
+    assert np.array_equal(out.amplitudes, _product(a, b).amplitudes)
 
 
 def test_div_alpha_tables_compose_and_invert():
@@ -182,9 +190,9 @@ def test_div_x_exhaustive_against_group_ops():
 
 
 def test_div_x_identity_element_is_identity_map():
-    state = random_state(run_layout(Z7), 6)
-    out = div_x_apply(state.copy(), 1)
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    a, b = exponent_state(Z7.order, 6), group_state(Z7, 7)
+    out = div_x_apply(a, b, 1)
+    assert np.array_equal(out.amplitudes, _product(a, b).amplitudes)
 
 
 def test_power_oracle_known_mapping():
@@ -217,17 +225,24 @@ def test_permutation_tables_are_bijections():
 
 
 def test_division_layout_guards():
+    exp7 = basis_state(RegisterLayout((ExponentRegister(6),)), (0,))
+    grp7 = basis_state(RegisterLayout((GroupRegister(Z7),)), (1,))
     with pytest.raises(WrongLayout):
-        div_alpha_apply(basis_state(run_layout(Z7), (0, 1)), 1)
+        div_alpha_apply(exp7, grp7, 1)
     with pytest.raises(WrongLayout):
-        div_x_apply(basis_state(pair_layout(Z7), (1, 1)), 3)
-    mismatched = RegisterLayout((ExponentRegister(3), GroupRegister(Z7)))
+        div_x_apply(grp7, grp7, 3)
     with pytest.raises(WrongLayout):
-        div_x_apply(basis_state(mismatched, (0, 1)), 3)
+        div_alpha_apply(grp7, basis_state(RegisterLayout((GroupRegister(Z5),)), (1,)), 1)
+    short = basis_state(RegisterLayout((ExponentRegister(3),)), (0,))
     with pytest.raises(WrongLayout):
-        power_oracle_apply(basis_state(mismatched, (0, 1)))
+        div_x_apply(short, grp7, 3)
+    with pytest.raises(WrongLayout):
+        power_oracle_apply(short, grp7)
+    # each input is one register; a joint state is refused
+    with pytest.raises(WrongLayout):
+        div_x_apply(basis_state(run_layout(Z7), (0, 1)), grp7, 3)
     with pytest.raises(NotInGroup):
-        div_x_apply(basis_state(run_layout(Z7), (0, 1)), 0)
+        div_x_apply(exp7, grp7, 0)
 
 
 def test_unitary_check_passes_the_dense_fourier_oracle():
@@ -250,58 +265,94 @@ def oracle_groups(max_order=64):
         [cyclic_group(m) for m in range(1, max_order + 1)]
 
 
-def assert_matches_table(got, state, table):
-    assert np.array_equal(got.amplitudes, _relabel(state, table).amplitudes)
+def basis_index_state(layout, index):
+    amps = np.zeros(layout.total_dim, dtype=np.complex128)
+    amps[index] = 1.0
+    return QState(layout, amps)
+
+
+def assert_matches_table(op, a_layout, spec, table):
+    """op(a, b) against the table's relabelling of a x b.
+
+    A generic product puts a distinct amplitude on every basis pair, so an
+    exact match pins where each one goes. For small orders every basis pair
+    |c>|y> is also checked on its own: those span the joint space, so that
+    checks the whole linear map.
+    """
+    b_layout = RegisterLayout((GroupRegister(spec),))
+    a, b = random_state(a_layout, spec.order), random_state(b_layout, spec.order + 1)
+    assert np.array_equal(op(a, b).amplitudes, _relabel(_product(a, b), table).amplitudes)
+    if spec.order <= 8:
+        d0 = a_layout.total_dim
+        for c in range(d0):
+            for y in range(spec.order):
+                got = op(basis_index_state(a_layout, c), basis_index_state(b_layout, y))
+                want = basis_index_state(got.layout, table[c + d0 * y])
+                assert np.array_equal(got.amplitudes, want.amplitudes)
 
 
 def test_div_alpha_apply_matches_table_exhaustively():
     for spec in oracle_groups():
-        state = random_state(pair_layout(spec), spec.order)
+        layout = RegisterLayout((GroupRegister(spec),))
         for alpha in range(spec.order):
-            assert_matches_table(div_alpha_apply(state.copy(), alpha), state,
+            assert_matches_table(lambda a, b: div_alpha_apply(a, b, alpha), layout, spec,
                                  div_alpha_permutation(spec, alpha))
 
 
 def test_div_x_apply_matches_table_exhaustively():
     for spec in oracle_groups():
-        state = random_state(run_layout(spec), spec.order)
+        layout = RegisterLayout((ExponentRegister(spec.order),))
         for x in spec.elements:
-            assert_matches_table(div_x_apply(state.copy(), x), state, div_x_permutation(spec, x))
+            assert_matches_table(lambda a, b: div_x_apply(a, b, x), layout, spec,
+                                 div_x_permutation(spec, x))
 
 
 def test_power_oracle_apply_matches_table_exhaustively():
     for spec in oracle_groups():
-        state = random_state(run_layout(spec), spec.order)
-        assert_matches_table(power_oracle_apply(state.copy()), state,
-                             power_oracle_permutation(spec))
+        assert_matches_table(power_oracle_apply, RegisterLayout((ExponentRegister(spec.order),)),
+                             spec, power_oracle_permutation(spec))
 
 
-def test_controlled_multiply_known_mapping():
+def test_controlled_product_known_mapping():
     # (n=7, g=3), order (2, 0, 1): |0, 2> is row k=1, so 2 * 3 = 6
-    state = basis_state(run_layout(Z7), (0, 2))
-    out = controlled_multiply(state, 3, [2, 0, 1, 3, 4, 5])
+    control = RegisterLayout((ExponentRegister(6),))
+    group = RegisterLayout((GroupRegister(Z7),))
+    out = controlled_product(basis_state(control, (0,)), basis_state(group, (2,)), 3,
+                             [2, 0, 1, 3, 4, 5])
+    assert out.layout == run_layout(Z7)
     assert out.amplitudes[joint_index(run_layout(Z7), (0, 6))] == 1.0
     # row k=0 of the order is left alone whatever the step
-    state = basis_state(run_layout(Z7), (2, 5))
-    out = controlled_multiply(state.copy(), 3, [2, 0, 1, 3, 4, 5])
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    a, b = basis_state(control, (2,)), basis_state(group, (5,))
+    out = controlled_product(a, b, 3, [2, 0, 1, 3, 4, 5])
+    assert np.array_equal(out.amplitudes, _product(a, b).amplitudes)
 
 
-def test_controlled_multiply_guards():
-    state = random_state(run_layout(Z7), 1)
+def test_identity_step_builds_the_plain_product():
+    # register 0 fastest: flat amplitudes are kron(right, left), for either order
+    a = random_state(RegisterLayout((ExponentRegister(2),)), 1)
+    b = group_state(Z5, 2)
+    for order in ([0, 1], [1, 0]):
+        joint = controlled_product(a, b, Z5.identity, order)
+        assert joint.layout == RegisterLayout((ExponentRegister(2), GroupRegister(Z5)))
+        assert np.array_equal(joint.amplitudes, np.kron(b.amplitudes, a.amplitudes))
+    with pytest.raises(WrongLayout):
+        controlled_product(joint, b, Z5.identity, range(8))
+
+
+def test_controlled_product_guards():
+    a, b = exponent_state(6, 1), group_state(Z7, 1)
     with pytest.raises(NotBijective):
-        controlled_multiply(state, 3, [0, 0, 1, 2, 3, 4])
+        controlled_product(a, b, 3, [0, 0, 1, 2, 3, 4])
     with pytest.raises(NotBijective):
-        controlled_multiply(state, 3, range(5))
+        controlled_product(a, b, 3, range(5))
     with pytest.raises(NotInGroup):
-        controlled_multiply(state, 0, range(6))
+        controlled_product(a, b, 0, range(6))
     broken = validate_group(7, 3)
     broken._mul = lambda a, b: 1  # every product collapses onto one label
     with pytest.raises(NotBijective):
-        controlled_multiply(random_state(run_layout(broken), 2), 3, range(6))
+        controlled_product(a, group_state(broken, 2), 3, range(6))
     with pytest.raises(WrongLayout):
-        controlled_multiply(random_state(RegisterLayout((GroupRegister(Z7),)), 3),
-                            3, range(6))
+        controlled_product(a, exponent_state(6, 3), 3, range(6))
 
 
 def test_transforms_consume_their_input():
@@ -312,15 +363,20 @@ def test_transforms_consume_their_input():
             buffer = state.amplitudes
             out = qft_apply(state, inverse=inverse)
             assert out is state and np.shares_memory(out.amplitudes, buffer)
-    for op, args in ((controlled_multiply, (3, [2, 0, 1, 3, 4, 5])),
-                     (div_x_apply, (5,)), (power_oracle_apply, ())):
-        state = random_state(run_layout(Z7), 6)
-        buffer = state.amplitudes
-        out = op(state, *args)
-        assert out is state and np.shares_memory(out.amplitudes, buffer)
-    state = random_state(pair_layout(Z7), 7)
-    buffer = state.amplitudes
-    assert np.shares_memory(div_alpha_apply(state, 2).amplitudes, buffer)
+
+
+def test_divisions_build_a_fresh_state_and_leave_their_inputs_alone():
+    exp, grp, left = exponent_state(6, 6), group_state(Z7, 7), group_state(Z7, 8)
+    for op, a, args in ((controlled_product, exp, (3, [2, 0, 1, 3, 4, 5])),
+                        (div_x_apply, exp, (5,)), (power_oracle_apply, exp, ()),
+                        (div_alpha_apply, left, (2,))):
+        before = a.amplitudes.copy(), grp.amplitudes.copy()
+        out = op(a, grp, *args)
+        assert out.amplitudes.flags.c_contiguous and out.amplitudes.flags.writeable
+        assert not np.shares_memory(out.amplitudes, a.amplitudes)
+        assert not np.shares_memory(out.amplitudes, grp.amplitudes)
+        assert np.array_equal(a.amplitudes, before[0])
+        assert np.array_equal(grp.amplitudes, before[1])
 
 
 def test_transforms_copy_a_buffer_they_cannot_overwrite():
@@ -334,16 +390,21 @@ def test_transforms_copy_a_buffer_they_cannot_overwrite():
     out = qft_apply(QState(state.layout, frozen))
     assert np.array_equal(out.amplitudes, want)
     assert np.array_equal(frozen, state.amplitudes)
-    want = div_x_apply(state.copy(), 3).amplitudes
-    assert np.array_equal(div_x_apply(QState(state.layout, frozen), 3).amplitudes, want)
+    # the divisions read their inputs only, so read-only ones serve as they are
+    a, b = exponent_state(6, 8), group_state(Z7, 9)
+    want = div_x_apply(a, b, 3).amplitudes
+    for amps in (a.amplitudes, b.amplitudes):
+        amps.setflags(write=False)
+    assert np.array_equal(div_x_apply(a, b, 3).amplitudes, want)
 
 
 def test_refused_transforms_leave_their_input_alone():
-    state = random_state(run_layout(Z7), 9)
-    before = state.amplitudes.copy()
+    a, b = exponent_state(6, 9), group_state(Z7, 10)
+    before = a.amplitudes.copy(), b.amplitudes.copy()
     with pytest.raises(NotBijective):
-        controlled_multiply(state, 3, range(5))
-    assert np.array_equal(state.amplitudes, before)
+        controlled_product(a, b, 3, range(5))
+    assert np.array_equal(a.amplitudes, before[0])
+    assert np.array_equal(b.amplitudes, before[1])
     state = random_state(pair_layout(Z7), 9)
     before = state.amplitudes.copy()
     with pytest.raises(WrongRegisterKind):
@@ -353,10 +414,11 @@ def test_refused_transforms_leave_their_input_alone():
 
 def test_package_exports_only_the_simulation_path():
     removed = ("apply_register_unitary", "NotUnitary", "BasisPermutation",
-               "apply_basis_permutation", "measure", "ResourceComparison")
+               "apply_basis_permutation", "measure", "ResourceComparison",
+               "controlled_multiply", "tensor")
     oracles = {"fourier_matrix", "div_alpha_permutation", "div_x_permutation",
                "power_oracle_permutation"}
-    for module in (chi_dlog, qstate, errors, dlog):
+    for module in (chi_dlog, qstate, errors, dlog, transforms):
         assert [name for name in removed if hasattr(module, name)] == []
     assert "measure" not in qstate.__all__
     assert not hasattr(qstate.RegisterLayout, "index_to_label")
@@ -369,6 +431,6 @@ def test_package_exports_only_the_simulation_path():
     assert [name for name in oracles if hasattr(chi_dlog, name)] == []
     # the cached oracles stay listed here only while the benchmark's tracer
     # reads their cache counters by name
-    simulation = {"qft_apply", "controlled_multiply", "div_alpha_apply", "div_x_apply",
+    simulation = {"qft_apply", "controlled_product", "div_alpha_apply", "div_x_apply",
                   "power_oracle_apply"}
     assert set(transforms.__all__) == simulation | oracles
