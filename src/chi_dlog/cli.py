@@ -3,7 +3,8 @@
 Every emitted record is one JSON object per line with a fixed key order, and
 always carries n, g, m, the seed, and the tool version, so identical
 configurations with identical seeds produce byte-identical output. Exit
-codes: 0 success, 1 invariant failure, 2 invalid group, 3 resource cap hit,
+codes: 0 success, 1 invariant failure, 2 invalid group or flag value
+(including an --output path that cannot be written), 3 resource cap hit,
 4 artifact mismatch (including a chi file that is unreadable or names an
 invalid group).
 """
@@ -126,11 +127,21 @@ def _verify_flag(args) -> bool | None:
     return {"auto": None, "always": True, "never": False}[args.verify_level]
 
 
+@contextmanager
+def _writing(path: Path):
+    """An --output path that cannot be written is a bad flag value (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(lines: list[str], output: Path | None) -> None:
     for line in lines:
         print(line)
     if output is not None:
-        output.write_text("\n".join(lines) + "\n")
+        with _writing(output):
+            output.write_text("\n".join(lines) + "\n")
 
 
 def _cmd_prepare_chi(args) -> int:
@@ -139,7 +150,8 @@ def _cmd_prepare_chi(args) -> int:
                                 verify=_verify_flag(args),
                                 max_attempts=args.max_attempts)
     if args.output is not None:
-        save_chi(handle, args.output)
+        with _writing(args.output):
+            save_chi(handle, args.output)
     record = {
         "n": spec.modulus,
         "g": spec.generator,

@@ -17,9 +17,10 @@ of a two-register state.
 """
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
+from itertools import chain
+from operator import length_hint
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
@@ -291,30 +292,74 @@ def dump_amplitudes(state: QState) -> str:
 
 
 def parse_amplitudes(text: str, layout: RegisterLayout) -> QState:
-    """Inverse of dump_amplitudes; validates index coverage and finiteness."""
-    amps = np.full(layout.total_dim, np.nan + 0j, dtype=np.complex128)
-    filled = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ArtifactMismatch(f"line {lineno}: expected 'index re im', got {line!r}")
-        try:
-            i = int(parts[0])
-            re, im = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise ArtifactMismatch(f"line {lineno}: unparseable values in {line!r}") from None
-        if not 0 <= i < layout.total_dim:
-            raise ArtifactMismatch(f"line {lineno}: index {i} out of range")
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ArtifactMismatch(f"line {lineno}: non-finite amplitude")
-        if not np.isnan(amps[i].real):
-            raise ArtifactMismatch(f"line {lineno}: duplicate index {i}")
-        amps[i] = complex(re, im)
-        filled += 1
-    if filled != layout.total_dim:
-        raise ArtifactMismatch(
-            f"dump holds {filled} amplitudes, layout needs {layout.total_dim}")
+    """Inverse of dump_amplitudes; validates index coverage and finiteness.
+
+    One bulk pass: every line is split once, the index column goes through
+    Python's int and the value columns through its float (so the accepted
+    syntax is theirs), and the range, finiteness and duplicate checks run on
+    whole columns. A refused dump raises ArtifactMismatch naming its first
+    offending line in file order (for a duplicate index, the second
+    occurrence); a dump whose lines all pass but miss indices names none.
+    """
+    total = layout.total_dim
+    lines = text.splitlines()
+    fields = list(map(str.split, lines))
+    counts = np.fromiter(map(len, fields), np.intp, count=len(fields))
+    misshapen = np.flatnonzero((counts != 0) & (counts != 3))
+    end = int(misshapen[0]) if misshapen.size else len(lines)
+    # the numbers of the non-blank lines, up to and with the first misshapen one;
+    # the lines before it give the tokens, and blank lines give none
+    linenos = np.flatnonzero(counts[:end + 1]) + 1
+    tokens = list(chain.from_iterable(fields[:end]))
+    idx = _column(tokens[0::3], int, np.int64)
+    del tokens[0::3]  # leaves re, im, re, im, ...: complex128's memory layout
+    values = _column(tokens, float, np.float64)
+    rows = min(len(idx), len(values) // 2)
+    idx, values = idx[:rows], values[:2 * rows].view(np.complex128)
+    bad = np.flatnonzero((idx < 0) | (idx >= total) | ~np.isfinite(values))
+    if bad.size:
+        rows = int(bad[0])
+    # the first `rows` lines pass on their own and the next one, if any, does
+    # not; a repeated index among them comes first in file order
+    if np.bincount(idx[:rows], minlength=total).max(initial=0) > 1:
+        _, first = np.unique(idx[:rows], return_index=True)
+        repeat = np.ones(rows, dtype=bool)
+        repeat[first] = False
+        row = int(np.flatnonzero(repeat)[0])
+        raise ArtifactMismatch(f"line {linenos[row]}: duplicate index {idx[row]}")
+    if rows < len(linenos):
+        lineno = int(linenos[rows])
+        raise ArtifactMismatch(_line_fault(lineno, lines[lineno - 1], total))
+    if rows != total:
+        raise ArtifactMismatch(f"dump holds {rows} amplitudes, layout needs {total}")
+    amps = np.empty(total, dtype=np.complex128)
+    amps[idx] = values
     return QState(layout, amps)
+
+
+def _column(tokens: list[str], kind, dtype) -> np.ndarray:
+    """tokens through kind() into dtype, up to the first one either refuses."""
+    it = iter(tokens)
+    try:
+        return np.fromiter(map(kind, it), dtype, count=len(tokens))
+    except (ValueError, OverflowError):
+        # the refused token is the last one the iterator handed out
+        stop = len(tokens) - length_hint(it) - 1
+        return np.fromiter(map(kind, tokens[:stop]), dtype, count=stop)
+
+
+def _line_fault(lineno: int, line: str, total: int) -> str:
+    """Why one dump line is refused on its own, checked in the format's order."""
+    line = line.strip()
+    parts = line.split()
+    if len(parts) != 3:
+        return f"line {lineno}: expected 'index re im', got {line!r}"
+    try:
+        i = int(parts[0])
+        re, im = float(parts[1]), float(parts[2])
+    except ValueError:
+        return f"line {lineno}: unparseable values in {line!r}"
+    if not 0 <= i < total:
+        return f"line {lineno}: index {i} out of range"
+    # the bulk checks found this line at fault, and a value is all that is left
+    return f"line {lineno}: non-finite amplitude"

@@ -298,6 +298,19 @@ def test_load_rejects_malformed_files(tmp_path):
         load_chi(truncated)
 
 
+def test_load_reads_crlf_line_endings_to_the_same_bits(tmp_path):
+    handle, _ = prepare_chi(Z13, seed=3)
+    path = tmp_path / "chi.txt"
+    save_chi(handle, path)
+    crlf = tmp_path / "chi-crlf.txt"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert b"\r\n" in crlf.read_bytes()
+    spec, loaded = load_chi(crlf)
+    assert spec == Z13
+    assert loaded.power == handle.power
+    assert loaded.state.amplitudes.tobytes() == handle.state.amplitudes.tobytes()
+
+
 def test_save_needs_modulus_backed_group(tmp_path):
     from chi_dlog.group import group_from_mul
 

@@ -53,6 +53,18 @@ def test_prepare_chi_writes_loadable_file(capsys, tmp_path):
     assert handle.verify() >= 1 - 1e-9
 
 
+@pytest.mark.parametrize("argv", [
+    ["prepare-chi", "--n", "5", "--g", "2"],
+    ["dlog", "--n", "5", "--g", "2", "--x", "3", "--prepare"],
+], ids=["prepare-chi", "dlog"])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.txt"
+    code, _, err = run_cli(capsys, argv + ["--output", str(path)])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert not path.parent.exists()
+
+
 def test_prepare_chi_reruns_are_byte_identical(capsys):
     argv = ["prepare-chi", "--n", "13", "--g", "2", "--seed", "4"]
     _, first, _ = run_cli(capsys, argv)

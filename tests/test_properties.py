@@ -11,14 +11,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chi_dlog.chi import FIDELITY_TOL, chi_reference, load_chi, prepare_chi, save_chi
 from chi_dlog.cli import main
 from chi_dlog.dlog import run_dlog
+from chi_dlog.errors import ArtifactMismatch
 from chi_dlog.group import cyclic_group, multiplicative_order, validate_group
-from chi_dlog.qstate import ExponentRegister, RegisterLayout, basis_state, fidelity
+from chi_dlog.qstate import (
+    ExponentRegister,
+    QState,
+    RegisterLayout,
+    basis_state,
+    dump_amplitudes,
+    fidelity,
+    parse_amplitudes,
+)
 from chi_dlog.transforms import div_x_apply, qft_apply
 from chi_dlog.verify import _product
 
@@ -150,3 +159,105 @@ def test_cli_dlog_near_the_modulus_cap(case, mode, seed):
         (spec.modulus, spec.generator, spec.order, x)
     assert record["p_measured"] == record["p_oracle"]
     assert pow(spec.generator, record["p_measured"], spec.modulus) == x
+
+
+# zeros of both signs, the smallest subnormal, the smallest normal and the
+# largest finite float64, each with both signs
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+
+
+@st.composite
+def shuffled_dumps(draw):
+    """A one- or two-register layout, finite amplitudes and a line order."""
+    dims = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    layout = RegisterLayout(tuple(ExponentRegister(d) for d in dims))
+    parts = st.one_of(st.sampled_from(EDGE_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    floats = draw(st.lists(parts, min_size=2 * layout.total_dim,
+                           max_size=2 * layout.total_dim))
+    order = draw(st.permutations(range(layout.total_dim)))
+    return layout, np.array(floats).view(np.complex128), order
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=shuffled_dumps())
+@example(case=(RegisterLayout((ExponentRegister(2), ExponentRegister(4))),
+               np.array(EDGE_FLOATS * 2).view(np.complex128), list(range(7, -1, -1))))
+def test_dump_shuffle_parse_is_bit_identical(case):
+    layout, amplitudes, order = case
+    lines = dump_amplitudes(QState(layout, amplitudes)).splitlines()
+    back = parse_amplitudes("\n".join(lines[k] for k in order) + "\n", layout)
+    assert back.amplitudes.tobytes() == amplitudes.tobytes()
+
+
+def _parse_line_by_line(text, layout):
+    """The reference parser: one line at a time, each check as the line is read."""
+    amps = np.full(layout.total_dim, np.nan + 0j, dtype=np.complex128)
+    filled = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ArtifactMismatch(f"line {lineno}: expected 'index re im', got {line!r}")
+        try:
+            i = int(parts[0])
+            re, im = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise ArtifactMismatch(f"line {lineno}: unparseable values in {line!r}") from None
+        if not 0 <= i < layout.total_dim:
+            raise ArtifactMismatch(f"line {lineno}: index {i} out of range")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise ArtifactMismatch(f"line {lineno}: non-finite amplitude")
+        if not np.isnan(amps[i].real):
+            raise ArtifactMismatch(f"line {lineno}: duplicate index {i}")
+        amps[i] = complex(re, im)
+        filled += 1
+    if filled != layout.total_dim:
+        raise ArtifactMismatch(
+            f"dump holds {filled} amplitudes, layout needs {layout.total_dim}")
+    return QState(layout, amps)
+
+
+def _parse_outcome(parse, text, layout):
+    """The parsed bits, or the refusal message."""
+    try:
+        return parse(text, layout).amplitudes.tobytes()
+    except ArtifactMismatch as exc:
+        return str(exc)
+
+
+ODD_INDICES = ["+1", "1_0", "1.0", "0x1", "-1", "10**30", str(10 ** 30), "x"]
+ODD_VALUES = ["0", "-0", "5e-324", "nan", "inf", "-inf", "1e999", "zero"]
+
+
+@st.composite
+def edited_dumps(draw):
+    """A shuffled dump of up to 12 amplitudes with up to four lines edited."""
+    m = draw(st.integers(1, 12))
+    lines = draw(st.permutations([f"{k} {k / 8:.17g} {-k / 4:.17g}" for k in range(m)]))
+    for _ in range(draw(st.integers(0, 4))):
+        line = draw(st.one_of(
+            st.sampled_from(["", "  \t", "0 0", "0 0 0 0", f"{m} 0 0"] + lines),
+            st.sampled_from(ODD_INDICES).map(lambda i: f"{i} 0 0"),
+            st.tuples(st.sampled_from(ODD_VALUES), st.sampled_from(ODD_VALUES))
+            .map(lambda v: f"0 {v[0]} {v[1]}"),
+        ))
+        k = draw(st.integers(0, len(lines)))
+        if k < len(lines) and draw(st.booleans()):
+            lines[k] = line
+        else:
+            lines.insert(k, line)
+    sep = draw(st.sampled_from(["\n", "\r\n"]))
+    return RegisterLayout((ExponentRegister(m),)), sep.join(lines) + sep
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=edited_dumps())
+def test_parse_matches_the_line_by_line_reference(case):
+    layout, text = case
+    assert _parse_outcome(parse_amplitudes, text, layout) == \
+        _parse_outcome(_parse_line_by_line, text, layout)

@@ -312,3 +312,83 @@ def test_dump_format_and_roundtrip():
 def test_parse_rejects_malformed_dumps(text):
     with pytest.raises(ArtifactMismatch):
         parse_amplitudes(text, exp_layout(2))
+
+
+# The table below runs on a 12-amplitude dump, so that "1_0" names index 10.
+# Line k + 1 of the dump holds index k.
+TABLE_STATE = random_state(exp_layout(12), 23)
+TABLE_LINES = dump_amplitudes(TABLE_STATE).splitlines()
+
+
+def _edit(*changes):
+    """The table dump with lines replaced: (1-based line, new text or None to drop)."""
+    lines = list(TABLE_LINES)
+    for lineno, text in sorted(changes, reverse=True):
+        if text is None:
+            del lines[lineno - 1]
+        else:
+            lines[lineno - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+def _values(lineno):
+    """The 're im' fields of a table line."""
+    return TABLE_LINES[lineno - 1].split(maxsplit=1)[1]
+
+
+_SHUFFLED = [TABLE_LINES[k] for k in np.random.default_rng(5).permutation(12)]
+
+# (text, None when the dump is accepted, else the start of the message:
+# "line N: ..." for the first offending line in file order, "dump holds ..."
+# when every line passes but indices are missing)
+PARSE_TABLE = {
+    "blank-and-whitespace-lines": (
+        "\n" + "\n   \n".join(TABLE_LINES) + "\n\t \n\n", None),
+    "crlf": ("\r\n".join(TABLE_LINES) + "\r\n", None),
+    "shuffled": ("\n".join(_SHUFFLED) + "\n", None),
+    "index-plus-sign": (_edit((2, f"+1 {_values(2)}")), None),
+    "index-underscore": (_edit((11, f"1_0 {_values(11)}")), None),
+    "index-float-syntax": (_edit((2, f"1.0 {_values(2)}")), "line 2: unparseable"),
+    "index-hex": (_edit((2, f"0x1 {_values(2)}")), "line 2: unparseable"),
+    "index-negative": (_edit((2, f"-1 {_values(2)}")), "line 2: index -1 out of range"),
+    "index-expression": (_edit((2, f"10**30 {_values(2)}")), "line 2: unparseable"),
+    "index-beyond-int64": (_edit((2, f"{10 ** 30} {_values(2)}")),
+                           f"line 2: index {10 ** 30} out of range"),
+    "value-nan": (_edit((4, "3 nan 0")), "line 4: non-finite"),
+    "value-inf": (_edit((4, "3 0 inf")), "line 4: non-finite"),
+    "value-minus-inf": (_edit((4, "3 -inf 0")), "line 4: non-finite"),
+    "value-overflows": (_edit((4, "3 1e999 0")), "line 4: non-finite"),
+    "value-not-a-float": (_edit((4, "3 0 zero")), "line 4: unparseable"),
+    "two-fields": (_edit((5, "4 0")), "line 5: expected 'index re im'"),
+    "four-fields": (_edit((5, "4 0 0 0")), "line 5: expected 'index re im'"),
+    "missing-index": (_edit((8, None)), "dump holds 11 amplitudes, layout needs 12"),
+    "extra-index": (_edit() + "12 0 0\n", "line 13: index 12 out of range"),
+    "duplicate-index": (_edit() + TABLE_LINES[3] + "\n", "line 13: duplicate index 3"),
+    # the copy comes first in file order, so the original is the second occurrence
+    "duplicate-before-original": (_edit((2, TABLE_LINES[9])) + TABLE_LINES[1] + "\n",
+                                  "line 10: duplicate index 9"),
+    "empty-body": ("", "dump holds 0 amplitudes, layout needs 12"),
+    "misshapen-before-non-finite": (_edit((3, "2 0"), (6, "5 nan 0")),
+                                    "line 3: expected 'index re im'"),
+    "non-finite-before-misshapen": (_edit((3, "2 nan 0"), (6, "5 0")),
+                                    "line 3: non-finite"),
+    "out-of-range-before-unparseable": (_edit((2, "12 0 0"), (4, "x 0 0")),
+                                        "line 2: index 12 out of range"),
+    "unparseable-before-out-of-range": (_edit((2, "0x1 0 0"), (4, "-3 0 0")),
+                                        "line 2: unparseable"),
+    "duplicate-before-unparseable": (_edit((3, TABLE_LINES[0]), (6, "5 zero 0")),
+                                     "line 3: duplicate index 0"),
+    "out-of-range-before-duplicate": (_edit((3, "99 0 0"), (6, TABLE_LINES[0])),
+                                      "line 3: index 99 out of range"),
+}
+
+
+@pytest.mark.parametrize("text, refusal", PARSE_TABLE.values(), ids=PARSE_TABLE.keys())
+def test_parse_accepts_and_refuses_exactly_the_format(text, refusal):
+    if refusal is None:
+        back = parse_amplitudes(text, exp_layout(12))
+        assert back.amplitudes.tobytes() == TABLE_STATE.amplitudes.tobytes()
+    else:
+        with pytest.raises(ArtifactMismatch) as info:
+            parse_amplitudes(text, exp_layout(12))
+        assert str(info.value).startswith(refusal)
