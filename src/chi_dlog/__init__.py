@@ -44,7 +44,6 @@ from .qstate import (
     RegisterLayout,
     basis_state,
     collapse,
-    dim_cap,
     dump_amplitudes,
     factor_out,
     fidelity,

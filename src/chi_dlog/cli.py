@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -30,8 +29,8 @@ from .errors import (
     NotCoprime,
     NotInGroup,
 )
-from .group import validate_group
-from .qstate import DIM_CAP_ENV
+from .group import GroupSpec, _check_cap, validate_group
+from .qstate import DIM_CAP
 from .verify import check_chi_file, run_all_suites
 
 EXIT_OK = 0
@@ -46,8 +45,8 @@ def _add_group_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--g", type=int, required=True, help="generator")
     sub.add_argument("--allow-subgroup", action="store_true",
                      help="accept g generating a proper cyclic subgroup")
-    sub.add_argument("--dim-cap", type=int, default=None,
-                     help=f"override the amplitude-count cap (env {DIM_CAP_ENV})")
+    sub.add_argument("--dim-cap", type=int, default=DIM_CAP,
+                     help=f"lower the amplitude-count cap (at most {DIM_CAP})")
 
 
 def _add_run_args(sub: argparse.ArgumentParser) -> None:
@@ -99,28 +98,27 @@ def build_parser() -> argparse.ArgumentParser:
     rsc.add_argument("--n", type=int, default=13)
     rsc.add_argument("--g", type=int, default=2)
     rsc.add_argument("--allow-subgroup", action="store_true")
-    rsc.add_argument("--dim-cap", type=int, default=None)
+    rsc.add_argument("--dim-cap", type=int, default=DIM_CAP)
     rsc.set_defaults(func=_cmd_resources)
     return parser
 
 
-@contextmanager
-def _dim_cap_override(dim_cap: int | None):
-    """Set the amplitude cap for one command, restoring the environment after."""
-    if dim_cap is None:
-        yield
-        return
-    if dim_cap < 1:
-        raise ValueError(f"--dim-cap must be at least 1, got {dim_cap}")
-    previous = os.environ.get(DIM_CAP_ENV)
-    os.environ[DIM_CAP_ENV] = str(dim_cap)
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[DIM_CAP_ENV]
-        else:
-            os.environ[DIM_CAP_ENV] = previous
+def _group(args) -> GroupSpec:
+    """Refuse bad --output and --dim-cap values, then validate --n/--g.
+
+    A missing --output directory is refused before any work; _writing catches
+    what only the final write can show. The group's m**2 amplitudes are held
+    to --dim-cap after validate_group, whose walk stops at isqrt(DIM_CAP).
+    """
+    output = getattr(args, "output", None)
+    if output is not None and not output.parent.is_dir():
+        raise ValueError(f"cannot write {output}: {output.parent} is not a directory")
+    if not 1 <= args.dim_cap <= DIM_CAP:
+        raise ValueError(f"--dim-cap must be at least 1 and at most {DIM_CAP}, "
+                         f"got {args.dim_cap}")
+    spec = validate_group(args.n, args.g, require_full_group=not args.allow_subgroup)
+    _check_cap(spec.generator, spec.modulus, spec.order, args.dim_cap)
+    return spec
 
 
 def _verify_flag(args) -> bool | None:
@@ -145,7 +143,7 @@ def _emit(lines: list[str], output: Path | None) -> None:
 
 
 def _cmd_prepare_chi(args) -> int:
-    spec = validate_group(args.n, args.g, require_full_group=not args.allow_subgroup)
+    spec = _group(args)
     handle, stats = prepare_chi(spec, seed=args.seed, mode=args.mode,
                                 verify=_verify_flag(args),
                                 max_attempts=args.max_attempts)
@@ -187,7 +185,7 @@ def _load_checked_chi(args, spec):
 def _cmd_dlog(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    spec = validate_group(args.n, args.g, require_full_group=not args.allow_subgroup)
+    spec = _group(args)
     verify = _verify_flag(args)
     lines: list[str] = []
     for trial in range(args.trials):
@@ -236,7 +234,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_resources(args) -> int:
-    spec = validate_group(args.n, args.g, require_full_group=not args.allow_subgroup)
+    spec = _group(args)
     print(f"resource counts per run (n={spec.modulus}, g={spec.generator}, m={spec.order})")
     print(f"{'resource':<20} {'this_run':>9} {'exact_shor_baseline':>20}")
     for name, ours, baseline in resource_report(spec):
@@ -249,8 +247,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _dim_cap_override(getattr(args, "dim_cap", None)):
-            return args.func(args)
+        return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -18,7 +18,6 @@ from .chi import FIDELITY_TOL, VERIFY_MAX_ORDER, ChiHandle, prepare_chi
 from .errors import InvariantViolation, LayoutMismatch, UnverifiedChi
 from .group import GroupSpec, dlog_oracle
 from .qstate import (
-    READOUT_BLOCK,
     ExponentRegister,
     QState,
     RegisterLayout,
@@ -26,6 +25,7 @@ from .qstate import (
     collapse,
     marginal_distribution,
     sample_index,
+    _residual,
 )
 from .transforms import div_x_apply, qft_apply
 
@@ -75,13 +75,7 @@ def _check_phase_kickback(joint: QState, fresh: np.ndarray, chi: np.ndarray,
     """
     m = len(fresh)
     kicked = np.exp(2j * np.pi * ((p * np.arange(m)) % m) / m) * fresh
-    grid = joint.amplitudes.reshape(-1, m)
-    rows = max(1, READOUT_BLOCK // m)
-    drift = 0.0
-    for start in range(0, grid.shape[0], rows):
-        block = np.outer(chi[start:start + rows], kicked)
-        block -= grid[start:start + rows]
-        drift = max(drift, float(np.max(np.abs(block))))
+    drift = _residual(chi, kicked, joint.amplitudes.reshape(-1, m))
     if not drift <= 1e-9:
         raise InvariantViolation(f"phase kick-back drifted by {drift:.3e}")
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CapExceeded, NoInverse, NotAGenerator, NotCoprime, NotInGroup
-from .qstate import dim_cap
+from .qstate import DIM_CAP
 
 __all__ = [
     "FACTOR_CAP",
@@ -197,10 +197,18 @@ class GroupSpec:
         return f"GroupSpec(table, g={self.generator}, m={self.order})"
 
 
+def _check_cap(g: int, n: int, order: int, cap: int = DIM_CAP) -> None:
+    """CapExceeded when g's two-register state, order**2 amplitudes, exceeds cap."""
+    if order * order > cap:
+        raise CapExceeded(f"{g} has order {order} mod {n}; its two-register state "
+                          f"holds {order * order} amplitudes ({16 * order * order} "
+                          f"bytes), above the cap {cap}")
+
+
 def validate_group(n: int, g: int, require_full_group: bool = False) -> GroupSpec:
     """Validate (n, g) and return the cyclic group generated by g mod n.
 
-    The order of g is computed and checked against dim_cap() for a
+    The order of g is computed and checked against DIM_CAP for a
     two-register state, then its powers are enumerated. With
     require_full_group the order must equal phi(n), otherwise NotAGenerator.
     """
@@ -213,11 +221,7 @@ def validate_group(n: int, g: int, require_full_group: bool = False) -> GroupSpe
         raise NotCoprime(f"gcd({g}, {n}) = {gcd(g, n)}, so {g} is not a unit mod {n}")
     phi = totient(n)
     order = _order_from_totient(g, n, phi)
-    cap = dim_cap()
-    if order * order > cap:
-        raise CapExceeded(f"{g} has order {order} mod {n}; its two-register state "
-                          f"holds {order * order} amplitudes ({16 * order * order} "
-                          f"bytes), above the cap {cap}")
+    _check_cap(g, n, order)
     if require_full_group and order != phi:
         raise NotAGenerator(
             f"{g} has order {order} mod {n}, less than phi({n}) = {phi}")
@@ -237,12 +241,11 @@ def group_from_mul(generator: int, mul: Callable[[int, int], int]) -> GroupSpec:
     Walks successive powers of the generator until the walk cycles back; the
     last element before the cycle closes is the identity. The walk must stay
     injective, otherwise mul does not define a group on the orbit. It stops
-    with CapExceeded once the order is too large for dim_cap().
+    with CapExceeded once the order is too large for DIM_CAP.
     """
     if not isinstance(generator, int) or generator < 0:
         raise ValueError("element labels must be non-negative integers")
-    cap = dim_cap()
-    max_order = isqrt(cap)
+    max_order = isqrt(DIM_CAP)
     powers = [generator]
     seen = {generator}
     x = mul(generator, generator)
@@ -253,7 +256,7 @@ def group_from_mul(generator: int, mul: Callable[[int, int], int]) -> GroupSpec:
             raise ValueError("element labels must be non-negative integers")
         if len(powers) >= max_order:
             raise CapExceeded(f"generator order exceeds {max_order}, so its two-register "
-                              f"state holds more than the cap of {cap} amplitudes")
+                              f"state holds more than the cap of {DIM_CAP} amplitudes")
         powers.append(x)
         seen.add(x)
         x = mul(x, generator)

@@ -17,7 +17,6 @@ of a two-register state.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import chain
 from operator import length_hint
@@ -35,13 +34,12 @@ from .errors import (
     NotInGroup,
 )
 
-if TYPE_CHECKING:  # group imports dim_cap from here
+if TYPE_CHECKING:  # group imports DIM_CAP from here
     from .group import GroupSpec
 
 __all__ = [
     "CORRUPT_TOL",
-    "DEFAULT_DIM_CAP",
-    "DIM_CAP_ENV",
+    "DIM_CAP",
     "NORM_TOL",
     "READOUT_BLOCK",
     "ExponentRegister",
@@ -51,7 +49,6 @@ __all__ = [
     "RegisterLayout",
     "basis_state",
     "collapse",
-    "dim_cap",
     "dump_amplitudes",
     "factor_out",
     "fidelity",
@@ -62,23 +59,8 @@ __all__ = [
 
 NORM_TOL = 1e-9
 CORRUPT_TOL = 1e-6
-DEFAULT_DIM_CAP = 2 ** 24
-DIM_CAP_ENV = "CHI_DLOG_DIM_CAP"
+DIM_CAP = 2 ** 24  # amplitudes in any state: 256 MiB of complex128
 READOUT_BLOCK = 1 << 16  # amplitudes per row block of a readout or residual
-
-
-def dim_cap() -> int:
-    """Active cap on total amplitude count (env CHI_DLOG_DIM_CAP overrides)."""
-    raw = os.environ.get(DIM_CAP_ENV, "").strip()
-    if not raw:
-        return DEFAULT_DIM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{DIM_CAP_ENV}={raw!r} is not an integer") from None
-    if cap < 1:
-        raise ValueError(f"{DIM_CAP_ENV}={raw!r} must be at least 1")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -115,9 +97,8 @@ class RegisterLayout:
             if reg.dim < 1:
                 raise LayoutMismatch(f"register dimension {reg.dim} must be positive")
             total *= reg.dim
-        cap = dim_cap()
-        if total > cap:
-            raise CapExceeded(f"total dimension {total} exceeds the cap {cap}")
+        if total > DIM_CAP:
+            raise CapExceeded(f"total dimension {total} exceeds the cap {DIM_CAP}")
 
     @property
     def total_dim(self) -> int:
@@ -269,18 +250,22 @@ def factor_out(state: QState, register_index: int, expected: QState) -> QState:
     else:
         remaining = grid @ e.conj()          # shape (d1,)
         column, row, keep = remaining, e, regs[1]
-    # max-abs residual of outer(column, row) - grid, one row block at a time
+    residual = _residual(column, row, grid)
+    if not residual <= NORM_TOL:
+        raise NotAProductState(
+            f"residual {residual:.3e} after projecting register {register_index}")
+    return QState(RegisterLayout((keep,)), remaining.copy())
+
+
+def _residual(column: np.ndarray, row: np.ndarray, grid: np.ndarray) -> float:
+    """max |outer(column, row) - grid|, one row block at a time; NaN if any is NaN."""
     rows = max(1, READOUT_BLOCK // grid.shape[1])
     blocks = []
     for start in range(0, grid.shape[0], rows):
         recon = np.outer(column[start:start + rows], row)
         recon -= grid[start:start + rows]
         blocks.append(np.max(np.abs(recon)))
-    residual = float(np.max(blocks))
-    if not residual <= NORM_TOL:
-        raise NotAProductState(
-            f"residual {residual:.3e} after projecting register {register_index}")
-    return QState(RegisterLayout((keep,)), remaining.copy())
+    return float(np.max(blocks))
 
 
 def dump_amplitudes(state: QState) -> str:

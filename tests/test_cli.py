@@ -10,7 +10,7 @@ from chi_dlog.chi import load_chi
 from chi_dlog.cli import main
 from chi_dlog.errors import InvariantViolation
 from chi_dlog.group import validate_group
-from chi_dlog.qstate import DIM_CAP_ENV, ExponentRegister, GroupRegister, RegisterLayout
+from chi_dlog.qstate import DIM_CAP, ExponentRegister, GroupRegister, RegisterLayout
 
 
 def run_cli(capsys, argv):
@@ -57,12 +57,27 @@ def test_prepare_chi_writes_loadable_file(capsys, tmp_path):
     ["prepare-chi", "--n", "5", "--g", "2"],
     ["dlog", "--n", "5", "--g", "2", "--x", "3", "--prepare"],
 ], ids=["prepare-chi", "dlog"])
-def test_unwritable_output_exits_2(capsys, tmp_path, argv):
+def test_unwritable_output_exits_2(capsys, tmp_path, monkeypatch, argv):
+    # a missing directory is refused before the group is even validated
+    def never(*args, **kwargs):
+        raise AssertionError("the group was validated")
+    monkeypatch.setattr(cli, "validate_group", never)
     path = tmp_path / "missing" / "out.txt"
-    code, _, err = run_cli(capsys, argv + ["--output", str(path)])
-    assert code == 2
+    code, out, err = run_cli(capsys, argv + ["--output", str(path)])
+    assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {path}: ")
     assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["prepare-chi", "--n", "5", "--g", "2"],
+    ["dlog", "--n", "5", "--g", "2", "--x", "3", "--prepare"],
+], ids=["prepare-chi", "dlog"])
+def test_output_naming_a_directory_exits_2(capsys, tmp_path, argv):
+    # only the final write can find this one
+    code, _, err = run_cli(capsys, argv + ["--output", str(tmp_path)])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 def test_prepare_chi_reruns_are_byte_identical(capsys):
@@ -250,14 +265,6 @@ def test_verify_reports_an_unreadable_chi_file(capsys, tmp_path, case):
     assert str(path) in failures[0]
 
 
-def test_dim_cap_env_exits_3(capsys, monkeypatch):
-    monkeypatch.setenv(DIM_CAP_ENV, "100")  # joint dim for m=12 is 144
-    code, _, err = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x", "2",
-                                    "--prepare"])
-    assert code == 3
-    assert "error" in err
-
-
 def test_dim_cap_flag_exits_3(capsys):
     code, _, _ = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x", "2",
                                   "--prepare", "--dim-cap", "100"])
@@ -266,8 +273,9 @@ def test_dim_cap_flag_exits_3(capsys):
 
 def test_dim_cap_flag_is_scoped_to_the_command(capsys):
     before = dict(os.environ)
-    # the cap passes (exit 0), is rejected (exit 2), or is hit (exit 3)
-    for cap, expected in (("144", 0), ("0", 2), ("100", 3)):
+    # the cap passes (exit 0), is rejected (exit 2), or is hit (exit 3);
+    # the flag can only lower the cap
+    for cap, expected in (("144", 0), ("0", 2), (str(DIM_CAP + 1), 2), ("100", 3)):
         code, _, _ = run_cli(capsys, ["prepare-chi", "--n", "13", "--g", "2",
                                       "--dim-cap", cap])
         assert code == expected
@@ -277,21 +285,12 @@ def test_dim_cap_flag_is_scoped_to_the_command(capsys):
     assert layout.total_dim == 144
 
 
-def test_dim_cap_flag_below_one_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv(DIM_CAP_ENV, str(2 ** 24))
+def test_dim_cap_flag_below_one_exits_2(capsys):
     code, out, err = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x", "2",
                                       "--prepare", "--dim-cap", "0"])
     assert code == 2
     assert out == ""
     assert "--dim-cap must be at least 1" in err
-
-
-def test_malformed_dim_cap_env_names_the_variable(capsys, monkeypatch):
-    monkeypatch.setenv(DIM_CAP_ENV, "lots")
-    code, _, err = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x", "2",
-                                    "--prepare"])
-    assert code == 2
-    assert f"{DIM_CAP_ENV}='lots' is not an integer" in err
 
 
 def test_invariant_violation_exits_1(capsys, monkeypatch):

@@ -255,6 +255,19 @@ def test_checked_run_with_a_wrong_division_raises(monkeypatch):
             run_dlog(Z13, handle, 6, mode=mode, seed=0, verify=True)
 
 
+def test_checked_run_refuses_a_nan_amplitude(monkeypatch):
+    # NaN fails every comparison, so the residual over the row blocks must
+    # carry it to the drift bound rather than drop it in a running max
+    def poisoned(a, b, x):
+        joint = div_x_apply(a, b, x)
+        joint.amplitudes[7] = np.nan
+        return joint
+    handle = fresh_chi(Z13)
+    monkeypatch.setattr(dlog, "div_x_apply", poisoned)
+    with pytest.raises(InvariantViolation, match="kick-back"):
+        run_dlog(Z13, handle, 6, verify=True)
+
+
 def test_run_dlog_gates_success_mass_above_one():
     # a handle scaled after verify() puts 1.0201 of mass on the true answer;
     # the post-run register is renormalized, so only the mass gate sees it

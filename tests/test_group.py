@@ -27,7 +27,7 @@ from chi_dlog.group import (
     totient,
     validate_group,
 )
-from chi_dlog.qstate import DIM_CAP_ENV
+from chi_dlog.qstate import DIM_CAP
 
 
 def brute_totient(n):
@@ -238,32 +238,33 @@ def test_power_indices_follow_the_power_walk(spec):
         spec.power_indices[0] = 1
 
 
-def test_group_walks_stop_at_the_dim_cap(monkeypatch):
-    # no group above the cap is walked: 1008**2 > 1000 is refused from the
+def test_group_walks_stop_at_the_dim_cap():
+    # no group above the cap is walked: 4098**2 > 2**24 is refused from the
     # order alone, and the callback walk stops once its length squared passes
-    monkeypatch.setenv(DIM_CAP_ENV, "1000")
-    with pytest.raises(CapExceeded, match="1016064") as exc:
-        validate_group(1009, 11)
-    assert "1000" in str(exc.value)
+    with pytest.raises(CapExceeded, match="order 4098") as exc:
+        validate_group(4099, 2)
+    assert f"above the cap {DIM_CAP}" in str(exc.value)
     calls = []
 
     def add(a, b):
         calls.append(1)
-        return (a + b) % 1000
+        return (a + b) % 5000
     with pytest.raises(CapExceeded):
         group_from_mul(1, add)
-    assert len(calls) <= 33
-    assert main(["prepare-chi", "--n", "1009", "--g", "11", "--dim-cap", "1000"]) == 3
-    # the largest order that fits, 31**2 = 961, still builds
-    assert cyclic_group(31).order == 31
+    assert len(calls) <= 4097
+    # the largest order that fits, 4096**2 = 2**24, still builds
+    assert cyclic_group(4096).order == 4096
     with pytest.raises(CapExceeded):
-        cyclic_group(32)
+        cyclic_group(4097)
 
 
-def test_cap_refusal_names_the_state_bytes(monkeypatch):
-    monkeypatch.setenv(DIM_CAP_ENV, "1000")
-    with pytest.raises(CapExceeded, match=r"1016064 amplitudes \(16257024 bytes\)"):
-        validate_group(1009, 11)
+def test_cap_refusal_names_the_state_bytes(capsys):
+    with pytest.raises(CapExceeded, match=r"16793604 amplitudes \(268697664 bytes\)"):
+        validate_group(4099, 2)
+    # a lowered --dim-cap refuses with the same counts
+    assert main(["prepare-chi", "--n", "1009", "--g", "11", "--dim-cap", "1000"]) == 3
+    assert "1016064 amplitudes (16257024 bytes), above the cap 1000" in \
+        capsys.readouterr().err
 
 
 def test_validate_group_factors_the_modulus_once(monkeypatch):

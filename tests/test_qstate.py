@@ -14,7 +14,7 @@ from chi_dlog.errors import (
 )
 from chi_dlog.group import validate_group
 from chi_dlog.qstate import (
-    DIM_CAP_ENV,
+    DIM_CAP,
     READOUT_BLOCK,
     ExponentRegister,
     GroupRegister,
@@ -60,12 +60,11 @@ def test_layout_dims_and_cap():
         RegisterLayout((ExponentRegister(2),) * 3)
 
 
-def test_dim_cap_env(monkeypatch):
-    monkeypatch.setenv(DIM_CAP_ENV, "7")
-    with pytest.raises(CapExceeded):
-        RegisterLayout((ExponentRegister(8),))
-    monkeypatch.setenv(DIM_CAP_ENV, "8")
-    RegisterLayout((ExponentRegister(8),))
+def test_layout_refuses_over_the_dim_cap():
+    # only layouts are built; no state of either size is allocated
+    with pytest.raises(CapExceeded, match=f"total dimension {DIM_CAP + 1} exceeds"):
+        RegisterLayout((ExponentRegister(DIM_CAP + 1),))
+    assert RegisterLayout((ExponentRegister(DIM_CAP),)).total_dim == DIM_CAP
 
 
 def test_label_index_maps():
