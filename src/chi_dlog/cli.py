@@ -135,11 +135,12 @@ def _writing(path: Path):
 
 
 def _emit(lines: list[str], output: Path | None) -> None:
-    for line in lines:
-        print(line)
+    """Write the records to --output, then print them: a failed write prints none."""
     if output is not None:
         with _writing(output):
             output.write_text("\n".join(lines) + "\n")
+    for line in lines:
+        print(line)
 
 
 def _cmd_prepare_chi(args) -> int:

@@ -80,6 +80,14 @@ def test_output_naming_a_directory_exits_2(capsys, tmp_path, argv):
     assert err.startswith(f"error: cannot write {tmp_path}: ")
 
 
+def test_dlog_output_that_fails_to_write_prints_no_record(capsys, tmp_path):
+    # the records go to stdout only once the file holding them is written
+    code, out, err = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x-count", "3",
+                                      "--prepare", "--output", str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+
 def test_prepare_chi_reruns_are_byte_identical(capsys):
     argv = ["prepare-chi", "--n", "13", "--g", "2", "--seed", "4"]
     _, first, _ = run_cli(capsys, argv)

@@ -3,6 +3,7 @@ matrix and the three reference permutation tables, those oracles against
 direct recomputation, and the names the package exports."""
 
 import inspect
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 
 import chi_dlog
 from chi_dlog import dlog, errors, qstate, transforms
+from chi_dlog.chi import prepare_chi
+from chi_dlog.dlog import run_dlog
 from chi_dlog.errors import (
     NotBijective,
     NotInGroup,
@@ -128,6 +131,91 @@ def test_qft_register_kind_guard():
     for layout in (pair_layout(Z7), RegisterLayout((GroupRegister(Z7),))):
         with pytest.raises(WrongRegisterKind):
             qft_apply(random_state(layout, 1))
+
+
+def see_cores(monkeypatch, count):
+    """Make qft_apply find `count` cores in the affinity mask."""
+    monkeypatch.setattr(transforms.os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Every thread qft_apply starts, in order."""
+    threads = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+    monkeypatch.setattr(transforms.threading, "Thread", Recorded)
+    return threads
+
+
+def square_layout(m):
+    return RegisterLayout((ExponentRegister(m), ExponentRegister(m)))
+
+
+@pytest.mark.parametrize("m", [512, 724, 1008])
+def test_split_qft_is_bit_identical_on_any_core_count(monkeypatch, started, m):
+    layout = square_layout(m)
+    amps = random_state(layout, m).amplitudes
+    for inverse, whole in ((False, np.fft.ifft), (True, np.fft.fft)):
+        # one whole-array call, as qft_apply made it before the rows were split
+        want = amps.copy()
+        grid = want.reshape(m, m)
+        whole(grid, axis=1, norm="ortho", out=grid)
+        for count in (1, 2, 3, 4):
+            see_cores(monkeypatch, count)
+            started.clear()
+            got = qft_apply(QState(layout, amps.copy()), inverse=inverse)
+            assert np.array_equal(got.amplitudes, want)
+            assert len(started) == count - 1
+            assert not any(thread.is_alive() for thread in started)
+
+
+def test_a_state_below_the_split_threshold_starts_no_thread(monkeypatch, started):
+    see_cores(monkeypatch, 4)
+    assert 513 * 511 == transforms._SPLIT_MIN - 1 and 512 * 512 == transforms._SPLIT_MIN
+    qft_apply(random_state(RegisterLayout((ExponentRegister(513), ExponentRegister(511))), 1))
+    assert started == []
+    qft_apply(random_state(square_layout(512), 2))
+    assert len(started) == 3
+
+
+class PartFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_a_failing_part_raises_in_the_caller_and_every_thread_is_joined(
+        monkeypatch, started, failing):
+    see_cores(monkeypatch, 4)
+    real, caller = np.fft.ifft, threading.get_ident()
+
+    def transform(a, *args, **kwargs):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise PartFailed(failing)
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.fft, "ifft", transform)
+    before = threading.active_count()
+    with pytest.raises(PartFailed, match=failing):
+        qft_apply(random_state(square_layout(512), 3))
+    assert len(started) == 3
+    assert not any(thread.is_alive() for thread in started)
+    assert threading.active_count() == before
+
+
+def test_a_run_at_m_1008_leaves_no_thread_running(monkeypatch, started):
+    see_cores(monkeypatch, 2)
+    spec = validate_group(1009, 11)
+    before = threading.active_count()
+    handle, _ = prepare_chi(spec, seed=0, mode="exhaustive", verify=False)
+    run_dlog(spec, handle, 3, mode="exhaustive", verify=False)
+    # the preparation's and the run's joint transforms split; the lone
+    # registers' transforms (1008 amplitudes) do not
+    assert len(started) == 2
+    assert threading.active_count() == before
 
 
 def joint_index(layout, labels):
