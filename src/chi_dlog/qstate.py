@@ -13,7 +13,9 @@ Only register 0 is ever read out, as in the procedure, where it is the
 exponent register: marginal_distribution gives its distribution, sample_index
 draws from that, and collapse measures it and keeps register 1. Readout and
 factor_out work in blocks of rows, so none of them makes a temporary the size
-of a two-register state.
+of a two-register state. The marginal, and factor_out when it splits off
+register 1, are one row sum, which adds the rows in a fixed order and makes
+no BLAS call, so their bits are the same on any core and BLAS thread count.
 """
 from __future__ import annotations
 
@@ -174,16 +176,29 @@ def marginal_distribution(state: QState) -> np.ndarray:
     if d0 == 1:
         # no grid to block; numpy sums a single column pairwise, not row by row
         return (np.abs(state.amplitudes) ** 2).reshape(-1, 1).sum(axis=0)
-    grid = state.amplitudes.reshape(-1, d0)
+
+    def densities(block, start, out):
+        np.abs(block, out=out)
+        np.square(out, out=out)
+
+    return _row_sum(state.amplitudes.reshape(-1, d0), np.float64, densities)
+
+
+def _row_sum(grid: np.ndarray, dtype, fill) -> np.ndarray:
+    """Sum over the rows of grid of what fill(block, start, out) writes.
+
+    fill gets the rows grid[start:start + len(out)] and writes their terms
+    into out, scratch of at most READOUT_BLOCK values. buf[0] carries the
+    running column sum, so the rows are added one after another in order,
+    exactly as a whole-array sum(axis=0) does: the order depends on the
+    grid's shape alone, and no BLAS call is made.
+    """
+    d0 = grid.shape[1]
     rows = max(1, min(READOUT_BLOCK // d0, grid.shape[0]))
-    # buf[0] carries the running column sum, so the rows are added in order
-    # exactly as grid.sum(axis=0) does
-    buf = np.zeros((rows + 1, d0))
+    buf = np.zeros((rows + 1, d0), dtype)
     for start in range(0, grid.shape[0], rows):
         block = grid[start:start + rows]
-        dens = buf[1:1 + len(block)]
-        np.abs(block, out=dens)
-        np.square(dens, out=dens)
+        fill(block, start, buf[1:1 + len(block)])
         buf[0] = np.add.reduce(buf[:1 + len(block)], axis=0)
     return buf[0].copy()
 
@@ -202,7 +217,8 @@ def collapse(state: QState, index: int) -> MeasurementOutcome:
     kept = _grid(state)[:, index]
     norm = float(np.linalg.norm(kept))
     p = norm * norm
-    if p < 1e-12:
+    # written so that a NaN or infinite column fails it too
+    if not 1e-12 <= p < np.inf:
         raise DegenerateNorm(f"index {index} carries probability {p:.3e}")
     return MeasurementOutcome(int(index), p, QState(RegisterLayout((regs[1],)), kept / norm))
 
@@ -212,12 +228,14 @@ def sample_index(probs: np.ndarray, rng=None) -> int:
 
     rng may be a seed or a np.random.Generator; threading one generator
     through several draws gives a reproducible stream. The distribution is
-    rescaled by its total, which must reach CORRUPT_TOL.
+    rescaled by its total, which must be finite and reach CORRUPT_TOL.
     """
     gen = np.random.default_rng(rng)
     total = float(probs.sum())
-    if total < CORRUPT_TOL:
-        raise DegenerateNorm(f"total probability mass {total:.3e} below {CORRUPT_TOL}")
+    # written so that a NaN or infinite total fails it too
+    if not CORRUPT_TOL <= total < np.inf:
+        raise DegenerateNorm(
+            f"total probability mass {total:.3e} is not in [{CORRUPT_TOL}, inf)")
     cdf = np.cumsum(probs)
     u = gen.random() * cdf[-1]
     return min(int(np.searchsorted(cdf, u, side="right")), len(probs) - 1)
@@ -235,6 +253,9 @@ def factor_out(state: QState, register_index: int, expected: QState) -> QState:
 
     The joint state must equal remaining x expected up to a global phase
     (absorbed into the returned state) within 1e-9, else NotAProductState.
+    Splitting off register 1, as a preparation does, sums the weighted rows
+    in row order with no BLAS call, so the result does not depend on the
+    BLAS thread count.
     """
     regs = state.layout.registers
     if len(regs) != 2:
@@ -245,7 +266,12 @@ def factor_out(state: QState, register_index: int, expected: QState) -> QState:
     grid = _grid(state)
     e = expected.amplitudes
     if register_index == 1:
-        remaining = e.conj() @ grid          # shape (d0,)
+        weights = e.conj()[:, None]
+
+        def weighted(block, start, out):
+            np.multiply(block, weights[start:start + len(block)], out=out)
+
+        remaining = _row_sum(grid, np.complex128, weighted)  # shape (d0,)
         column, row, keep = e, remaining, regs[0]
     else:
         remaining = grid @ e.conj()          # shape (d1,)
@@ -254,7 +280,7 @@ def factor_out(state: QState, register_index: int, expected: QState) -> QState:
     if not residual <= NORM_TOL:
         raise NotAProductState(
             f"residual {residual:.3e} after projecting register {register_index}")
-    return QState(RegisterLayout((keep,)), remaining.copy())
+    return QState(RegisterLayout((keep,)), remaining)
 
 
 def _residual(column: np.ndarray, row: np.ndarray, grid: np.ndarray) -> float:

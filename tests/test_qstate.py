@@ -222,6 +222,32 @@ def test_measure_rejects_corrupted_norm():
         sample_index(marginal_distribution(QState(lay, np.full(4, 1e-8, complex))))
 
 
+def test_sample_index_refuses_a_nan_mass():
+    # NaN compares False with any bound, so only a check that the total is in
+    # range refuses it
+    with pytest.raises(DegenerateNorm):
+        sample_index(np.array([0.5, np.nan, 0.5]), 0)
+
+
+def test_sample_index_refuses_an_infinite_mass():
+    with pytest.raises(DegenerateNorm):
+        sample_index(np.array([np.inf, 0.0, 0.0]), 0)
+
+
+def test_collapse_refuses_a_nan_column():
+    state = bell_state()
+    state.amplitudes[2] = np.nan
+    with pytest.raises(DegenerateNorm):
+        collapse(state, 0)
+
+
+def test_collapse_refuses_an_infinite_column():
+    state = bell_state()
+    state.amplitudes[2] = np.inf
+    with pytest.raises(DegenerateNorm):
+        collapse(state, 0)
+
+
 def test_measure_is_sample_index_over_the_marginal():
     lay = RegisterLayout((ExponentRegister(6), GroupRegister(Z5)))
     state = random_state(lay, 5)
@@ -274,6 +300,20 @@ def test_factor_out_rejects_entanglement():
         factor_out(bell_state(), 0, basis_state(exp_layout(2), (0,)))
     with pytest.raises(LayoutMismatch):
         factor_out(bell_state(), 0, basis_state(exp_layout(3), (0,)))
+
+
+# (d0, d1) as for the marginal: one block, many blocks with a ragged last one,
+# blocks that divide d1 exactly, and rows wider than a block's share
+@pytest.mark.parametrize("d0,d1", [(7, 3), (7, 20000), (256, 1024), (1009, 200)])
+def test_factor_out_sums_the_rows_in_order(d0, d1):
+    # splitting off register 1 is the plain sum of the weighted rows, bit for
+    # bit, whatever the BLAS thread count; numpy's complex product is not
+    # bitwise commutative, so the rows are the left operand, as in factor_out
+    a, b = random_state(exp_layout(d0), d0), random_state(exp_layout(d1), d1)
+    joint = _product(a, b)
+    weighted = joint.amplitudes.reshape(d1, d0) * b.amplitudes.conj()[:, None]
+    left = factor_out(joint, 1, b)
+    assert np.array_equal(left.amplitudes, weighted.sum(axis=0))
 
 
 def test_factor_out_checks_every_row_block():
