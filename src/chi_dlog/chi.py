@@ -24,6 +24,7 @@ from .errors import (
 )
 from .group import GroupSpec, gcd, mod_inverse, validate_group
 from .qstate import (
+    _KEEP_MIN,
     ExponentRegister,
     GroupRegister,
     QState,
@@ -66,10 +67,20 @@ def chi_reference(spec: GroupSpec, power: int) -> QState:
 
 @dataclass
 class ChiHandle:
-    """A chi register with its claimed power; reused and mutated across runs."""
+    """A chi register with its claimed power; reused and mutated across runs.
+
+    A handle serves one run at a time. From qstate._KEEP_MIN joint amplitudes
+    (m >= 1449) it also keeps the m x m buffer every run divides into, so
+    16*m**2 bytes stay resident between runs: a preparation hands over the
+    buffer of its last division, and a loaded or powered handle makes one on
+    its first run. Below that size it keeps none and each run divides into a
+    fresh buffer.
+    """
     power: int
     state: QState
     verified: bool = False
+    _buffer: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def group(self) -> GroupSpec:
@@ -84,6 +95,15 @@ class ChiHandle:
         self.verified = (fid >= 1.0 - FIDELITY_TOL
                          and abs(self.state.norm() ** 2 - 1.0) <= FIDELITY_TOL)
         return fid
+
+    def _workspace(self) -> np.ndarray | None:
+        """The buffer a run divides into; None, for a fresh one, below _KEEP_MIN."""
+        size = self.group.order ** 2
+        if size < _KEEP_MIN:
+            return None
+        if self._buffer is None or self._buffer.size != size:
+            self._buffer = np.empty(size, dtype=np.complex128)
+        return self._buffer
 
 
 @dataclass
@@ -155,22 +175,19 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
             raise RetryLimitExceeded(
                 f"no coprime measurement within {max_attempts} attempts for order {m}")
     success = observed[-1]
-    survivor = collapse(state, success).post_state
-    # the uniform register is built first, so only the division's O(m) scratch
-    # is allocated between freeing the round's m x m buffer and building the
-    # joint state, which can then reuse it (otherwise peak RSS can hold a
-    # second state, as at m = 1008)
-    uniform = chi_reference(spec, 0)
-    del state
-
     if gcd(success, m) != 1:
         raise InvariantViolation(f"accepted s={success} shares a factor with m={m}")
     # the measurement left the chi register of power s alone: pair it with a
-    # uniform chi register and divide down to power 1
-    joint = div_alpha_apply(uniform, survivor, mod_inverse(success, m))
+    # uniform chi register and divide down to power 1. collapse copied the
+    # survivor out, so the division writes over the round's m x m buffer
+    survivor = collapse(state, success).post_state
+    joint = div_alpha_apply(chi_reference(spec, 0), survivor, mod_inverse(success, m),
+                            out=state.amplitudes)
     chi_state = factor_out(joint, 1, chi_reference(spec, success))
 
     handle = ChiHandle(power=1, state=chi_state)
+    if m * m >= _KEEP_MIN:  # factor_out copied the register out of the buffer
+        handle._buffer = joint.amplitudes
     fid = handle.verify()
     if not handle.verified:
         raise InvariantViolation(

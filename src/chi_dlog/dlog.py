@@ -5,7 +5,10 @@ chi register (m amplitudes, not m**2), build the joint state with the chi
 register divided by x raised to that exponent (which only kicks phases back
 onto the exponent register), transform back, and read the exponent register.
 The chi register survives and the handle carries its post-run state forward,
-so reuse is observable rather than assumed. Resource counts are incremented at
+so reuse is observable rather than assumed. From m >= 1449 the joint state is
+written into the m x m buffer the handle keeps (see ChiHandle), so a run maps
+no new state once the handle holds one; the post-run chi register is a copy
+and shares no memory with that buffer. Resource counts are incremented at
 the operation call sites, never hand-entered.
 """
 from __future__ import annotations
@@ -111,7 +114,7 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
     exp_zero = basis_state(RegisterLayout((ExponentRegister(m),)), (0,))
     fresh = qft_apply(exp_zero)
     ledger.fourier_count += 1
-    joint = div_x_apply(fresh, chi.state, x)
+    joint = div_x_apply(fresh, chi.state, x, out=chi._workspace())
     ledger.registers_used = len(joint.layout.registers)
     ledger.division_ops += 1
     if check:

@@ -7,15 +7,17 @@ i0 + dim0 * i1. The text dump format uses the same indexing.
 This module holds states, not operators: every gate of the simulation is in
 transforms. A two-register state is built there, by controlled_product (with
 its three wrappers), which writes the divided joint state of two one-register
-states straight into a fresh buffer; qft_apply then consumes the state it is
-given and returns it. Everything here returns new arrays.
+states straight into a fresh buffer or one its caller hands it; qft_apply then
+consumes the state it is given and returns it. Everything here returns new
+arrays.
 Only register 0 is ever read out, as in the procedure, where it is the
 exponent register: marginal_distribution gives its distribution, sample_index
 draws from that, and collapse measures it and keeps register 1. Readout and
 factor_out work in blocks of rows, so none of them makes a temporary the size
-of a two-register state. The marginal, and factor_out when it splits off
-register 1, are one row sum, which adds the rows in a fixed order and makes
-no BLAS call, so their bits are the same on any core and BLAS thread count.
+of a two-register state. The marginal, the norm, and factor_out when it
+splits off register 1, are one row sum, which adds the rows in a fixed order
+and makes no BLAS call, so their bits are the same on any core and BLAS
+thread count.
 """
 from __future__ import annotations
 
@@ -63,6 +65,14 @@ NORM_TOL = 1e-9
 CORRUPT_TOL = 1e-6
 DIM_CAP = 2 ** 24  # amplitudes in any state: 256 MiB of complex128
 READOUT_BLOCK = 1 << 16  # amplitudes per row block of a readout or residual
+# from this many amplitudes (m >= 1449 for a joint state) a chi handle keeps
+# its runs' joint buffer: a state of 32 MiB or more is past glibc's mmap
+# threshold ceiling, so a freed one goes back to the OS and the next run maps
+# and faults it afresh. Smaller ones come back from the heap anyway, and
+# keeping them would hold one per live handle (prepare-1008 peak RSS rose
+# from 54 to 70-83 MB, the last handle's buffer alive while the next is
+# prepared)
+_KEEP_MIN = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -131,7 +141,8 @@ class QState:
     amplitudes: np.ndarray
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """Euclidean norm from the marginal's fixed-order row sum, not BLAS."""
+        return float(np.sqrt(marginal_distribution(self).sum()))
 
     def copy(self) -> "QState":
         return QState(self.layout, self.amplitudes.copy())

@@ -16,7 +16,8 @@ to turn this off, and no thread outlives the call.
 Every division in the procedure acts on two registers that have not met yet,
 so the division and power operators are one primitive, controlled_product,
 which takes the two one-register states and writes the divided joint state
-straight into a fresh buffer, row by row along the cycles of a single
+straight into a fresh buffer, or into one the caller passes as out (a chi
+handle keeps one for its runs), row by row along the cycles of a single
 multiplier. Those cycles come from group multiplication alone, never from a
 discrete-log lookup. The inputs are left alone.
 
@@ -137,17 +138,21 @@ def _mult_index_perm(spec: GroupSpec, c: int) -> np.ndarray:
                        dtype=np.int64, count=spec.order)
 
 
-def controlled_product(a: QState, b: QState, step: int, order) -> QState:
+def controlled_product(a: QState, b: QState, step: int, order, out=None) -> QState:
     """The joint state |a>|b> after the map |order[k], y> -> |order[k], y * step**k>.
 
     a is the control register (register 0 of the result) and b a group
     register (register 1); order lists every basis index of a once. Row k of
     the map is the permutation "multiply by step" composed k times, so one
     bijectivity check covers every row. The divided state is written straight
-    into a fresh buffer, out[y, order[k]] = a[order[k]] * b[y * step**-k], and
-    the inputs are left alone. Along a cycle c_0, c_1 = c_0 * step, ... of
-    length L, row c_j is the window at L - 1 - j of b[cycle reversed], tiled,
-    read through the inverse of order and multiplied by a.
+    into out, out[y, order[k]] = a[order[k]] * b[y * step**-k], and the inputs
+    are left alone. out defaults to a fresh buffer; one the caller passes is
+    overwritten whole and becomes the result's amplitudes, with the same bits.
+    It must be a flat, C-contiguous, writable complex128 array of exactly
+    d0 * m amplitudes that shares no memory with a or b, else WrongLayout.
+    Along a cycle c_0, c_1 = c_0 * step, ... of length L, row c_j is the
+    window at L - 1 - j of b[cycle reversed], tiled, read through the inverse
+    of order and multiplied by a.
     """
     ra, rb = _lone_register(a), _lone_register(b)
     if not isinstance(rb, GroupRegister):
@@ -155,6 +160,15 @@ def controlled_product(a: QState, b: QState, step: int, order) -> QState:
     spec = rb.group
     d0, m = ra.dim, spec.order
     layout = RegisterLayout((ra, rb))  # refuses a joint state over the cap
+    if out is not None:
+        if not (isinstance(out, np.ndarray) and out.dtype == np.complex128
+                and out.shape == (d0 * m,) and out.flags.c_contiguous
+                and out.flags.writeable):
+            raise WrongLayout(
+                f"out must be a flat, C-contiguous, writable complex128 array of "
+                f"{d0 * m} amplitudes")
+        if np.shares_memory(out, a.amplitudes) or np.shares_memory(out, b.amplitudes):
+            raise WrongLayout("out shares memory with an input register")
     one = _mult_index_perm(spec, step)
     order = np.asarray(order, dtype=np.intp)
     for perm, n, what in ((one, m, f"multiplying by {step!r}"),
@@ -182,7 +196,9 @@ def controlled_product(a: QState, b: QState, step: int, order) -> QState:
     inverse[order] = np.arange(d0)
     window = np.empty(d0, dtype=np.complex128)
     along = b.amplitudes.take(walk)  # b along each reversed cycle
-    out = np.empty((m, d0), dtype=np.complex128)
+    if out is None:
+        out = np.empty(d0 * m, dtype=np.complex128)
+    rows = out.reshape(m, d0)
     for begin, end in bounds:
         size = end - begin
         reps = -(-(size + d0 - 1) // size)
@@ -190,8 +206,8 @@ def controlled_product(a: QState, b: QState, step: int, order) -> QState:
         for p in range(size):
             # out of place: numpy rounds a one-element product made in place differently
             tiled[p:p + d0].take(inverse, out=window, mode="clip")
-            np.multiply(window, a.amplitudes, out=out[walk[begin + p]])
-    return QState(layout, out.reshape(-1))
+            np.multiply(window, a.amplitudes, out=rows[walk[begin + p]])
+    return QState(layout, out)
 
 
 def _joint_table(rows: np.ndarray, d0: int) -> np.ndarray:
@@ -263,17 +279,24 @@ def _exponent_group(a: QState, b: QState) -> GroupSpec:
     return spec
 
 
-def div_alpha_apply(a: QState, b: QState, alpha: int) -> QState:
-    """Join two group registers and divide the right one by the left raised to alpha."""
+def div_alpha_apply(a: QState, b: QState, alpha: int, out=None) -> QState:
+    """Join two group registers and divide the right one by the left raised to alpha.
+
+    out, if given, is the buffer controlled_product writes the state into.
+    """
     spec = _group_group(a, b)
     # the left label g**k picks up (g**-alpha)**k
-    return controlled_product(a, b, spec.pow(spec.generator, -alpha), spec.power_indices)
+    return controlled_product(a, b, spec.pow(spec.generator, -alpha), spec.power_indices,
+                              out=out)
 
 
-def div_x_apply(a: QState, b: QState, x: int) -> QState:
-    """Join an exponent register and a group register; divide the right by x**left."""
+def div_x_apply(a: QState, b: QState, x: int, out=None) -> QState:
+    """Join an exponent register and a group register; divide the right by x**left.
+
+    out, if given, is the buffer controlled_product writes the state into.
+    """
     spec = _exponent_group(a, b)
-    return controlled_product(a, b, spec.inverse(x), range(spec.order))
+    return controlled_product(a, b, spec.inverse(x), range(spec.order), out=out)
 
 
 def power_oracle_apply(a: QState, b: QState) -> QState:

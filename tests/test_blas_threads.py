@@ -2,8 +2,8 @@
 
 Each case runs in a fresh process under OPENBLAS_NUM_THREADS=1 and =2, since
 OpenBLAS reads the variable once, when numpy loads it. The chi files, stdout,
-and the fidelity, norm and powered amplitudes at m = 1008 must be the same
-bytes both times.
+and the fidelity, the norms of a chi register and of a joint state, and the
+powered amplitudes at m = 1008 must be the same bytes both times.
 """
 
 import os
@@ -17,19 +17,22 @@ import chi_dlog
 SRC = str(Path(chi_dlog.__file__).parents[1])
 THREAD_COUNTS = ("1", "2")
 
-# fidelity and norm as the handle check reads them, and chi_power_from, which
-# also projects onto register 0. Every norm the library takes is of one
-# register; that of a two-register state is a BLAS dot product long enough to
-# be split over the threads, and its bits follow their count
+# fidelity and norm as the handle check reads them, the norm of a run's joint
+# state, and chi_power_from, which also projects onto register 0. The norm is
+# the marginal's row sum, not a BLAS dot product, which a two-register state
+# is long enough to split over the threads
 PROBE = textwrap.dedent("""
     import hashlib
     from chi_dlog.chi import chi_power_from, chi_reference, prepare_chi
     from chi_dlog.group import validate_group
-    from chi_dlog.qstate import fidelity
+    from chi_dlog.qstate import ExponentRegister, RegisterLayout, basis_state, fidelity
+    from chi_dlog.transforms import div_x_apply, qft_apply
     spec = validate_group(1009, 11)
     handle, _ = prepare_chi(spec, seed=3)
     print(fidelity(handle.state, chi_reference(spec, handle.power)).hex())
     print(handle.state.norm().hex())
+    fresh = qft_apply(basis_state(RegisterLayout((ExponentRegister(spec.order),)), (0,)))
+    print(div_x_apply(fresh, handle.state, 5).norm().hex())
     powered = chi_power_from(spec, handle, alpha=5)
     print(hashlib.sha256(powered.state.amplitudes.tobytes()).hexdigest())
 """)
@@ -70,5 +73,5 @@ def test_a_saved_chi_register_and_its_runs_are_the_same_on_any_thread_count(tmp_
 
 def test_fidelity_norm_and_powering_are_the_same_on_any_thread_count(tmp_path):
     one, two = (run(["-c", PROBE], threads, tmp_path) for threads in THREAD_COUNTS)
-    assert len(one.split()) == 3
+    assert len(one.split()) == 4
     assert one == two

@@ -317,7 +317,8 @@ def test_sampled_dlog_with_a_wrong_division_exits_1(capsys, monkeypatch):
     # stays an eigenstate, so only the mass on the true answer shows it
     real = dlog.div_x_apply
     monkeypatch.setattr(dlog, "div_x_apply",
-                        lambda *args: real(*args[:-1], args[-1] * 2 % 101))
+                        lambda *args, **kwargs: real(*args[:-1], args[-1] * 2 % 101,
+                                                     **kwargs))
     code, out, err = run_cli(capsys, ["dlog", "--n", "101", "--g", "2", "--x", "5",
                                       "--prepare", "--mode", "sampled"])
     assert code == 1 and out == ""

@@ -224,7 +224,8 @@ def test_run_dlog_gates_a_handle_corrupted_after_verify():
 
 def divide_by_two(monkeypatch):
     """Make every run divide by 2, whatever x it was given."""
-    monkeypatch.setattr(dlog, "div_x_apply", lambda a, b, x: div_x_apply(a, b, 2))
+    monkeypatch.setattr(dlog, "div_x_apply",
+                        lambda a, b, x, out=None: div_x_apply(a, b, 2, out=out))
 
 
 def test_run_dlog_gates_exhaustive_success_mass(monkeypatch):
@@ -258,8 +259,8 @@ def test_checked_run_with_a_wrong_division_raises(monkeypatch):
 def test_checked_run_refuses_a_nan_amplitude(monkeypatch):
     # NaN fails every comparison, so the residual over the row blocks must
     # carry it to the drift bound rather than drop it in a running max
-    def poisoned(a, b, x):
-        joint = div_x_apply(a, b, x)
+    def poisoned(a, b, x, out=None):
+        joint = div_x_apply(a, b, x, out=out)
         joint.amplitudes[7] = np.nan
         return joint
     handle = fresh_chi(Z13)

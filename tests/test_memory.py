@@ -6,6 +6,10 @@ transforms it in place, and the readout, factor_out and the kick-back check
 work in row blocks, so the peak is 16*m**2 bytes plus O(m); the bound leaves
 a quarter of a state for the row blocks and vectors. Peak RSS also depends on
 where the allocator places those buffers, which a fresh process shows.
+
+From m = 1449 on (2**21 joint amplitudes) a chi handle keeps its runs' buffer,
+so a run on a handle that already holds it allocates under a quarter of a
+state; below that size nothing is kept.
 """
 
 import os
@@ -15,16 +19,28 @@ import textwrap
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chi_dlog
-from chi_dlog.chi import prepare_chi
+from chi_dlog import dlog
+from chi_dlog.chi import load_chi, prepare_chi, save_chi
 from chi_dlog.dlog import run_dlog
+from chi_dlog.errors import InvariantViolation
 from chi_dlog.group import validate_group
-from chi_dlog.qstate import ExponentRegister, RegisterLayout, basis_state, marginal_distribution
+from chi_dlog.qstate import (
+    ExponentRegister,
+    RegisterLayout,
+    basis_state,
+    collapse,
+    marginal_distribution,
+)
+from chi_dlog.transforms import div_x_apply, qft_apply
 
 SPEC = validate_group(1009, 11)  # m = 1008, one state is 16 MB
 STATE_BYTES = 16 * SPEC.order ** 2
+BIG = validate_group(1451, 2)  # m = 1450, one state is 33.6 MB, a kept buffer
+BIG_BYTES = 16 * BIG.order ** 2
 
 
 def traced_peak(fn):
@@ -96,3 +112,70 @@ def test_repeated_preparations_keep_peak_rss_flat():
     assert len(rss_kb) == 20
     growth = rss_kb[-1] - rss_kb[0]
     assert growth * 1024 <= STATE_BYTES / 4, f"peak RSS by preparation (kB): {rss_kb}"
+
+
+def fresh_buffer_run(spec, chi_state, x):
+    """An exhaustive run built by hand, dividing into a fresh buffer."""
+    zero = basis_state(RegisterLayout((ExponentRegister(spec.order),)), (0,))
+    joint = qft_apply(div_x_apply(qft_apply(zero), chi_state, x), inverse=True)
+    marginal = marginal_distribution(joint)
+    return marginal, collapse(joint, int(np.argmax(marginal))).post_state
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_a_preparation_that_keeps_its_buffer_holds_one_state(mode):
+    (handle, _), peak = traced_peak(
+        lambda: prepare_chi(BIG, seed=1, mode=mode, verify=False))
+    assert BIG_BYTES <= peak <= 1.25 * BIG_BYTES, \
+        f"prepare_chi peaked at {peak / BIG_BYTES:.2f} states"
+    assert handle._buffer.size == BIG.order ** 2
+    assert not np.shares_memory(handle.state.amplitudes, handle._buffer)
+    assert "_buffer" not in repr(handle)
+
+
+@pytest.mark.parametrize("origin", ["prepared", "loaded"])
+def test_runs_divide_into_the_buffer_their_handle_keeps(origin, tmp_path):
+    handle, _ = prepare_chi(BIG, seed=2, mode="exhaustive", verify=False)
+    if origin == "loaded":
+        save_chi(handle, tmp_path / "chi.txt")
+        _, handle = load_chi(tmp_path / "chi.txt")
+        handle.verify()
+        assert handle._buffer is None
+    kept = handle._buffer
+    for run, x in enumerate((3, 5, 7)):
+        want_marginal, want_post = fresh_buffer_run(BIG, handle.state, x)
+        result, peak = traced_peak(lambda: run_dlog(BIG, handle, x, verify=False))
+        assert result.measured_p == result.oracle_p
+        if origin == "loaded" and run == 0:  # it makes its buffer on its first run
+            assert peak >= BIG_BYTES
+            kept = handle._buffer
+        else:
+            assert peak < 0.25 * BIG_BYTES, \
+                f"run {run + 1} peaked at {peak / BIG_BYTES:.2f} states"
+        assert kept is not None and handle._buffer is kept
+        assert not np.shares_memory(handle.state.amplitudes, kept)
+        assert np.array_equal(result.marginal, want_marginal)
+        assert np.array_equal(handle.state.amplitudes, want_post.amplitudes)
+
+
+def test_a_failed_run_leaves_the_kept_buffer_serving(monkeypatch):
+    handle, _ = prepare_chi(BIG, seed=3, mode="exhaustive", verify=False)
+    kept = handle._buffer
+    with monkeypatch.context() as patch:
+        patch.setattr(dlog, "div_x_apply",
+                      lambda a, b, x, out=None: div_x_apply(a, b, 2, out=out))
+        with pytest.raises(InvariantViolation, match="success mass"):
+            run_dlog(BIG, handle, 5, verify=False)
+    want_marginal, want_post = fresh_buffer_run(BIG, handle.state, 5)
+    result = run_dlog(BIG, handle, 5, verify=False)
+    assert result.measured_p == result.oracle_p
+    assert handle._buffer is kept
+    assert np.array_equal(result.marginal, want_marginal)
+    assert np.array_equal(handle.state.amplitudes, want_post.amplitudes)
+
+
+def test_below_the_cutoff_a_handle_keeps_no_buffer():
+    handle, _ = prepare_chi(SPEC, seed=1, mode="sampled", verify=False)
+    assert handle._buffer is None
+    run_dlog(SPEC, handle, 5, mode="sampled", seed=1, verify=False)
+    assert handle._buffer is None

@@ -443,6 +443,61 @@ def test_controlled_product_guards():
         controlled_product(a, exponent_state(6, 3), 3, range(6))
 
 
+def _out_buffers():
+    """A bad out for each refusal, for a 6 x 6 joint state."""
+    frozen = np.zeros(36, dtype=np.complex128)
+    frozen.setflags(write=False)
+    return {
+        "a list": [0j] * 36,
+        "complex64": np.zeros(36, dtype=np.complex64),
+        "float64 of the same bytes": np.zeros(72),
+        "byte-swapped complex128": np.zeros(36, dtype=">c16"),
+        "too short": np.zeros(35, dtype=np.complex128),
+        "too long": np.zeros(37, dtype=np.complex128),
+        "two-dimensional": np.zeros((6, 6), dtype=np.complex128),
+        "strided": np.zeros(72, dtype=np.complex128)[::2],
+        "read-only": frozen,
+    }
+
+
+@pytest.mark.parametrize("what", list(_out_buffers()))
+def test_controlled_product_refuses_a_bad_out(what):
+    a, b = exponent_state(6, 11), group_state(Z7, 12)
+    out = _out_buffers()[what]
+    with pytest.raises(WrongLayout, match="out must be"):
+        controlled_product(a, b, 3, range(6), out=out)
+    assert not np.any(out)
+
+
+@pytest.mark.parametrize("register", ["a", "b"])
+def test_controlled_product_refuses_an_out_that_shares_an_input(register):
+    a, b = exponent_state(6, 13), group_state(Z7, 14)
+    out = np.zeros(36, dtype=np.complex128)
+    inside = out[30:] if register == "a" else out[:6]
+    inside[...] = (a if register == "a" else b).amplitudes
+    inputs = {"a": a, "b": b}
+    inputs[register] = QState(inputs[register].layout, inside)
+    with pytest.raises(WrongLayout, match="shares memory"):
+        controlled_product(inputs["a"], inputs["b"], 3, range(6), out=out)
+    assert np.array_equal(inside, (a if register == "a" else b).amplitudes)
+
+
+def test_a_passed_out_becomes_the_state_with_the_fresh_buffer_bits():
+    # every x and every alpha of every group of order <= 64; the buffer holds
+    # NaN before each call, so every amplitude must be written
+    for spec in oracle_groups():
+        m = spec.order
+        chi = group_state(spec, m)
+        out = np.empty(m * m, dtype=np.complex128)
+        calls = [(div_x_apply, exponent_state(m, m + 1), x) for x in spec.elements] + \
+            [(div_alpha_apply, group_state(spec, m + 2), alpha) for alpha in range(m)]
+        for op, a, arg in calls:
+            out.fill(np.nan)
+            joint = op(a, chi, arg, out=out)
+            assert joint.amplitudes is out
+            assert np.array_equal(out, op(a, chi, arg).amplitudes)
+
+
 def test_transforms_consume_their_input():
     for layout in (RegisterLayout((ExponentRegister(6), ExponentRegister(7))),
                    RegisterLayout((ExponentRegister(9),))):
