@@ -42,7 +42,6 @@ from .transforms import div_alpha_apply, power_oracle_apply, qft_apply
 
 __all__ = [
     "FIDELITY_TOL",
-    "VERIFY_MAX_ORDER",
     "ChiHandle",
     "PrepStats",
     "chi_power_from",
@@ -53,7 +52,6 @@ __all__ = [
 ]
 
 FIDELITY_TOL = 1e-9
-VERIFY_MAX_ORDER = 64  # structural checks default on up to this order
 
 
 def chi_reference(spec: GroupSpec, power: int) -> QState:
@@ -115,21 +113,21 @@ class PrepStats:
     acceptance_probability: float | None = None
 
 
-def _check_superposed_structure(spec: GroupSpec, state: QState) -> None:
-    """Check that every exponent column holds that power's chi state, scaled."""
-    m = spec.order
-    grid = state.amplitudes.reshape(m, m)  # [group index, exponent label]
-    scale = 1.0 / np.sqrt(m)
-    for s in range(m):
-        ref = chi_reference(spec, s).amplitudes * scale
-        drift = float(np.max(np.abs(grid[:, s] - ref)))
-        if not drift <= FIDELITY_TOL:
-            raise InvariantViolation(
-                f"pre-measurement column {s} drifted {drift:.3e} from its chi state")
+def _superposed_round(spec: GroupSpec) -> QState:
+    """The state a preparation measures: exponent column s holds chi_s/sqrt(m).
+
+    Superpose exponents, load powers of g, transform again. The fresh
+    exponent register is transformed before it joins the group register, so
+    the first transform touches m amplitudes. A device reruns the round on
+    every attempt, but the simulated unitary and its input are fixed, so
+    every attempt draws from this one distribution.
+    """
+    exp_zero = basis_state(RegisterLayout((ExponentRegister(spec.order),)), (0,))
+    identity = basis_state(RegisterLayout((GroupRegister(spec),)), (spec.identity,))
+    return qft_apply(power_oracle_apply(qft_apply(exp_zero), identity))
 
 
 def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
-                verify: bool | None = None,
                 max_attempts: int = 10_000) -> tuple[ChiHandle, PrepStats]:
     """Prepare a verified power-1 chi state for the group.
 
@@ -140,24 +138,18 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     reports the exact acceptance probability of the coprimality test and
     collapses deterministically onto the smallest coprime value, so it always
     finishes in one attempt. Returns the handle and the attempt statistics.
+
+    A wrong round is refused by the checks every preparation makes:
+    collapse and sample_index (DegenerateNorm), the retry cap
+    (RetryLimitExceeded), factor_out's product residual (NotAProductState)
+    and the handle's fidelity gate (InvariantViolation).
     """
     if mode not in ("sampled", "exhaustive"):
         raise ValueError(f"unknown mode {mode!r}")
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     m = spec.order
-    check = (m <= VERIFY_MAX_ORDER) if verify is None else verify
-
-    # round: superpose exponents, load powers, transform again. The fresh
-    # exponent register is transformed before it joins the group register, so
-    # the first transform touches m amplitudes. A device reruns the round on
-    # every attempt, but the simulated unitary and its input are fixed, so
-    # every attempt draws from this one distribution
-    exp_zero = basis_state(RegisterLayout((ExponentRegister(m),)), (0,))
-    identity = basis_state(RegisterLayout((GroupRegister(spec),)), (spec.identity,))
-    state = qft_apply(power_oracle_apply(qft_apply(exp_zero), identity))
-    if check:
-        _check_superposed_structure(spec, state)
+    state = _superposed_round(spec)
     probs = marginal_distribution(state)
 
     acceptance = None

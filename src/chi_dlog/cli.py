@@ -51,8 +51,6 @@ def _add_group_args(sub: argparse.ArgumentParser) -> None:
 
 def _add_run_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    sub.add_argument("--verify-level", choices=("auto", "always", "never"),
-                     default="auto", help="structural assertions during runs")
     sub.add_argument("--output", type=Path, default=None)
 
 
@@ -121,10 +119,6 @@ def _group(args) -> GroupSpec:
     return spec
 
 
-def _verify_flag(args) -> bool | None:
-    return {"auto": None, "always": True, "never": False}[args.verify_level]
-
-
 @contextmanager
 def _writing(path: Path):
     """An --output path that cannot be written is a bad flag value (exit 2)."""
@@ -146,7 +140,6 @@ def _emit(lines: list[str], output: Path | None) -> None:
 def _cmd_prepare_chi(args) -> int:
     spec = _group(args)
     handle, stats = prepare_chi(spec, seed=args.seed, mode=args.mode,
-                                verify=_verify_flag(args),
                                 max_attempts=args.max_attempts)
     if args.output is not None:
         with _writing(args.output):
@@ -187,7 +180,6 @@ def _cmd_dlog(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     spec = _group(args)
-    verify = _verify_flag(args)
     lines: list[str] = []
     for trial in range(args.trials):
         trial_seed = args.seed + trial
@@ -201,11 +193,10 @@ def _cmd_dlog(args) -> int:
             picker = np.random.default_rng([trial_seed, 17])
             xs = [int(v) for v in picker.choice(spec.elements, size=args.x_count)]
         if args.prepare:
-            handle, _ = prepare_chi(spec, seed=trial_seed, mode=args.mode, verify=verify)
+            handle, _ = prepare_chi(spec, seed=trial_seed, mode=args.mode)
         else:
             handle = _load_checked_chi(args, spec)
-        results = run_dlog_repeated(spec, handle, xs, mode=args.mode,
-                                    seed=trial_seed, verify=verify)
+        results = run_dlog_repeated(spec, handle, xs, mode=args.mode, seed=trial_seed)
         for result in results:
             record = result_record(spec, result, trial_seed)
             record["version"] = __version__

@@ -15,13 +15,14 @@ import numpy as np
 from .chi import (
     FIDELITY_TOL,
     ChiHandle,
+    _superposed_round,
     chi_power_from,
     chi_reference,
     load_chi,
     prepare_chi,
 )
 from .dlog import ResourceLedger, run_dlog
-from .errors import ChiDlogError
+from .errors import CapExceeded, ChiDlogError
 from .group import (
     GroupSpec,
     cyclic_group,
@@ -33,6 +34,7 @@ from .group import (
     validate_group,
 )
 from .qstate import (
+    DIM_CAP,
     ExponentRegister,
     GroupRegister,
     QState,
@@ -256,9 +258,19 @@ def chi_suite(max_m: int) -> SuiteResult:
                 want = 1.0 if a == b else 0.0
                 res.add(abs(ip - want) <= TOL,
                         f"chi orthogonality broke at m={m}, powers ({a},{b})")
+    for spec in _table_groups(min(max_m, 24)) + _unit_groups(min(max_m, 24)):
+        # the round prepare_chi measures: column s must hold chi_s/sqrt(m)
+        m = spec.order
+        grid = _superposed_round(spec).amplitudes.reshape(m, m)
+        for s in range(m):
+            drift = float(np.max(np.abs(grid[:, s] - chi_reference(spec, s).amplitudes
+                                        / np.sqrt(m))))
+            res.add(drift <= TOL,
+                    f"pre-measurement column {s} drifted {drift:.3e} from its chi "
+                    f"state in {spec}")
     for m in range(1, max_m + 1):
         spec = cyclic_group(m)
-        _, stats = prepare_chi(spec, mode="exhaustive", verify=False)
+        _, stats = prepare_chi(spec, mode="exhaustive")
         target = sum(1 for s in range(m) if gcd(s, m) == 1) / m
         got = stats.acceptance_probability
         res.add(abs(got - target) <= TOL,
@@ -286,9 +298,9 @@ def dlog_suite(max_m: int) -> SuiteResult:
             if gcd(g, n) == 1:
                 pairs.append(validate_group(n, g))
     for spec in pairs:
-        handle, _ = prepare_chi(spec, mode="exhaustive", verify=False)
+        handle, _ = prepare_chi(spec, mode="exhaustive")
         for x in spec.elements:
-            result = run_dlog(spec, handle, x, mode="exhaustive", verify=False)
+            result = run_dlog(spec, handle, x, mode="exhaustive")
             res.add(result.success_probability >= 1 - TOL,
                     f"success mass {result.success_probability} on x={x} in {spec}")
             res.add(result.measured_p == result.oracle_p,
@@ -303,6 +315,11 @@ def dlog_suite(max_m: int) -> SuiteResult:
 def run_all_suites(max_m: int) -> list[SuiteResult]:
     if max_m < 1:
         raise ValueError("max-m must be at least 1")
+    if max_m * max_m > DIM_CAP:
+        # fourier_suite builds F(m), and the other suites m x m states, up to max_m
+        raise CapExceeded(f"max-m {max_m} needs {max_m * max_m} amplitudes "
+                          f"({16 * max_m * max_m} bytes) per matrix, above the cap "
+                          f"{DIM_CAP}")
     return [
         group_suite(max_m),
         fourier_suite(max_m),

@@ -61,8 +61,8 @@ def test_criterion_1_probability_one_correctness():
     worst_mass = 1.0
     for n in cyclic_moduli(200):
         spec = validate_group(n, primitive_root(n), require_full_group=True)
-        handle, _ = prepare_chi(spec, mode="exhaustive", verify=False)
-        for result in run_dlog_repeated(spec, handle, spec.elements, verify=False):
+        handle, _ = prepare_chi(spec, mode="exhaustive")
+        for result in run_dlog_repeated(spec, handle, spec.elements):
             assert result.measured_p == result.oracle_p, \
                 f"n={n}, x={result.input_x}: got {result.measured_p}, " \
                 f"want {result.oracle_p}"
@@ -106,7 +106,7 @@ def test_criterion_3_preparation_success_rate():
     for m in (12, 15):
         spec = cyclic_group(m)
         q = totient(m) / m
-        attempts = [prepare_chi(spec, seed=seed, verify=False)[1].attempts
+        attempts = [prepare_chi(spec, seed=seed)[1].attempts
                     for seed in range(runs)]
         mean = sum(attempts) / runs
         # attempts are geometric with success rate q

@@ -303,13 +303,13 @@ def test_dim_cap_flag_below_one_exits_2(capsys):
 
 def test_invariant_violation_exits_1(capsys, monkeypatch):
     def broken(*args, **kwargs):
-        raise InvariantViolation("phase kick-back drifted by 1.000e+00")
+        raise InvariantViolation("chi register fidelity fell to 2.295e-32 in the run")
     monkeypatch.setattr(cli, "run_dlog_repeated", broken)
     code, out, err = run_cli(capsys, ["dlog", "--n", "13", "--g", "2", "--x", "2",
                                       "--prepare"])
     assert code == 1
     assert out == ""
-    assert "phase kick-back" in err
+    assert "chi register fidelity fell" in err
 
 
 def test_sampled_dlog_with_a_wrong_division_exits_1(capsys, monkeypatch):
@@ -331,6 +331,15 @@ def test_verify_subcommand(capsys):
     assert "checks passed" in out
     code, out, _ = run_cli(capsys, ["verify", "--max-m", "1"])
     assert code == 0
+
+
+def test_verify_max_m_over_the_cap_exits_3(capsys):
+    # F(4097) alone would hold 4097**2 amplitudes, past DIM_CAP; it is
+    # refused before any suite runs
+    code, out, err = run_cli(capsys, ["verify", "--max-m", "4097"])
+    assert code == 3
+    assert out == ""
+    assert "16785409 amplitudes (268566544 bytes)" in err
 
 
 def test_verify_flags_corrupted_chi_file(capsys, tmp_path):
@@ -388,4 +397,12 @@ def test_argparse_rejects_conflicting_selectors():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["dlog", "--n", "7", "--g", "3", "--x", "2"])  # no chi source
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["prepare-chi"], ["dlog", "--x", "2", "--prepare"]])
+def test_there_is_no_verify_level(command):
+    # every run takes the one checked path; the old switch is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--n", "7", "--g", "3", "--verify-level", "never"])
     assert exc.value.code == 2

@@ -1,6 +1,7 @@
 """The discrete log procedure, its ledger, and the result record format."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import chi_dlog
-from chi_dlog import dlog, transforms
+from chi_dlog import chi, dlog, transforms
 from chi_dlog.chi import ChiHandle, chi_power_from, chi_reference, prepare_chi
 from chi_dlog.dlog import (
     SHOR_EXACT_FOURIER_TRANSFORMS,
@@ -22,7 +23,15 @@ from chi_dlog.dlog import (
     run_dlog,
     run_dlog_repeated,
 )
-from chi_dlog.errors import InvariantViolation, LayoutMismatch, NotInGroup, UnverifiedChi
+from chi_dlog.errors import (
+    DegenerateNorm,
+    InvariantViolation,
+    LayoutMismatch,
+    NotAProductState,
+    NotInGroup,
+    RetryLimitExceeded,
+    UnverifiedChi,
+)
 from chi_dlog.group import GroupSpec, dlog_oracle, validate_group
 from chi_dlog.qstate import QState
 from chi_dlog.transforms import div_x_apply
@@ -158,10 +167,10 @@ def test_result_record_key_order_and_values():
 def test_run_dlog_sweep_near_the_modulus_cap():
     spec = validate_group(P40, G40)
     assert spec.order == 3
-    handle, stats = prepare_chi(spec, mode="exhaustive", verify=True)
+    handle, stats = prepare_chi(spec, mode="exhaustive")
     assert stats.acceptance_probability == pytest.approx(2 / 3, abs=1e-12)
     for x in spec.elements:
-        result = run_dlog(spec, handle, x, verify=True)
+        result = run_dlog(spec, handle, x)
         assert pow(G40, result.measured_p, P40) == x
         assert result.measured_p == result.oracle_p
         assert result.success_probability >= 1 - 1e-9
@@ -173,9 +182,9 @@ def test_hot_path_never_calls_the_reference_oracles():
                transforms.div_x_permutation, transforms.power_oracle_permutation)
     before = [fn.cache_info()[:2] for fn in oracles]
     spec = validate_group(19, 2)
-    handle, _ = prepare_chi(spec, seed=4, mode="sampled", verify=True)
-    run_dlog(spec, handle, 7, verify=True)
-    run_dlog(spec, handle, 11, mode="sampled", seed=1, verify=True)
+    handle, _ = prepare_chi(spec, seed=4, mode="sampled")
+    run_dlog(spec, handle, 7)
+    run_dlog(spec, handle, 11, mode="sampled", seed=1)
     chi_power_from(spec, handle, 5)
     assert [fn.cache_info()[:2] for fn in oracles] == before
 
@@ -193,7 +202,7 @@ def test_invariant_checks_survive_python_O():
         handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
         handle.state = chi_reference(spec, 2)
         try:
-            result = run_dlog(spec, handle, 6, verify=True)
+            result = run_dlog(spec, handle, 6)
         except InvariantViolation as exc:
             print("raised", exc)
         else:
@@ -205,12 +214,12 @@ def test_invariant_checks_survive_python_O():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "optimize 1"
-    assert lines[1].startswith("raised phase kick-back drifted"), lines
+    assert lines[1].startswith("raised chi register fidelity fell"), lines
 
 
 def test_run_dlog_gates_a_handle_corrupted_after_verify():
-    # m = 130 is above VERIFY_MAX_ORDER, so no structural check runs; the
-    # post-run chi fidelity alone must refuse the answer
+    # the handle passed verify() and then changed, so the post-run chi
+    # fidelity is what refuses the answer
     spec = validate_group(131, 2)
     handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
     handle.state = chi_reference(spec, 2)
@@ -234,7 +243,7 @@ def test_run_dlog_gates_exhaustive_success_mass(monkeypatch):
     handle = fresh_chi(Z13)
     divide_by_two(monkeypatch)
     with pytest.raises(InvariantViolation, match="success mass"):
-        run_dlog(Z13, handle, 6, verify=False)
+        run_dlog(Z13, handle, 6)
     assert handle.verified
 
 
@@ -245,28 +254,83 @@ def test_run_dlog_gates_sampled_success_mass(monkeypatch):
     handle = fresh_chi(spec)
     divide_by_two(monkeypatch)
     with pytest.raises(InvariantViolation, match="success mass"):
-        run_dlog(spec, handle, 5, mode="sampled", seed=0, verify=False)
+        run_dlog(spec, handle, 5, mode="sampled", seed=0)
 
 
-def test_checked_run_with_a_wrong_division_raises(monkeypatch):
-    handle = fresh_chi(Z13)
-    divide_by_two(monkeypatch)
-    for mode in ("exhaustive", "sampled"):
-        with pytest.raises(InvariantViolation, match="phase kick-back drifted"):
-            run_dlog(Z13, handle, 6, mode=mode, seed=0, verify=True)
+FAULT_GROUPS = {12: Z13, 23: validate_group(47, 2), 1008: validate_group(1009, 11)}
+SUCCESS_MASS = (InvariantViolation, "success mass ")
+RESIDUAL = (NotAProductState, "residual ")
+# fault: (exception, message prefix) in exhaustive mode, then in sampled mode
+FAULTS = {
+    "wrong-division": (SUCCESS_MASS, SUCCESS_MASS),
+    "wrong-step": (SUCCESS_MASS, SUCCESS_MASS),
+    "flipped-inverse-fft": (SUCCESS_MASS, SUCCESS_MASS),
+    "corrupted-handle": ((InvariantViolation, "chi register fidelity fell"),) * 2,
+    "nan-amplitude": ((DegenerateNorm, "index 0 carries probability nan"),
+                      (DegenerateNorm, "total probability mass nan")),
+    "flipped-second-fft": (RESIDUAL, RESIDUAL),
+    # at even m, g**2 reaches half the group and no coprime s carries mass
+    "power-oracle-g2-even": ((DegenerateNorm, "index 1 carries probability 0"),
+                             (RetryLimitExceeded, "no coprime measurement")),
+    "power-oracle-g2-odd": (RESIDUAL, RESIDUAL),
+}
+PREPARATION_FAULTS = ("flipped-second-fft", "power-oracle-g2-even", "power-oracle-g2-odd")
+FAULT_CASES = [(fault, m) for fault in FAULTS for m in FAULT_GROUPS
+               if not (fault == "power-oracle-g2-even" and m % 2
+                       or fault == "power-oracle-g2-odd" and not m % 2)]
 
 
-def test_checked_run_refuses_a_nan_amplitude(monkeypatch):
-    # NaN fails every comparison, so the residual over the row blocks must
-    # carry it to the drift bound rather than drop it in a running max
+def inject(monkeypatch, fault, spec, handle=None):
+    """Patch one fault into this group's preparation, or into its run on handle."""
+    g = spec.generator
+
+    def divide_by(step):
+        monkeypatch.setattr(dlog, "div_x_apply",
+                            lambda a, b, x, out=None: div_x_apply(a, b, step(x), out=out))
+
     def poisoned(a, b, x, out=None):
         joint = div_x_apply(a, b, x, out=out)
         joint.amplitudes[7] = np.nan
         return joint
-    handle = fresh_chi(Z13)
-    monkeypatch.setattr(dlog, "div_x_apply", poisoned)
-    with pytest.raises(InvariantViolation, match="kick-back"):
-        run_dlog(Z13, handle, 6, verify=True)
+
+    if fault == "wrong-division":
+        divide_by(lambda x: spec.pow(g, 7))
+    elif fault == "wrong-step":  # multiply by x instead of dividing
+        divide_by(spec.inverse)
+    elif fault == "flipped-inverse-fft":
+        monkeypatch.setattr(dlog, "qft_apply",
+                            lambda state, inverse=False: transforms.qft_apply(state))
+    elif fault == "corrupted-handle":
+        handle.state = chi_reference(spec, 2)
+    elif fault == "nan-amplitude":
+        monkeypatch.setattr(dlog, "div_x_apply", poisoned)
+    elif fault == "flipped-second-fft":
+        # the round's second transform is the one over both registers
+        monkeypatch.setattr(chi, "qft_apply", lambda state, inverse=False:
+                            transforms.qft_apply(state, len(state.layout.registers) == 2))
+    else:
+        monkeypatch.setattr(chi, "power_oracle_apply", lambda a, b:
+                            transforms.controlled_product(a, b, spec.pow(g, 2),
+                                                          range(spec.order)))
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("fault, m", FAULT_CASES)
+def test_every_fault_raises_with_no_flag(monkeypatch, fault, m, mode):
+    # the checks every run and preparation make refuse each fault at small
+    # and large m alike, so no wrong answer is returned
+    spec = FAULT_GROUPS[m]
+    error, prefix = FAULTS[fault][mode == "sampled"]
+    expected = pytest.raises(error, match="^" + re.escape(prefix))
+    if fault in PREPARATION_FAULTS:
+        inject(monkeypatch, fault, spec)
+        with expected:
+            prepare_chi(spec, seed=0, mode=mode)
+    else:
+        handle, _ = prepare_chi(spec, seed=0, mode=mode)
+        inject(monkeypatch, fault, spec, handle)
+        with expected:
+            run_dlog(spec, handle, spec.pow(spec.generator, 5), mode=mode, seed=0)
 
 
 def test_run_dlog_gates_success_mass_above_one():
@@ -275,7 +339,7 @@ def test_run_dlog_gates_success_mass_above_one():
     handle = fresh_chi(Z13)
     handle.state = QState(handle.state.layout, handle.state.amplitudes * 1.01)
     with pytest.raises(InvariantViolation, match="success mass 1.020e"):
-        run_dlog(Z13, handle, 6, verify=False)
+        run_dlog(Z13, handle, 6)
 
 
 def test_run_dlog_accepts_a_power_congruent_to_one():

@@ -2,9 +2,10 @@
 
 tracemalloc sees numpy's buffers, so its peak is the largest amount of traced
 memory alive at once. The division builds the one state, every later stage
-transforms it in place, and the readout, factor_out and the kick-back check
-work in row blocks, so the peak is 16*m**2 bytes plus O(m); the bound leaves
-a quarter of a state for the row blocks and vectors. Peak RSS also depends on
+transforms it in place, and the readout and factor_out, with its product
+check, work in row blocks, so the peak is 16*m**2 bytes plus O(m); the bound
+leaves a quarter of a state for the row blocks and vectors. Every run takes
+the same checked path, so one bound covers all of them. Peak RSS also depends on
 where the allocator places those buffers, which a fresh process shows.
 
 From m = 1449 on (2**21 joint amplitudes) a chi handle keeps its runs' buffer,
@@ -55,26 +56,14 @@ def traced_peak(fn):
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_preparation_and_a_run_hold_one_state(mode):
     (handle, _), prepare = traced_peak(
-        lambda: prepare_chi(SPEC, seed=1, mode=mode, verify=False))
+        lambda: prepare_chi(SPEC, seed=1, mode=mode))
     result, run = traced_peak(
-        lambda: run_dlog(SPEC, handle, 5, mode=mode, seed=1, verify=False))
+        lambda: run_dlog(SPEC, handle, 5, mode=mode, seed=1))
     assert result.measured_p == result.oracle_p
     for what, peak in (("prepare_chi", prepare), ("run_dlog", run)):
         # at least the state itself, so numpy's buffers are being traced
         assert STATE_BYTES <= peak <= 1.25 * STATE_BYTES, \
             f"{what} peaked at {peak / STATE_BYTES:.2f} states"
-
-
-@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-def test_a_checked_run_holds_one_state(mode):
-    # the kick-back check compares the state against its closed form one row
-    # block at a time, so it copies nothing the size of the state
-    handle, _ = prepare_chi(SPEC, seed=1, mode=mode, verify=False)
-    result, run = traced_peak(
-        lambda: run_dlog(SPEC, handle, 5, mode=mode, seed=1, verify=True))
-    assert result.measured_p == result.oracle_p
-    assert STATE_BYTES <= run <= 1.25 * STATE_BYTES, \
-        f"a checked run peaked at {run / STATE_BYTES:.2f} states"
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (12, 12), (5, 3)])
@@ -125,7 +114,7 @@ def fresh_buffer_run(spec, chi_state, x):
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_a_preparation_that_keeps_its_buffer_holds_one_state(mode):
     (handle, _), peak = traced_peak(
-        lambda: prepare_chi(BIG, seed=1, mode=mode, verify=False))
+        lambda: prepare_chi(BIG, seed=1, mode=mode))
     assert BIG_BYTES <= peak <= 1.25 * BIG_BYTES, \
         f"prepare_chi peaked at {peak / BIG_BYTES:.2f} states"
     assert handle._buffer.size == BIG.order ** 2
@@ -135,7 +124,7 @@ def test_a_preparation_that_keeps_its_buffer_holds_one_state(mode):
 
 @pytest.mark.parametrize("origin", ["prepared", "loaded"])
 def test_runs_divide_into_the_buffer_their_handle_keeps(origin, tmp_path):
-    handle, _ = prepare_chi(BIG, seed=2, mode="exhaustive", verify=False)
+    handle, _ = prepare_chi(BIG, seed=2, mode="exhaustive")
     if origin == "loaded":
         save_chi(handle, tmp_path / "chi.txt")
         _, handle = load_chi(tmp_path / "chi.txt")
@@ -144,7 +133,7 @@ def test_runs_divide_into_the_buffer_their_handle_keeps(origin, tmp_path):
     kept = handle._buffer
     for run, x in enumerate((3, 5, 7)):
         want_marginal, want_post = fresh_buffer_run(BIG, handle.state, x)
-        result, peak = traced_peak(lambda: run_dlog(BIG, handle, x, verify=False))
+        result, peak = traced_peak(lambda: run_dlog(BIG, handle, x))
         assert result.measured_p == result.oracle_p
         if origin == "loaded" and run == 0:  # it makes its buffer on its first run
             assert peak >= BIG_BYTES
@@ -159,15 +148,15 @@ def test_runs_divide_into_the_buffer_their_handle_keeps(origin, tmp_path):
 
 
 def test_a_failed_run_leaves_the_kept_buffer_serving(monkeypatch):
-    handle, _ = prepare_chi(BIG, seed=3, mode="exhaustive", verify=False)
+    handle, _ = prepare_chi(BIG, seed=3, mode="exhaustive")
     kept = handle._buffer
     with monkeypatch.context() as patch:
         patch.setattr(dlog, "div_x_apply",
                       lambda a, b, x, out=None: div_x_apply(a, b, 2, out=out))
         with pytest.raises(InvariantViolation, match="success mass"):
-            run_dlog(BIG, handle, 5, verify=False)
+            run_dlog(BIG, handle, 5)
     want_marginal, want_post = fresh_buffer_run(BIG, handle.state, 5)
-    result = run_dlog(BIG, handle, 5, verify=False)
+    result = run_dlog(BIG, handle, 5)
     assert result.measured_p == result.oracle_p
     assert handle._buffer is kept
     assert np.array_equal(result.marginal, want_marginal)
@@ -175,7 +164,7 @@ def test_a_failed_run_leaves_the_kept_buffer_serving(monkeypatch):
 
 
 def test_below_the_cutoff_a_handle_keeps_no_buffer():
-    handle, _ = prepare_chi(SPEC, seed=1, mode="sampled", verify=False)
+    handle, _ = prepare_chi(SPEC, seed=1, mode="sampled")
     assert handle._buffer is None
-    run_dlog(SPEC, handle, 5, mode="sampled", seed=1, verify=False)
+    run_dlog(SPEC, handle, 5, mode="sampled", seed=1)
     assert handle._buffer is None

@@ -57,8 +57,8 @@ def test_a_traced_run_records_one_qft_span_per_transform(monkeypatch):
     tracer = ThreadTracer()
     tracer.install()
     try:
-        handle, _ = chi_dlog.prepare_chi(spec, seed=0, mode="exhaustive", verify=False)
-        chi_dlog.run_dlog(spec, handle, 3, mode="exhaustive", verify=False)
+        handle, _ = chi_dlog.prepare_chi(spec, seed=0, mode="exhaustive")
+        chi_dlog.run_dlog(spec, handle, 3, mode="exhaustive")
     finally:
         tracer.uninstall()
 

@@ -210,8 +210,8 @@ def test_a_run_at_m_1008_leaves_no_thread_running(monkeypatch, started):
     see_cores(monkeypatch, 2)
     spec = validate_group(1009, 11)
     before = threading.active_count()
-    handle, _ = prepare_chi(spec, seed=0, mode="exhaustive", verify=False)
-    run_dlog(spec, handle, 3, mode="exhaustive", verify=False)
+    handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
+    run_dlog(spec, handle, 3, mode="exhaustive")
     # the preparation's and the run's joint transforms split; the lone
     # registers' transforms (1008 amplitudes) do not
     assert len(started) == 2

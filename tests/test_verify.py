@@ -1,9 +1,11 @@
 """The self-check suites and the chi file checker."""
 
+from chi_dlog import chi, verify
 from chi_dlog.chi import ChiHandle, chi_reference, save_chi
 from chi_dlog.group import validate_group
 from chi_dlog.qstate import QState
-from chi_dlog.verify import check_chi_file, run_all_suites
+from chi_dlog.transforms import qft_apply
+from chi_dlog.verify import check_chi_file, chi_suite, run_all_suites
 
 Z7 = validate_group(7, 3)
 
@@ -19,6 +21,24 @@ def test_all_suites_pass_at_small_order():
 
 def test_suites_handle_degenerate_bound():
     assert all(s.passed for s in run_all_suites(1))
+
+
+def test_chi_suite_names_a_drifted_pre_measurement_column(monkeypatch):
+    # a flipped second transform leaves chi_-s in column s, so column 0 (and
+    # s = m/2) still match and every other column is named
+    real_round = verify._superposed_round
+
+    def flipped_round(spec):
+        with monkeypatch.context() as patch:
+            patch.setattr(chi, "qft_apply", lambda state, inverse=False:
+                          qft_apply(state, len(state.layout.registers) == 2))
+            return real_round(spec)
+    monkeypatch.setattr(verify, "_superposed_round", flipped_round)
+    failures = chi_suite(4).failures
+    assert failures[0].startswith("pre-measurement column 1 drifted")
+    assert failures[0].endswith("in GroupSpec(table, g=1, m=3)"), failures[0]
+    assert all(message.startswith("pre-measurement column ") for message in failures)
+    assert not any(message.startswith("pre-measurement column 0 ") for message in failures)
 
 
 def test_check_chi_file_accepts_reference(tmp_path):
