@@ -18,9 +18,20 @@ of a two-register state. The marginal, the norm, and factor_out when it
 splits off register 1, are one row sum, which adds the rows in a fixed order
 and makes no BLAS call, so their bits are the same on any core and BLAS
 thread count.
+
+From _SPLIT_MIN amplitudes on, a pass over a two-register state runs on every
+core in the process's affinity mask through _over_cores, which transforms'
+qft_apply shares: one contiguous range per core, the first on the calling
+thread, the others on short-lived threads that call numpy only, all joined
+before the pass returns. The row sum splits its columns, so each column's
+rows are still added top to bottom, and factor_out's product check splits
+its rows and takes the largest of the ranges' maxima. No bit depends on the
+core count. collapse and everything smaller run on the calling thread.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from itertools import chain
 from operator import length_hint
@@ -73,6 +84,13 @@ READOUT_BLOCK = 1 << 16  # amplitudes per row block of a readout or residual
 # from 54 to 70-83 MB, the last handle's buffer alive while the next is
 # prepared)
 _KEEP_MIN = 1 << 21
+# below this many amplitudes one core makes a whole pass: on a two-vCPU host
+# the split of an m x m Fourier transform loses at m = 256 (0.48 -> 0.64 ms),
+# breaks even near m = 512 and wins from m ~ 700
+_SPLIT_MIN = 1 << 18
+# numpy may sum a block only a few columns wide down its rows in another order
+# (one column wide, it sums pairwise), so no column range is narrower than this
+_COLUMNS_MIN = 64
 
 
 @dataclass(frozen=True)
@@ -163,6 +181,54 @@ def _grid(state: QState) -> np.ndarray:
     return state.amplitudes.reshape(d1, d0)
 
 
+def _core_count() -> int:
+    """Cores this process may run on now, from its affinity mask where there is one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask off Linux
+        return os.cpu_count() or 1
+
+
+def _cuts(n: int, size: int, least: int = 1) -> list[int]:
+    """Bounds of one contiguous range of range(n) per core, none shorter than least.
+
+    A pass over fewer than _SPLIT_MIN amplitudes (size) is one range, and so
+    is one whose n cannot give two ranges of least.
+    """
+    parts = max(1, min(_core_count(), n // least)) if size >= _SPLIT_MIN else 1
+    return [n * k // parts for k in range(parts + 1)]
+
+
+def _over_cores(cuts: list[int], work) -> None:
+    """Run work(part, lo, hi) for each range lo, hi = cuts[part], cuts[part + 1].
+
+    The caller runs part 0 and one short-lived thread each of the others; all
+    are joined before this returns, and the first exception a part raises is
+    raised here. A part on a thread must call numpy only, which releases the
+    GIL, and write into arrays its caller made.
+    """
+    failures: list[BaseException] = []
+
+    def run(part: int) -> None:
+        try:
+            work(part, cuts[part], cuts[part + 1])
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            failures.append(exc)
+
+    threads = []
+    try:
+        for part in range(1, len(cuts) - 1):
+            thread = threading.Thread(target=run, args=(part,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[0]
+
+
 def basis_state(layout: RegisterLayout, labels: Sequence[int]) -> QState:
     """Computational basis state |labels[0], labels[1], ...> on the layout."""
     labels = tuple(labels)
@@ -198,20 +264,30 @@ def marginal_distribution(state: QState) -> np.ndarray:
 def _row_sum(grid: np.ndarray, dtype, fill) -> np.ndarray:
     """Sum over the rows of grid of what fill(block, start, out) writes.
 
-    fill gets the rows grid[start:start + len(out)] and writes their terms
-    into out, scratch of at most READOUT_BLOCK values. buf[0] carries the
-    running column sum, so the rows are added one after another in order,
-    exactly as a whole-array sum(axis=0) does: the order depends on the
-    grid's shape alone, and no BLAS call is made.
+    fill gets the rows grid[start:start + len(out)] of one column range and
+    writes their terms into out. Each block is summed into the range's slice
+    of the total, which buf[0] carries into the next block's sum, so the rows
+    are added one after another in order, exactly as a whole-array
+    sum(axis=0) does: the order depends on the grid's shape alone, and no BLAS
+    call is made. From _SPLIT_MIN amplitudes the columns are split over the
+    cores, which changes no bit; the ranges share one scratch of at most
+    READOUT_BLOCK + d0 values and allocate nothing of their own.
     """
-    d0 = grid.shape[1]
-    rows = max(1, min(READOUT_BLOCK // d0, grid.shape[0]))
-    buf = np.zeros((rows + 1, d0), dtype)
-    for start in range(0, grid.shape[0], rows):
-        block = grid[start:start + rows]
-        fill(block, start, buf[1:1 + len(block)])
-        buf[0] = np.add.reduce(buf[:1 + len(block)], axis=0)
-    return buf[0].copy()
+    d1, d0 = grid.shape
+    rows = max(1, min(READOUT_BLOCK // d0, d1))
+    scratch = np.zeros((rows + 1) * d0, dtype)
+    total = np.empty(d0, dtype)
+
+    def columns(part, lo, hi):
+        buf = scratch[(rows + 1) * lo:(rows + 1) * hi].reshape(rows + 1, hi - lo)
+        for start in range(0, d1, rows):
+            block = grid[start:start + rows, lo:hi]
+            fill(block, start, buf[1:1 + len(block)])
+            np.add.reduce(buf[:1 + len(block)], axis=0, out=total[lo:hi])
+            buf[0] = total[lo:hi]
+
+    _over_cores(_cuts(d0, grid.size, _COLUMNS_MIN), columns)
+    return total
 
 
 def collapse(state: QState, index: int) -> MeasurementOutcome:
@@ -295,14 +371,31 @@ def factor_out(state: QState, register_index: int, expected: QState) -> QState:
 
 
 def _residual(column: np.ndarray, row: np.ndarray, grid: np.ndarray) -> float:
-    """max |outer(column, row) - grid|, one row block at a time; NaN if any is NaN."""
-    rows = max(1, READOUT_BLOCK // grid.shape[1])
-    blocks = []
-    for start in range(0, grid.shape[0], rows):
-        recon = np.outer(column[start:start + rows], row)
-        recon -= grid[start:start + rows]
-        blocks.append(np.max(np.abs(recon)))
-    return float(np.max(blocks))
+    """max |outer(column, row) - grid|, in row blocks over the cores; NaN if any is NaN.
+
+    The ranges share one scratch of READOUT_BLOCK values per kind, or of one
+    row per range where a row is longer than their share.
+    """
+    d1, d0 = grid.shape
+    cuts = _cuts(d1, grid.size)
+    parts = len(cuts) - 1
+    rows = max(1, min(READOUT_BLOCK // (d0 * parts), cuts[1]))
+    recons = np.empty((parts, rows, d0), np.complex128)
+    mags = np.empty((parts, rows, d0), np.float64)
+    peaks = np.zeros(parts)
+
+    def row_range(part, lo, hi):
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            recon, mag = recons[part, :stop - start], mags[part, :stop - start]
+            np.multiply.outer(column[start:stop], row, out=recon)
+            recon -= grid[start:stop]
+            np.abs(recon, out=mag)
+            # np.maximum, not max(): a NaN must win
+            peaks[part] = np.maximum(peaks[part], mag.max())
+
+    _over_cores(cuts, row_range)
+    return float(np.max(peaks))
 
 
 def dump_amplitudes(state: QState) -> str:

@@ -6,12 +6,12 @@ on register 0, which must be an exponent register: the procedure transforms
 no other register. It consumes the state it is given: it overwrites its
 amplitudes and returns it. Each row (one register-1 basis state) is
 transformed on its own, so from 2**18 amplitudes on (a joint state at m = 512)
-the rows are cut into one contiguous range per core in the process's affinity
-mask. The caller transforms the first range and one short-lived thread per
-other range the rest, all joined before qft_apply returns; numpy releases the
-GIL inside its FFT loop. Every row is computed exactly as one whole-array call
-computes it, so the output is the same on any core count. There is no option
-to turn this off, and no thread outlives the call.
+qstate._over_cores, which the marginal and factor_out share, cuts the rows
+into one contiguous range per core in the process's affinity mask and joins
+every thread before qft_apply returns; numpy releases the GIL inside its FFT
+loop. Every row is computed exactly as one whole-array call computes it, so
+the output is the same on any core count. There is no option to turn this
+off, and no thread outlives the call.
 
 Every division in the procedure acts on two registers that have not met yet,
 so the division and power operators are one primitive, controlled_product,
@@ -31,15 +31,20 @@ traces controlled_product instead, they belong in verify, uncached.
 """
 from __future__ import annotations
 
-import os
-import threading
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NotBijective, WrongLayout, WrongRegisterKind
 from .group import GroupSpec
-from .qstate import ExponentRegister, GroupRegister, QState, RegisterLayout
+from .qstate import (
+    ExponentRegister,
+    GroupRegister,
+    QState,
+    RegisterLayout,
+    _cuts,
+    _over_cores,
+)
 
 __all__ = [
     "controlled_product",
@@ -77,27 +82,12 @@ def _consume(state: QState) -> np.ndarray:
     return state.amplitudes
 
 
-# below this many amplitudes one core transforms every row: on a two-vCPU host
-# the split of an m x m state loses at m = 256 (0.48 -> 0.64 ms), breaks even
-# near m = 512 and wins from m ~ 700
-_SPLIT_MIN = 1 << 18
-
-
-def _core_count() -> int:
-    """Cores this process may run on now, from its affinity mask where there is one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask off Linux
-        return os.cpu_count() or 1
-
-
 def qft_apply(state: QState, inverse: bool = False) -> QState:
     """Fourier-transform exponent register 0 with an O(m log m) FFT per row.
 
     Consumes its input: the amplitudes are transformed in place and the same
-    state is returned. From _SPLIT_MIN amplitudes on, the rows are split into
-    one contiguous range per core; threads other than the caller's call numpy
-    only, and the first exception raised in a range is raised here.
+    state is returned. From qstate._SPLIT_MIN amplitudes on, the rows are split
+    into one contiguous range per core by qstate._over_cores.
     """
     reg = state.layout.registers[0]
     if not isinstance(reg, ExponentRegister):
@@ -106,29 +96,11 @@ def qft_apply(state: QState, inverse: bool = False) -> QState:
     data = _consume(state).reshape(-1, reg.dim)
     # the forward transform has the +2*pi*i/m kernel, which numpy calls ifft
     transform = np.fft.fft if inverse else np.fft.ifft
-    rows = data.shape[0]
-    parts = min(_core_count(), rows) if data.size >= _SPLIT_MIN else 1
-    cuts = [rows * k // parts for k in range(parts + 1)]
-    failures: list[BaseException] = []
 
-    def rows_from(lo: int, hi: int) -> None:
-        try:
-            transform(data[lo:hi], axis=1, norm="ortho", out=data[lo:hi])
-        except BaseException as exc:  # handed to the caller, which re-raises it
-            failures.append(exc)
+    def rows_from(part, lo, hi):
+        transform(data[lo:hi], axis=1, norm="ortho", out=data[lo:hi])
 
-    threads = []
-    try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            thread = threading.Thread(target=rows_from, args=(lo, hi))
-            thread.start()
-            threads.append(thread)
-        rows_from(0, cuts[1])
-    finally:
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
+    _over_cores(_cuts(data.shape[0], data.size), rows_from)
     return state
 
 

@@ -1,9 +1,12 @@
 """Register layouts, amplitudes, measurement of register 0, the dump format,
 and the basis relabelling the verify suites compare the operators against."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from chi_dlog import qstate
 from chi_dlog.errors import (
     ArtifactMismatch,
     BadLabel,
@@ -326,6 +329,95 @@ def test_factor_out_checks_every_row_block():
             factor_out(joint, 1, b)
         with pytest.raises(NotAProductState):
             factor_out(joint, 0, a)
+
+
+# at or above the split threshold: squares whose rows and columns split
+# evenly or not over 2, 3 and 4 cores, and a tall grid too narrow to split
+# by columns, whose residual still splits by rows
+@pytest.mark.parametrize("d0,d1", [(512, 512), (1008, 1008), (1009, 1009), (8, 40000)])
+def test_split_passes_are_bit_identical_on_any_core_count(see_cores, started, d0, d1):
+    assert d0 * d1 >= qstate._SPLIT_MIN
+    a, b = random_state(exp_layout(d0), d0), random_state(exp_layout(d1), d1)
+    joint = _product(a, b)
+    noisy = random_state(joint.layout, 3)
+    grid = noisy.amplitudes.reshape(d1, d0)
+    results = {}
+    for count in (1, 2, 3, 4):
+        see_cores(count)
+        started.clear()
+        results[count] = (marginal_distribution(noisy),
+                          factor_out(joint, 1, b).amplitudes,
+                          qstate._residual(b.amplitudes, a.amplitudes, grid))
+        # the two row sums split only where every range can be 64 columns wide;
+        # factor_out's residual and the one called here always split
+        assert len(started) == (count - 1) * (4 if d0 >= 64 * count else 2)
+        assert not any(thread.is_alive() for thread in started)
+    # the one-core passes are the whole-array sums, row after row
+    weighted = joint.amplitudes.reshape(d1, d0) * b.amplitudes.conj()[:, None]
+    assert np.array_equal(results[1][0], (np.abs(grid) ** 2).sum(axis=0))
+    assert np.array_equal(results[1][1], weighted.sum(axis=0))
+    for count in (2, 3, 4):
+        for got, want in zip(results[count], results[1]):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 8, 64])
+def test_no_column_range_is_narrower_than_its_floor(see_cores, count):
+    see_cores(count)
+    for d0 in (1, 3, 63, 64, 127, 128, 200, 1009):
+        cuts = qstate._cuts(d0, qstate._SPLIT_MIN, qstate._COLUMNS_MIN)
+        widths = np.diff(cuts)
+        assert cuts[0] == 0 and cuts[-1] == d0
+        assert len(widths) == max(1, min(count, d0 // qstate._COLUMNS_MIN))
+        assert len(widths) == 1 or widths.min() >= qstate._COLUMNS_MIN
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_a_nan_in_the_last_part_fails_factor_out(see_cores, count):
+    see_cores(count)
+    a, b = random_state(exp_layout(1008), 1), random_state(exp_layout(1008), 2)
+    joint = _product(a, b)
+    joint.amplitudes[-5] = np.nan  # the last row, which the last part checks
+    with pytest.raises(NotAProductState):
+        factor_out(joint, 1, b)
+
+
+class PartFailed(Exception):
+    pass
+
+
+SPLIT_PASSES = {
+    "marginal": lambda joint, a, b: marginal_distribution(joint),
+    "factor-out": lambda joint, a, b: factor_out(joint, 1, b),
+    "residual": lambda joint, a, b: qstate._residual(
+        b.amplitudes, a.amplitudes, joint.amplitudes.reshape(512, 512)),
+}
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+@pytest.mark.parametrize("name", SPLIT_PASSES)
+def test_a_failing_part_of_a_split_pass_raises_in_the_caller(
+        monkeypatch, see_cores, started, name, failing):
+    # as for the split Fourier transform: the parts on other threads, or the
+    # caller's, raise; the caller sees the exception once every thread is joined
+    see_cores(4)
+    a, b = random_state(exp_layout(512), 1), random_state(exp_layout(512), 2)
+    joint = _product(a, b)
+    real, caller = qstate._over_cores, threading.get_ident()
+
+    def over_cores(cuts, work):
+        def part(index, lo, hi):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise PartFailed(failing)
+            work(index, lo, hi)
+        real(cuts, part)
+    monkeypatch.setattr(qstate, "_over_cores", over_cores)
+    before = threading.active_count()
+    with pytest.raises(PartFailed, match=failing):
+        SPLIT_PASSES[name](joint, a, b)
+    assert len(started) == 3
+    assert not any(thread.is_alive() for thread in started)
+    assert threading.active_count() == before
 
 
 def test_dump_format_and_roundtrip():

@@ -1,9 +1,10 @@
-"""The benchmark's tracer under the row-split Fourier transform.
+"""The benchmark's tracer under the passes split over the cores.
 
 perfbench's Tracer wraps every public chi_dlog function with one span stack
-that is not thread-safe, so the threads qft_apply starts must call numpy only:
-a traced run records exactly one transforms.qft_apply span per transform, and
-every span comes from the calling thread.
+that is not thread-safe, so the threads the split passes start (the Fourier
+transform, the marginal, factor_out's row sum and its residual) must call
+numpy only: a traced run records exactly one transforms.qft_apply span per
+transform, and every span comes from the calling thread.
 """
 
 import functools
@@ -14,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 import chi_dlog
-from chi_dlog import transforms
 from chi_dlog.group import validate_group
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -27,10 +27,22 @@ def load_tracer_class():
     return module.Tracer
 
 
-def test_a_traced_run_records_one_qft_span_per_transform(monkeypatch):
-    # two cores, so the joint transforms split on any host
-    monkeypatch.setattr(transforms.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+def thread_tracer(span_threads):
+    """A Tracer that also notes the thread that opens every span."""
+    class ThreadTracer(load_tracer_class()):
+        def _wrap(self, name, fn, cache=None):
+            traced = super()._wrap(name, fn, cache)
+
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                span_threads.append(threading.get_ident())
+                return traced(*args, **kwargs)
+            return wrapper
+    return ThreadTracer()
+
+
+def test_a_traced_run_records_one_qft_span_per_transform(monkeypatch, see_cores):
+    see_cores(2)  # so the joint transforms split on any host
     caller = threading.get_ident()
     fft_threads = []  # the thread of every numpy FFT call
     for name in ("fft", "ifft"):
@@ -42,19 +54,8 @@ def test_a_traced_run_records_one_qft_span_per_transform(monkeypatch):
         monkeypatch.setattr(np.fft, name, recorded)
 
     span_threads = []  # the thread that opened every span
-
-    class ThreadTracer(load_tracer_class()):
-        def _wrap(self, name, fn, cache=None):
-            traced = super()._wrap(name, fn, cache)
-
-            @functools.wraps(fn)
-            def wrapper(*args, **kwargs):
-                span_threads.append(threading.get_ident())
-                return traced(*args, **kwargs)
-            return wrapper
-
     spec = validate_group(1009, 11)  # m = 1008, above the split threshold
-    tracer = ThreadTracer()
+    tracer = thread_tracer(span_threads)
     tracer.install()
     try:
         handle, _ = chi_dlog.prepare_chi(spec, seed=0, mode="exhaustive")
@@ -70,3 +71,21 @@ def test_a_traced_run_records_one_qft_span_per_transform(monkeypatch):
     assert tracer.count("transforms.qft_apply") == on_caller
     assert len(span_threads) == len(tracer.spans)
     assert set(span_threads) == {caller}
+
+
+def test_a_traced_preparation_records_every_span_on_the_calling_thread(
+        see_cores, started):
+    # on two cores the preparation's transform, marginal, row sum and residual
+    # each run a part on a second thread
+    see_cores(2)
+    span_threads = []
+    tracer = thread_tracer(span_threads)
+    tracer.install()
+    try:
+        chi_dlog.prepare_chi(validate_group(1009, 11), seed=0, mode="exhaustive")
+    finally:
+        tracer.uninstall()
+    assert len(started) == 4
+    assert tracer.count("qstate.factor_out") == 1
+    assert len(span_threads) == len(tracer.spans)
+    assert set(span_threads) == {threading.get_ident()}

@@ -133,31 +133,12 @@ def test_qft_register_kind_guard():
             qft_apply(random_state(layout, 1))
 
 
-def see_cores(monkeypatch, count):
-    """Make qft_apply find `count` cores in the affinity mask."""
-    monkeypatch.setattr(transforms.os, "sched_getaffinity",
-                        lambda pid: set(range(count)), raising=False)
-
-
-@pytest.fixture
-def started(monkeypatch):
-    """Every thread qft_apply starts, in order."""
-    threads = []
-
-    class Recorded(threading.Thread):
-        def start(self):
-            threads.append(self)
-            super().start()
-    monkeypatch.setattr(transforms.threading, "Thread", Recorded)
-    return threads
-
-
 def square_layout(m):
     return RegisterLayout((ExponentRegister(m), ExponentRegister(m)))
 
 
 @pytest.mark.parametrize("m", [512, 724, 1008])
-def test_split_qft_is_bit_identical_on_any_core_count(monkeypatch, started, m):
+def test_split_qft_is_bit_identical_on_any_core_count(see_cores, started, m):
     layout = square_layout(m)
     amps = random_state(layout, m).amplitudes
     for inverse, whole in ((False, np.fft.ifft), (True, np.fft.fft)):
@@ -166,7 +147,7 @@ def test_split_qft_is_bit_identical_on_any_core_count(monkeypatch, started, m):
         grid = want.reshape(m, m)
         whole(grid, axis=1, norm="ortho", out=grid)
         for count in (1, 2, 3, 4):
-            see_cores(monkeypatch, count)
+            see_cores(count)
             started.clear()
             got = qft_apply(QState(layout, amps.copy()), inverse=inverse)
             assert np.array_equal(got.amplitudes, want)
@@ -174,9 +155,9 @@ def test_split_qft_is_bit_identical_on_any_core_count(monkeypatch, started, m):
             assert not any(thread.is_alive() for thread in started)
 
 
-def test_a_state_below_the_split_threshold_starts_no_thread(monkeypatch, started):
-    see_cores(monkeypatch, 4)
-    assert 513 * 511 == transforms._SPLIT_MIN - 1 and 512 * 512 == transforms._SPLIT_MIN
+def test_a_state_below_the_split_threshold_starts_no_thread(see_cores, started):
+    see_cores(4)
+    assert 513 * 511 == qstate._SPLIT_MIN - 1 and 512 * 512 == qstate._SPLIT_MIN
     qft_apply(random_state(RegisterLayout((ExponentRegister(513), ExponentRegister(511))), 1))
     assert started == []
     qft_apply(random_state(square_layout(512), 2))
@@ -189,8 +170,8 @@ class PartFailed(Exception):
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
 def test_a_failing_part_raises_in_the_caller_and_every_thread_is_joined(
-        monkeypatch, started, failing):
-    see_cores(monkeypatch, 4)
+        monkeypatch, see_cores, started, failing):
+    see_cores(4)
     real, caller = np.fft.ifft, threading.get_ident()
 
     def transform(a, *args, **kwargs):
@@ -206,15 +187,16 @@ def test_a_failing_part_raises_in_the_caller_and_every_thread_is_joined(
     assert threading.active_count() == before
 
 
-def test_a_run_at_m_1008_leaves_no_thread_running(monkeypatch, started):
-    see_cores(monkeypatch, 2)
+def test_a_run_at_m_1008_leaves_no_thread_running(see_cores, started):
+    see_cores(2)
     spec = validate_group(1009, 11)
     before = threading.active_count()
     handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
     run_dlog(spec, handle, 3, mode="exhaustive")
-    # the preparation's and the run's joint transforms split; the lone
-    # registers' transforms (1008 amplitudes) do not
-    assert len(started) == 2
+    # on two cores each pass over a joint state starts one thread: the
+    # preparation's transform, marginal, row sum and residual, then the run's
+    # transform and marginal; the lone registers' passes (1008 amplitudes) start none
+    assert len(started) == 6
     assert threading.active_count() == before
 
 

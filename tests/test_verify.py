@@ -1,11 +1,19 @@
 """The self-check suites and the chi file checker."""
 
+import pytest
+
 from chi_dlog import chi, verify
 from chi_dlog.chi import ChiHandle, chi_reference, save_chi
 from chi_dlog.group import validate_group
 from chi_dlog.qstate import QState
 from chi_dlog.transforms import qft_apply
-from chi_dlog.verify import check_chi_file, chi_suite, run_all_suites
+from chi_dlog.verify import (
+    check_chi_file,
+    chi_suite,
+    fourier_suite,
+    group_suite,
+    run_all_suites,
+)
 
 Z7 = validate_group(7, 3)
 
@@ -21,6 +29,12 @@ def test_all_suites_pass_at_small_order():
 
 def test_suites_handle_degenerate_bound():
     assert all(s.passed for s in run_all_suites(1))
+
+
+@pytest.mark.parametrize("suite", [group_suite, fourier_suite, chi_suite])
+def test_a_suite_sweeps_no_further_than_its_cap(suite):
+    # the largest order the amplitude cap admits checks what 64 checks
+    assert suite(4096).checks == suite(64).checks > suite(63).checks
 
 
 def test_chi_suite_names_a_drifted_pre_measurement_column(monkeypatch):
