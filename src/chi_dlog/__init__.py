@@ -55,7 +55,6 @@ from .transforms import (
     controlled_product,
     div_alpha_apply,
     div_x_apply,
-    power_oracle_apply,
     qft_apply,
 )
 from .chi import (

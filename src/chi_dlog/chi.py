@@ -38,7 +38,7 @@ from .qstate import (
     parse_amplitudes,
     sample_index,
 )
-from .transforms import div_alpha_apply, power_oracle_apply, qft_apply
+from .transforms import div_alpha_apply, div_x_apply, qft_apply
 
 __all__ = [
     "FIDELITY_TOL",
@@ -116,15 +116,19 @@ class PrepStats:
 def _superposed_round(spec: GroupSpec) -> QState:
     """The state a preparation measures: exponent column s holds chi_s/sqrt(m).
 
-    Superpose exponents, load powers of g, transform again. The fresh
-    exponent register is transformed before it joins the group register, so
-    the first transform touches m amplitudes. A device reruns the round on
-    every attempt, but the simulated unitary and its input are fixed, so
-    every attempt draws from this one distribution.
+    Superpose exponents, load powers of g, transform again. The powers are
+    loaded by the run's own division, div_x_apply with x = g**-1, so the
+    power oracle is no second operator. The fresh exponent register is
+    transformed before it joins the group register, so the first transform
+    touches m amplitudes. A device reruns the round on every attempt, but the
+    simulated unitary and its input are fixed, so every attempt draws from
+    this one distribution.
     """
     exp_zero = basis_state(RegisterLayout((ExponentRegister(spec.order),)), (0,))
     identity = basis_state(RegisterLayout((GroupRegister(spec),)), (spec.identity,))
-    return qft_apply(power_oracle_apply(qft_apply(exp_zero), identity))
+    # dividing by (g**-1)**r is multiplying by g**r
+    powers = div_x_apply(qft_apply(exp_zero), identity, spec.inverse(spec.generator))
+    return qft_apply(powers)
 
 
 def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",

@@ -6,7 +6,7 @@ i0 + dim0 * i1. The text dump format uses the same indexing.
 
 This module holds states, not operators: every gate of the simulation is in
 transforms. A two-register state is built there, by controlled_product (with
-its three wrappers), which writes the divided joint state of two one-register
+its two wrappers), which writes the divided joint state of two one-register
 states straight into a fresh buffer or one its caller hands it; qft_apply then
 consumes the state it is given and returns it. Everything here returns new
 arrays.
@@ -30,11 +30,11 @@ core count. collapse and everything smaller run on the calling thread.
 """
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
 from itertools import chain
-from operator import length_hint
 from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
@@ -409,72 +409,60 @@ def dump_amplitudes(state: QState) -> str:
 def parse_amplitudes(text: str, layout: RegisterLayout) -> QState:
     """Inverse of dump_amplitudes; validates index coverage and finiteness.
 
-    One bulk pass: every line is split once, the index column goes through
-    Python's int and the value columns through its float (so the accepted
-    syntax is theirs), and the range, finiteness and duplicate checks run on
-    whole columns. A refused dump raises ArtifactMismatch naming its first
-    offending line in file order (for a duplicate index, the second
-    occurrence); a dump whose lines all pass but miss indices names none.
+    One bulk acceptance pass: every line is split once and the blank ones
+    dropped; the dump must hold exactly one line of three fields per
+    amplitude. The index column goes through Python's int and the value
+    columns through its float (so the accepted syntax is theirs), and the
+    range, finiteness and duplicate checks run on whole columns. A refused
+    dump raises the ArtifactMismatch of _refusal, which walks the lines in
+    file order and names the first offending one.
     """
     total = layout.total_dim
     lines = text.splitlines()
-    fields = list(map(str.split, lines))
-    counts = np.fromiter(map(len, fields), np.intp, count=len(fields))
-    misshapen = np.flatnonzero((counts != 0) & (counts != 3))
-    end = int(misshapen[0]) if misshapen.size else len(lines)
-    # the numbers of the non-blank lines, up to and with the first misshapen one;
-    # the lines before it give the tokens, and blank lines give none
-    linenos = np.flatnonzero(counts[:end + 1]) + 1
-    tokens = list(chain.from_iterable(fields[:end]))
-    idx = _column(tokens[0::3], int, np.int64)
+    fields = list(filter(None, map(str.split, lines)))
+    # each line's shape, not the token count: "0 1" then "0 1 0 0" balance
+    if len(fields) != total or set(map(len, fields)) != {3}:
+        raise _refusal(lines, total)
+    tokens = list(chain.from_iterable(fields))
+    indices = tokens[0::3]
     del tokens[0::3]  # leaves re, im, re, im, ...: complex128's memory layout
-    values = _column(tokens, float, np.float64)
-    rows = min(len(idx), len(values) // 2)
-    idx, values = idx[:rows], values[:2 * rows].view(np.complex128)
-    bad = np.flatnonzero((idx < 0) | (idx >= total) | ~np.isfinite(values))
-    if bad.size:
-        rows = int(bad[0])
-    # the first `rows` lines pass on their own and the next one, if any, does
-    # not; a repeated index among them comes first in file order
-    if np.bincount(idx[:rows], minlength=total).max(initial=0) > 1:
-        _, first = np.unique(idx[:rows], return_index=True)
-        repeat = np.ones(rows, dtype=bool)
-        repeat[first] = False
-        row = int(np.flatnonzero(repeat)[0])
-        raise ArtifactMismatch(f"line {linenos[row]}: duplicate index {idx[row]}")
-    if rows < len(linenos):
-        lineno = int(linenos[rows])
-        raise ArtifactMismatch(_line_fault(lineno, lines[lineno - 1], total))
-    if rows != total:
-        raise ArtifactMismatch(f"dump holds {rows} amplitudes, layout needs {total}")
+    try:
+        idx = np.fromiter(map(int, indices), np.int64, count=total)
+        values = np.fromiter(map(float, tokens), np.float64, count=2 * total)
+    except (ValueError, OverflowError):  # OverflowError: an index past int64
+        raise _refusal(lines, total) from None
+    if (idx.min() < 0 or idx.max() >= total or not np.isfinite(values).all()
+            or np.bincount(idx, minlength=total).max() > 1):
+        raise _refusal(lines, total)
     amps = np.empty(total, dtype=np.complex128)
-    amps[idx] = values
+    amps[idx] = values.view(np.complex128)
     return QState(layout, amps)
 
 
-def _column(tokens: list[str], kind, dtype) -> np.ndarray:
-    """tokens through kind() into dtype, up to the first one either refuses."""
-    it = iter(tokens)
-    try:
-        return np.fromiter(map(kind, it), dtype, count=len(tokens))
-    except (ValueError, OverflowError):
-        # the refused token is the last one the iterator handed out
-        stop = len(tokens) - length_hint(it) - 1
-        return np.fromiter(map(kind, tokens[:stop]), dtype, count=stop)
+def _refusal(lines: list[str], total: int) -> ArtifactMismatch:
+    """Why a dump is refused: its first offending line, checked in the format's order.
 
-
-def _line_fault(lineno: int, line: str, total: int) -> str:
-    """Why one dump line is refused on its own, checked in the format's order."""
-    line = line.strip()
-    parts = line.split()
-    if len(parts) != 3:
-        return f"line {lineno}: expected 'index re im', got {line!r}"
-    try:
-        i = int(parts[0])
-        re, im = float(parts[1]), float(parts[2])
-    except ValueError:
-        return f"line {lineno}: unparseable values in {line!r}"
-    if not 0 <= i < total:
-        return f"line {lineno}: index {i} out of range"
-    # the bulk checks found this line at fault, and a value is all that is left
-    return f"line {lineno}: non-finite amplitude"
+    A line's shape comes first, then its syntax, index range and finiteness;
+    a repeated index is named at its second occurrence. A dump whose lines
+    all pass but miss indices gets the count instead.
+    """
+    seen: set[int] = set()
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            return ArtifactMismatch(f"line {lineno}: expected 'index re im', got {line!r}")
+        try:
+            i, re, im = int(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError:
+            return ArtifactMismatch(f"line {lineno}: unparseable values in {line!r}")
+        if not 0 <= i < total:
+            return ArtifactMismatch(f"line {lineno}: index {i} out of range")
+        if not (math.isfinite(re) and math.isfinite(im)):
+            return ArtifactMismatch(f"line {lineno}: non-finite amplitude")
+        if i in seen:
+            return ArtifactMismatch(f"line {lineno}: duplicate index {i}")
+        seen.add(i)
+    return ArtifactMismatch(f"dump holds {len(seen)} amplitudes, layout needs {total}")

@@ -14,12 +14,14 @@ the output is the same on any core count. There is no option to turn this
 off, and no thread outlives the call.
 
 Every division in the procedure acts on two registers that have not met yet,
-so the division and power operators are one primitive, controlled_product,
-which takes the two one-register states and writes the divided joint state
-straight into a fresh buffer, or into one the caller passes as out (a chi
-handle keeps one for its runs), row by row along the cycles of a single
-multiplier. Those cycles come from group multiplication alone, never from a
-discrete-log lookup. The inputs are left alone.
+so both division operators, div_alpha_apply and div_x_apply, are one
+primitive, controlled_product, which takes the two one-register states and
+writes the divided joint state straight into a fresh buffer, or into one the
+caller passes as out (a chi handle keeps one for its runs), row by row along
+the cycles of a single multiplier. Those cycles come from group
+multiplication alone, never from a discrete-log lookup. The inputs are left
+alone. The preparation's power oracle, |r, y> -> |r, y * g**r>, is
+div_x_apply with x = g**-1, so it has no operator of its own.
 
 fourier_matrix and the three joint-index tables below (div_alpha_permutation,
 div_x_permutation, power_oracle_permutation) are reference oracles: the verify
@@ -53,7 +55,6 @@ __all__ = [
     "div_x_apply",
     "div_x_permutation",
     "fourier_matrix",
-    "power_oracle_apply",
     "power_oracle_permutation",
     "qft_apply",
 ]
@@ -269,9 +270,3 @@ def div_x_apply(a: QState, b: QState, x: int, out=None) -> QState:
     """
     spec = _exponent_group(a, b)
     return controlled_product(a, b, spec.inverse(x), range(spec.order), out=out)
-
-
-def power_oracle_apply(a: QState, b: QState) -> QState:
-    """Join an exponent register and a group register; multiply the right by g**left."""
-    spec = _exponent_group(a, b)
-    return controlled_product(a, b, spec.generator, range(spec.order))

@@ -219,8 +219,9 @@ def test_prepare_sampled_stream_is_pinned(n, seed, attempts, observed_s, success
 def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
     # each call's entry is the register count of the states it was handed, so
     # qft_apply shows that the fresh exponent register is transformed alone
-    # and power_oracle_apply that it joins the group register there
-    calls = {"power_oracle_apply": [], "qft_apply": [], "marginal_distribution": []}
+    # and div_x_apply, which loads the powers of g, that it joins the group
+    # register there
+    calls = {"div_x_apply": [], "qft_apply": [], "marginal_distribution": []}
 
     def counted(name):
         inner = getattr(chi, name)
@@ -240,7 +241,7 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
         handle, stats = prepare_chi(spec, seed=seed, mode=mode)
         assert handle.verified
         assert stats.attempts >= (3 if mode == "sampled" else 1)
-        assert calls == {"power_oracle_apply": [2], "qft_apply": [1, 2],
+        assert calls == {"div_x_apply": [2], "qft_apply": [1, 2],
                          "marginal_distribution": [2]}
 
 

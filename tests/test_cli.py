@@ -333,13 +333,17 @@ def test_verify_subcommand(capsys):
     assert code == 0
 
 
-def test_verify_max_m_over_the_cap_exits_3(capsys):
-    # F(4097) alone would hold 4097**2 amplitudes, past DIM_CAP; it is
-    # refused before any suite runs
-    code, out, err = run_cli(capsys, ["verify", "--max-m", "4097"])
-    assert code == 3
-    assert out == ""
-    assert "16785409 amplitudes (268566544 bytes)" in err
+def test_verify_past_order_64_checks_what_64_checks(capsys):
+    # every sweep stops at order 64, so a bound whose m x m state would pass
+    # the amplitude cap builds no such state and is not refused
+    totals = []
+    for max_m in ("64", "4097"):
+        code, out, err = run_cli(capsys, ["verify", "--max-m", max_m])
+        assert code == 0 and err == ""
+        last = out.splitlines()[-1]
+        assert last.endswith(f" checks passed (max-m {max_m})")
+        totals.append(last.split()[2])
+    assert totals[0] == totals[1]
 
 
 def test_verify_flags_corrupted_chi_file(capsys, tmp_path):

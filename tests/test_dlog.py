@@ -309,7 +309,8 @@ def inject(monkeypatch, fault, spec, handle=None):
         monkeypatch.setattr(chi, "qft_apply", lambda state, inverse=False:
                             transforms.qft_apply(state, len(state.layout.registers) == 2))
     else:
-        monkeypatch.setattr(chi, "power_oracle_apply", lambda a, b:
+        # the round loads the powers of g by div_x_apply(., ., g**-1)
+        monkeypatch.setattr(chi, "div_x_apply", lambda a, b, x:
                             transforms.controlled_product(a, b, spec.pow(g, 2),
                                                           range(spec.order)))
 

@@ -492,6 +492,12 @@ PARSE_TABLE = {
     "value-not-a-float": (_edit((4, "3 0 zero")), "line 4: unparseable"),
     "two-fields": (_edit((5, "4 0")), "line 5: expected 'index re im'"),
     "four-fields": (_edit((5, "4 0 0 0")), "line 5: expected 'index re im'"),
+    # the two lines hold six tokens between them, as two good lines would
+    "balanced-misshapen": (_edit((5, "4 0"), (6, "5 0 0 0")),
+                           "line 5: expected 'index re im'"),
+    # read as triples, these six tokens are the distinct indices 4 and 5
+    "balanced-misshapen-realigned": (_edit((5, "4 0"), (6, "0 5 0 0")),
+                                     "line 5: expected 'index re im'"),
     "missing-index": (_edit((8, None)), "dump holds 11 amplitudes, layout needs 12"),
     "extra-index": (_edit() + "12 0 0\n", "line 13: index 12 out of range"),
     "duplicate-index": (_edit() + TABLE_LINES[3] + "\n", "line 13: duplicate index 3"),

@@ -34,7 +34,6 @@ from chi_dlog.transforms import (
     div_x_apply,
     div_x_permutation,
     fourier_matrix,
-    power_oracle_apply,
     power_oracle_permutation,
     qft_apply,
 )
@@ -307,7 +306,7 @@ def test_division_layout_guards():
     with pytest.raises(WrongLayout):
         div_x_apply(short, grp7, 3)
     with pytest.raises(WrongLayout):
-        power_oracle_apply(short, grp7)
+        div_x_apply(short, grp7, Z7.inverse(Z7.generator))
     # each input is one register; a joint state is refused
     with pytest.raises(WrongLayout):
         div_x_apply(basis_state(run_layout(Z7), (0, 1)), grp7, 3)
@@ -377,9 +376,11 @@ def test_div_x_apply_matches_table_exhaustively():
                                  div_x_permutation(spec, x))
 
 
-def test_power_oracle_apply_matches_table_exhaustively():
+def test_power_oracle_is_div_x_by_the_inverse_generator_exhaustively():
     for spec in oracle_groups():
-        assert_matches_table(power_oracle_apply, RegisterLayout((ExponentRegister(spec.order),)),
+        g_inv = spec.inverse(spec.generator)
+        assert_matches_table(lambda a, b: div_x_apply(a, b, g_inv),
+                             RegisterLayout((ExponentRegister(spec.order),)),
                              spec, power_oracle_permutation(spec))
 
 
@@ -493,7 +494,8 @@ def test_transforms_consume_their_input():
 def test_divisions_build_a_fresh_state_and_leave_their_inputs_alone():
     exp, grp, left = exponent_state(6, 6), group_state(Z7, 7), group_state(Z7, 8)
     for op, a, args in ((controlled_product, exp, (3, [2, 0, 1, 3, 4, 5])),
-                        (div_x_apply, exp, (5,)), (power_oracle_apply, exp, ()),
+                        (div_x_apply, exp, (5,)),
+                        (div_x_apply, exp, (Z7.inverse(Z7.generator),)),
                         (div_alpha_apply, left, (2,))):
         before = a.amplitudes.copy(), grp.amplitudes.copy()
         out = op(a, grp, *args)
@@ -540,7 +542,7 @@ def test_refused_transforms_leave_their_input_alone():
 def test_package_exports_only_the_simulation_path():
     removed = ("apply_register_unitary", "NotUnitary", "BasisPermutation",
                "apply_basis_permutation", "measure", "ResourceComparison",
-               "controlled_multiply", "tensor")
+               "controlled_multiply", "tensor", "power_oracle_apply")
     oracles = {"fourier_matrix", "div_alpha_permutation", "div_x_permutation",
                "power_oracle_permutation"}
     for module in (chi_dlog, qstate, errors, dlog, transforms):
@@ -556,6 +558,5 @@ def test_package_exports_only_the_simulation_path():
     assert [name for name in oracles if hasattr(chi_dlog, name)] == []
     # the cached oracles stay listed here only while the benchmark's tracer
     # reads their cache counters by name
-    simulation = {"qft_apply", "controlled_product", "div_alpha_apply", "div_x_apply",
-                  "power_oracle_apply"}
+    simulation = {"qft_apply", "controlled_product", "div_alpha_apply", "div_x_apply"}
     assert set(transforms.__all__) == simulation | oracles

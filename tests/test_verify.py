@@ -33,8 +33,9 @@ def test_suites_handle_degenerate_bound():
 
 @pytest.mark.parametrize("suite", [group_suite, fourier_suite, chi_suite])
 def test_a_suite_sweeps_no_further_than_its_cap(suite):
-    # the largest order the amplitude cap admits checks what 64 checks
-    assert suite(4096).checks == suite(64).checks > suite(63).checks
+    # the largest order the amplitude cap admits, and one past it, check what
+    # 64 checks
+    assert suite(4097).checks == suite(4096).checks == suite(64).checks > suite(63).checks
 
 
 def test_chi_suite_names_a_drifted_pre_measurement_column(monkeypatch):
