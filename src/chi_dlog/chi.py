@@ -118,17 +118,18 @@ def _superposed_round(spec: GroupSpec) -> QState:
 
     Superpose exponents, load powers of g, transform again. The powers are
     loaded by the run's own division, div_x_apply with x = g**-1, so the
-    power oracle is no second operator. The fresh exponent register is
-    transformed before it joins the group register, so the first transform
-    touches m amplitudes. A device reruns the round on every attempt, but the
-    simulated unitary and its input are fixed, so every attempt draws from
-    this one distribution.
+    power oracle is no second operator, and that division makes the second
+    transform as it builds the joint state, block by block in one pass. The
+    fresh exponent register is transformed before it joins the group
+    register, so the first transform touches m amplitudes. A device reruns
+    the round on every attempt, but the simulated unitary and its input are
+    fixed, so every attempt draws from this one distribution.
     """
     exp_zero = basis_state(RegisterLayout((ExponentRegister(spec.order),)), (0,))
     identity = basis_state(RegisterLayout((GroupRegister(spec),)), (spec.identity,))
     # dividing by (g**-1)**r is multiplying by g**r
-    powers = div_x_apply(qft_apply(exp_zero), identity, spec.inverse(spec.generator))
-    return qft_apply(powers)
+    return div_x_apply(qft_apply(exp_zero), identity, spec.inverse(spec.generator),
+                       qft="forward")
 
 
 def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
@@ -240,7 +241,7 @@ def load_chi(path) -> tuple[GroupSpec, ChiHandle]:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise ArtifactMismatch(f"cannot read chi file {path}: {exc}") from None
-    head, _, body = text.partition("\n")
+    head = text.partition("\n")[0]
     match = _HEADER.match(head.strip())
     if match is None:
         raise ArtifactMismatch(f"bad chi header: {head!r}")
@@ -254,5 +255,7 @@ def load_chi(path) -> tuple[GroupSpec, ChiHandle]:
     if spec.order != m:
         raise ArtifactMismatch(
             f"header claims order {m}, but {g} has order {spec.order} mod {n}")
-    state = parse_amplitudes(body, RegisterLayout((GroupRegister(spec),)))
+    # the parser skips blank lines, so the header's line goes in blank and a
+    # refused amplitude is named by its line in the file
+    state = parse_amplitudes(text[len(head):], RegisterLayout((GroupRegister(spec),)))
     return spec, ChiHandle(power=power, state=state, verified=False)

@@ -4,6 +4,9 @@ One run: transform a fresh exponent register out of |0> before it joins the
 chi register (m amplitudes, not m**2), build the joint state with the chi
 register divided by x raised to that exponent (which only kicks phases back
 onto the exponent register), transform back, and read the exponent register.
+The division and the inverse transform are one pass over the joint state
+(div_x_apply with qft="inverse"); the ledger still counts one division and
+two Fourier transforms per run.
 The chi register survives and the handle carries its post-run state forward,
 so reuse is observable rather than assumed. Every run takes one checked
 path: a run is correct exactly when the chi register comes back at fidelity
@@ -101,10 +104,11 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
     exp_zero = basis_state(RegisterLayout((ExponentRegister(m),)), (0,))
     fresh = qft_apply(exp_zero)
     ledger.fourier_count += 1
-    joint = div_x_apply(fresh, chi.state, x, out=chi._workspace())
+    # the division hands each block of rows to the inverse transform as it
+    # builds it: one pass over the joint state, counted as both operations
+    joint = div_x_apply(fresh, chi.state, x, out=chi._workspace(), qft="inverse")
     ledger.registers_used = len(joint.layout.registers)
     ledger.division_ops += 1
-    joint = qft_apply(joint, inverse=True)
     ledger.fourier_count += 1
 
     marginal = marginal_distribution(joint)

@@ -7,25 +7,26 @@ i0 + dim0 * i1. The text dump format uses the same indexing.
 This module holds states, not operators: every gate of the simulation is in
 transforms. A two-register state is built there, by controlled_product (with
 its two wrappers), which writes the divided joint state of two one-register
-states straight into a fresh buffer or one its caller hands it; qft_apply then
-consumes the state it is given and returns it. Everything here returns new
-arrays.
+states straight into a fresh buffer or one its caller hands it, and, where a
+Fourier transform follows the division, transforms it block by block in the
+same pass. Everything here returns new arrays.
 Only register 0 is ever read out, as in the procedure, where it is the
 exponent register: marginal_distribution gives its distribution, sample_index
 draws from that, and collapse measures it and keeps register 1. Readout and
 factor_out work in blocks of rows, so none of them makes a temporary the size
-of a two-register state. The marginal, the norm, and factor_out when it
-splits off register 1, are one row sum, which adds the rows in a fixed order
-and makes no BLAS call, so their bits are the same on any core and BLAS
-thread count.
+of a two-register state. The marginal, the norm, and factor_out, which
+splits off register 1 by summing the grid's rows and register 0 by summing
+its columns, are one row sum, which adds in a fixed order and makes no BLAS
+call, so their bits are the same on any core and BLAS thread count.
 
 From _SPLIT_MIN amplitudes on, a pass over a two-register state runs on every
-core in the process's affinity mask through _over_cores, which transforms'
-qft_apply shares: one contiguous range per core, the first on the calling
-thread, the others on short-lived threads that call numpy only, all joined
-before the pass returns. The row sum splits its columns, so each column's
-rows are still added top to bottom, and factor_out's product check splits
-its rows and takes the largest of the ranges' maxima. No bit depends on the
+core in the process's affinity mask through _over_cores, which the division
+with its transform in transforms shares: one contiguous range per core, the
+first on the calling thread, the others on short-lived threads that call
+numpy only, all joined before the pass returns. The row sum splits its
+columns, so each column's rows are still added top to bottom, and
+factor_out's product check splits its rows and takes the largest of the
+ranges' maxima. No bit depends on the
 core count. collapse and everything smaller run on the calling thread.
 """
 from __future__ import annotations
@@ -265,13 +266,15 @@ def _row_sum(grid: np.ndarray, dtype, fill) -> np.ndarray:
     """Sum over the rows of grid of what fill(block, start, out) writes.
 
     fill gets the rows grid[start:start + len(out)] of one column range and
-    writes their terms into out. Each block is summed into the range's slice
-    of the total, which buf[0] carries into the next block's sum, so the rows
-    are added one after another in order, exactly as a whole-array
-    sum(axis=0) does: the order depends on the grid's shape alone, and no BLAS
-    call is made. From _SPLIT_MIN amplitudes the columns are split over the
-    cores, which changes no bit; the ranges share one scratch of at most
-    READOUT_BLOCK + d0 values and allocate nothing of their own.
+    writes their terms into out. grid may be a strided view, such as the
+    transpose factor_out sums to split off register 0. Each block is summed
+    into the range's slice of the total, which buf[0] carries into the next
+    block's sum, so the rows are added one after another in order, exactly
+    as a whole-array sum(axis=0) of a C-contiguous grid does: the order
+    depends on the grid's shape alone, and no BLAS call is made. From
+    _SPLIT_MIN amplitudes the columns are split over the cores, which changes
+    no bit; the ranges share one scratch of at most READOUT_BLOCK + d0 values
+    and allocate nothing of their own.
     """
     d1, d0 = grid.shape
     rows = max(1, min(READOUT_BLOCK // d0, d1))
@@ -340,9 +343,10 @@ def factor_out(state: QState, register_index: int, expected: QState) -> QState:
 
     The joint state must equal remaining x expected up to a global phase
     (absorbed into the returned state) within 1e-9, else NotAProductState.
-    Splitting off register 1, as a preparation does, sums the weighted rows
-    in row order with no BLAS call, so the result does not depend on the
-    BLAS thread count.
+    Either register is split off by one row sum with no BLAS call: register
+    1, as a preparation does, by adding the weighted rows of the grid in
+    order, and register 0 by adding its weighted columns in order. So the
+    result does not depend on the BLAS thread count.
     """
     regs = state.layout.registers
     if len(regs) != 2:
@@ -352,16 +356,16 @@ def factor_out(state: QState, register_index: int, expected: QState) -> QState:
         raise LayoutMismatch("expected state does not match the named register")
     grid = _grid(state)
     e = expected.amplitudes
+    weights = e.conj()[:, None]
+
+    def weighted(block, start, out):
+        np.multiply(block, weights[start:start + len(block)], out=out)
+
+    # the grid's rows are register 1's basis states and its columns register 0's
+    remaining = _row_sum(grid if register_index == 1 else grid.T, np.complex128, weighted)
     if register_index == 1:
-        weights = e.conj()[:, None]
-
-        def weighted(block, start, out):
-            np.multiply(block, weights[start:start + len(block)], out=out)
-
-        remaining = _row_sum(grid, np.complex128, weighted)  # shape (d0,)
         column, row, keep = e, remaining, regs[0]
     else:
-        remaining = grid @ e.conj()          # shape (d1,)
         column, row, keep = remaining, e, regs[1]
     residual = _residual(column, row, grid)
     if not residual <= NORM_TOL:
@@ -374,10 +378,11 @@ def _residual(column: np.ndarray, row: np.ndarray, grid: np.ndarray) -> float:
     """max |outer(column, row) - grid|, in row blocks over the cores; NaN if any is NaN.
 
     The ranges share one scratch of READOUT_BLOCK values per kind, or of one
-    row per range where a row is longer than their share.
+    row where a row is longer than that: there are at most READOUT_BLOCK // d0
+    ranges, so the scratch does not grow with the core count.
     """
     d1, d0 = grid.shape
-    cuts = _cuts(d1, grid.size)
+    cuts = _cuts(d1, grid.size, -(-d1 // max(1, READOUT_BLOCK // d0)))
     parts = len(cuts) - 1
     rows = max(1, min(READOUT_BLOCK // (d0 * parts), cuts[1]))
     recons = np.empty((parts, rows, d0), np.complex128)

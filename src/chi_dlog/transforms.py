@@ -3,25 +3,37 @@
 The Fourier transform is numpy's pocketfft, which covers every length (primes
 through Bluestein's algorithm) with kernel exp(2*pi*i*x*y/m)/sqrt(m). It acts
 on register 0, which must be an exponent register: the procedure transforms
-no other register. It consumes the state it is given: it overwrites its
-amplitudes and returns it. Each row (one register-1 basis state) is
-transformed on its own, so from 2**18 amplitudes on (a joint state at m = 512)
-qstate._over_cores, which the marginal and factor_out share, cuts the rows
-into one contiguous range per core in the process's affinity mask and joins
-every thread before qft_apply returns; numpy releases the GIL inside its FFT
-loop. Every row is computed exactly as one whole-array call computes it, so
-the output is the same on any core count. There is no option to turn this
-off, and no thread outlives the call.
+no other register. qft_apply transforms the lone exponent register a run or
+a preparation starts from; it consumes the state it is given, overwriting its
+amplitudes in one numpy call, and returns it.
 
 Every division in the procedure acts on two registers that have not met yet,
 so both division operators, div_alpha_apply and div_x_apply, are one
 primitive, controlled_product, which takes the two one-register states and
 writes the divided joint state straight into a fresh buffer, or into one the
-caller passes as out (a chi handle keeps one for its runs), row by row along
-the cycles of a single multiplier. Those cycles come from group
-multiplication alone, never from a discrete-log lookup. The inputs are left
-alone. The preparation's power oracle, |r, y> -> |r, y * g**r>, is
-div_x_apply with x = g**-1, so it has no operator of its own.
+caller passes as out (a chi handle keeps one for its runs), along the cycles
+of a single multiplier. Those cycles come from group multiplication alone,
+never from a discrete-log lookup. The inputs are left alone. The
+preparation's power oracle, |r, y> -> |r, y * g**r>, is div_x_apply with
+x = g**-1, so it has no operator of its own.
+
+Each div_x_apply in the procedure is followed at once by a transform of the
+joint state it builds: the forward one in the preparation's round and the
+inverse one in a run. div_x_apply makes that transform itself (qft=), in the
+same pass: controlled_product builds a block of consecutive rows along the
+cycles in a per-core scratch, transforms it there while it is in cache, and
+copies the rows to their places, so the joint state goes through memory
+once. Each row is transformed exactly as one whole-array call transforms it,
+so the bits are those of qft_apply after the division. From 2**18 amplitudes
+on (a joint state at m = 512) qstate._over_cores, which the marginal and
+factor_out share, cuts the rows into one contiguous range per core in the
+process's affinity mask; numpy releases the GIL inside its FFT, so one core's
+Python loop overlaps another's transform. The ranges share one fixed scratch
+(_blocks), so a division in the procedure holds at most 3 MiB beside its
+state on any core count. Every thread is joined before the call returns, and
+the output is the same on any core count. div_alpha_apply, which no
+transform follows, writes each row straight into its place on the calling
+thread.
 
 fourier_matrix and the three joint-index tables below (div_alpha_permutation,
 div_x_permutation, power_oracle_permutation) are reference oracles: the verify
@@ -33,9 +45,11 @@ traces controlled_product instead, they belong in verify, uncached.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NotBijective, WrongLayout, WrongRegisterKind
 from .group import GroupSpec
@@ -58,6 +72,12 @@ __all__ = [
     "power_oracle_permutation",
     "qft_apply",
 ]
+
+# amplitudes the row ranges of one division with its transform share for
+# their blocks of rows, 1 MiB on any core count (_blocks). On two cores a
+# block is 512 KiB, which stays in a core's cache between the division and
+# the transform
+_SCRATCH = 1 << 16
 
 
 # maxsize=0 stores nothing (an m = 512 matrix alone is 4 MB) but still
@@ -83,25 +103,23 @@ def _consume(state: QState) -> np.ndarray:
     return state.amplitudes
 
 
+def _fft(inverse: bool):
+    """The numpy call for one direction; the forward kernel, +2*pi*i/m, is numpy's ifft."""
+    return np.fft.fft if inverse else np.fft.ifft
+
+
 def qft_apply(state: QState, inverse: bool = False) -> QState:
     """Fourier-transform exponent register 0 with an O(m log m) FFT per row.
 
-    Consumes its input: the amplitudes are transformed in place and the same
-    state is returned. From qstate._SPLIT_MIN amplitudes on, the rows are split
-    into one contiguous range per core by qstate._over_cores.
+    Consumes its input: the amplitudes are transformed in place, in one numpy
+    call on the calling thread, and the same state is returned.
     """
     reg = state.layout.registers[0]
     if not isinstance(reg, ExponentRegister):
         raise WrongRegisterKind("the Fourier transform acts on exponent registers only")
     # one row per register-1 basis state; a lone register is a single row
     data = _consume(state).reshape(-1, reg.dim)
-    # the forward transform has the +2*pi*i/m kernel, which numpy calls ifft
-    transform = np.fft.fft if inverse else np.fft.ifft
-
-    def rows_from(part, lo, hi):
-        transform(data[lo:hi], axis=1, norm="ortho", out=data[lo:hi])
-
-    _over_cores(_cuts(data.shape[0], data.size), rows_from)
+    _fft(inverse)(data, axis=1, norm="ortho", out=data)
     return state
 
 
@@ -111,7 +129,26 @@ def _mult_index_perm(spec: GroupSpec, c: int) -> np.ndarray:
                        dtype=np.int64, count=spec.order)
 
 
-def controlled_product(a: QState, b: QState, step: int, order, out=None) -> QState:
+def _blocks(d0: int, m: int) -> tuple[list[int], int]:
+    """Row ranges, one per core, and the rows in a block, of a division with its transform.
+
+    The ranges share _SCRATCH amplitudes for their blocks of rows. Each range
+    also holds a tile of 2 * m + d0 amplitudes and a window of d0, and
+    numpy's multiply of a block through the strided window may hold two
+    buffers of np.getbufsize() values; these share twice _SCRATCH. So a
+    division holds at most 3 MiB of scratch on any core count (6 ranges at
+    most at m = d0 = 1008, 4 at 4000), and every range has a block of at
+    least one row. A block also holds at most an eighth of the rows, so that
+    a small state's scratch adds little to its peak memory (m = 256: 32 rows,
+    128 KiB; the reuse-256 benchmark's peak RSS rose 1.3 % with 128 rows).
+    """
+    most = max(1, 2 * _SCRATCH // (2 * (m + d0) + 2 * np.getbufsize()))
+    cuts = _cuts(m, d0 * m, -(-m // most))
+    return cuts, max(1, min(m // 8, _SCRATCH // ((len(cuts) - 1) * d0)))
+
+
+def controlled_product(a: QState, b: QState, step: int, order, out=None,
+                       qft=None) -> QState:
     """The joint state |a>|b> after the map |order[k], y> -> |order[k], y * step**k>.
 
     a is the control register (register 0 of the result) and b a group
@@ -125,11 +162,24 @@ def controlled_product(a: QState, b: QState, step: int, order, out=None) -> QSta
     d0 * m amplitudes that shares no memory with a or b, else WrongLayout.
     Along a cycle c_0, c_1 = c_0 * step, ... of length L, row c_j is the
     window at L - 1 - j of b[cycle reversed], tiled, read through the inverse
-    of order and multiplied by a.
+    of order and multiplied by a; when order is the identity the window is
+    multiplied as it is.
+
+    qft, "forward" or "inverse", also Fourier-transforms register 0, which
+    must then be an exponent register: the result has the bits of qft_apply on
+    the divided state. Consecutive rows are built a block at a time in a
+    per-core scratch, transformed there while they are in cache, and copied
+    to their rows; from qstate._SPLIT_MIN amplitudes the rows are split over
+    the cores, which share one fixed scratch (_blocks). Without qft every row
+    is written straight into its row of out on the calling thread.
     """
     ra, rb = _lone_register(a), _lone_register(b)
     if not isinstance(rb, GroupRegister):
         raise WrongLayout("expected a (control, group) register pair")
+    if qft not in (None, "forward", "inverse"):
+        raise ValueError(f"qft must be None, 'forward' or 'inverse', not {qft!r}")
+    if qft is not None and not isinstance(ra, ExponentRegister):
+        raise WrongRegisterKind("the Fourier transform acts on exponent registers only")
     spec = rb.group
     d0, m = ra.dim, spec.order
     layout = RegisterLayout((ra, rb))  # refuses a joint state over the cap
@@ -150,10 +200,11 @@ def controlled_product(a: QState, b: QState, step: int, order, out=None) -> QSta
                 or np.bincount(perm, minlength=n).max() != 1:
             raise NotBijective(f"{what} is not a permutation of {n} basis indices")
     # every scratch array exists before the m x d0 output and the loop below
-    # allocates none, so no small array lands above a freed state in the heap
+    # keeps none of its own (numpy frees its multiply buffers within each
+    # call), so no small array lands above a freed state in the heap
     nxt = one.tolist()
     seen = bytearray(m)
-    walk, bounds = [], []  # each cycle reversed: position p has window p
+    walk, ends = [], []  # each cycle reversed: position p has window p
     for start in range(m):
         if not seen[start]:
             cycle = []
@@ -161,25 +212,62 @@ def controlled_product(a: QState, b: QState, step: int, order, out=None) -> QSta
                 seen[start] = 1
                 cycle.append(start)
                 start = nxt[start]
-            bounds.append((len(walk), len(walk) + len(cycle)))
             walk.extend(reversed(cycle))
-    # a cycle of length L is tiled in whole copies, L + d0 - 1 <= L * reps < 2L + d0
-    tiled = np.empty(2 * m + d0, dtype=np.complex128)
+            ends.append(len(walk))
+    walk = np.array(walk, dtype=np.intp)
+    gather = not np.array_equal(order, np.arange(d0))
     inverse = np.empty(d0, dtype=np.intp)  # window entry k lands in column order[k]
     inverse[order] = np.arange(d0)
-    window = np.empty(d0, dtype=np.complex128)
     along = b.amplitudes.take(walk)  # b along each reversed cycle
+    # each range of walk positions goes in blocks of size from its start;
+    # without a transform the whole walk is one block, on the calling thread
+    cuts, size = ([0, m], m) if qft is None else _blocks(d0, m)
+    parts = len(cuts) - 1
+    # a cycle of length L is tiled in whole copies, L + d0 - 1 <= L * reps < 2L + d0
+    tiles = np.empty((parts, 2 * m + d0), dtype=np.complex128)
+    windows = np.empty((parts, d0), dtype=np.complex128)
+    blocks = np.empty((parts, size if qft else 0, d0), dtype=np.complex128)
     if out is None:
         out = np.empty(d0 * m, dtype=np.complex128)
     rows = out.reshape(m, d0)
-    for begin, end in bounds:
-        size = end - begin
-        reps = -(-(size + d0 - 1) // size)
-        tiled[:reps * size].reshape(reps, size)[...] = along[begin:end]
-        for p in range(size):
-            # out of place: numpy rounds a one-element product made in place differently
-            tiled[p:p + d0].take(inverse, out=window, mode="clip")
-            np.multiply(window, a.amplitudes, out=rows[walk[begin + p]])
+    transform = _fft(qft == "inverse")
+
+    def build(part, lo, hi):
+        tile, window, block = tiles[part], windows[part], blocks[part]
+        slide = sliding_window_view(tile, d0)  # slide[p] is window p of the tile
+        cycle, tiled = bisect_right(ends, lo), -1
+        for first in range(lo, hi, size):
+            last = min(first + size, hi)
+            pos = first
+            while pos < last:
+                if ends[cycle] <= pos:
+                    cycle += 1
+                begin, end = ends[cycle - 1] if cycle else 0, ends[cycle]
+                if tiled != cycle:
+                    length = end - begin
+                    reps = -(-(length + d0 - 1) // length)
+                    tile[:reps * length].reshape(reps, length)[...] = along[begin:end]
+                    tiled = cycle
+                stop = min(end, last)
+                # numpy rounds a one-element product made in place, or by a
+                # 2-D call, differently: a one-row segment takes the row path
+                if qft is not None and not gather and stop - pos > 1:
+                    np.multiply(slide[pos - begin:stop - begin], a.amplitudes,
+                                out=block[pos - first:stop - first])
+                else:
+                    for p in range(pos, stop):
+                        src = slide[p - begin]
+                        if gather:
+                            src = src.take(inverse, out=window, mode="clip")
+                        np.multiply(src, a.amplitudes,
+                                    out=rows[walk[p]] if qft is None else block[p - first])
+                pos = stop
+            if qft is not None:
+                built = block[:last - first]
+                transform(built, axis=1, norm="ortho", out=built)
+                rows[walk[first:last]] = built
+
+    _over_cores(cuts, build)
     return QState(layout, out)
 
 
@@ -263,10 +351,12 @@ def div_alpha_apply(a: QState, b: QState, alpha: int, out=None) -> QState:
                               out=out)
 
 
-def div_x_apply(a: QState, b: QState, x: int, out=None) -> QState:
+def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None) -> QState:
     """Join an exponent register and a group register; divide the right by x**left.
 
     out, if given, is the buffer controlled_product writes the state into.
+    qft, "forward" or "inverse", is the transform of the exponent register
+    that follows the division, made block by block as the rows are built.
     """
     spec = _exponent_group(a, b)
-    return controlled_product(a, b, spec.inverse(x), range(spec.order), out=out)
+    return controlled_product(a, b, spec.inverse(x), range(spec.order), out=out, qft=qft)

@@ -38,8 +38,26 @@ PROBE = textwrap.dedent("""
 """)
 
 
+# register 0 split off a joint state at m = 1008, as chi_power_from's drift
+# check does: long enough that a BLAS matrix-vector product would thread
+PROJECT = textwrap.dedent("""
+    import hashlib
+    from chi_dlog.chi import chi_reference
+    from chi_dlog.group import validate_group
+    from chi_dlog.qstate import factor_out
+    from chi_dlog.transforms import div_alpha_apply
+    spec = validate_group(1009, 11)
+    joint = div_alpha_apply(chi_reference(spec, 3), chi_reference(spec, 1), 5)
+    kept = factor_out(joint, 0, chi_reference(spec, 8))
+    print(hashlib.sha256(kept.amplitudes.tobytes()).hexdigest())
+""")
+
+
 def run(args, threads, cwd):
-    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads)
+    """stdout of python args under OPENBLAS_NUM_THREADS=threads; None unsets it."""
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=threads or "")
+    if threads is None:
+        del env["OPENBLAS_NUM_THREADS"]
     proc = subprocess.run([sys.executable, *args], env=env, cwd=cwd,
                           capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
@@ -75,3 +93,9 @@ def test_fidelity_norm_and_powering_are_the_same_on_any_thread_count(tmp_path):
     one, two = (run(["-c", PROBE], threads, tmp_path) for threads in THREAD_COUNTS)
     assert len(one.split()) == 4
     assert one == two
+
+
+def test_splitting_off_register_0_is_the_same_on_one_thread_and_the_default(tmp_path):
+    one, default = (run(["-c", PROJECT], threads, tmp_path) for threads in ("1", None))
+    assert len(one.split()) == 1
+    assert one == default

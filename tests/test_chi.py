@@ -217,18 +217,19 @@ def test_prepare_sampled_stream_is_pinned(n, seed, attempts, observed_s, success
 
 @pytest.mark.parametrize("n, g, seed", [(13, 2, 5), (1009, 11, 3)])
 def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
-    # each call's entry is the register count of the states it was handed, so
-    # qft_apply shows that the fresh exponent register is transformed alone
-    # and div_x_apply, which loads the powers of g, that it joins the group
-    # register there
+    # each call's entry is the register count of the states it was handed and
+    # the transform it was asked to make, so qft_apply shows that the fresh
+    # exponent register is transformed alone, and div_x_apply, which loads the
+    # powers of g, that it joins the group register there and makes the
+    # round's second transform as it builds the joint state
     calls = {"div_x_apply": [], "qft_apply": [], "marginal_distribution": []}
 
     def counted(name):
         inner = getattr(chi, name)
 
         def wrapper(*args, **kwargs):
-            calls[name].append(sum(len(arg.layout.registers) for arg in args
-                                   if isinstance(arg, QState)))
+            calls[name].append((sum(len(arg.layout.registers) for arg in args
+                                    if isinstance(arg, QState)), kwargs.get("qft")))
             return inner(*args, **kwargs)
         return wrapper
 
@@ -241,8 +242,8 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
         handle, stats = prepare_chi(spec, seed=seed, mode=mode)
         assert handle.verified
         assert stats.attempts >= (3 if mode == "sampled" else 1)
-        assert calls == {"div_x_apply": [2], "qft_apply": [1, 2],
-                         "marginal_distribution": [2]}
+        assert calls == {"div_x_apply": [(2, "forward")], "qft_apply": [(1, None)],
+                         "marginal_distribution": [(2, None)]}
 
 
 def test_prepare_sampled_retry_cap():
@@ -335,6 +336,22 @@ def test_load_rejects_malformed_files(tmp_path):
     truncated.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ArtifactMismatch):
         load_chi(truncated)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_a_refused_chi_file_names_the_line_the_file_numbers(tmp_path, newline, k):
+    # the header is file line 1, so the amplitude on file line k is named line k
+    handle, _ = prepare_chi(Z5, mode="exhaustive")
+    good = tmp_path / "good.txt"
+    save_chi(handle, good)
+    lines = good.read_text().splitlines()
+    assert len(lines) == 5
+    lines[k - 1] = lines[k - 1].split()[0] + " nan 0"
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(newline.join(lines).encode() + newline.encode())
+    with pytest.raises(ArtifactMismatch, match=f"^line {k}: non-finite amplitude$"):
+        load_chi(bad)
 
 
 def test_load_reads_crlf_line_endings_to_the_same_bits(tmp_path):

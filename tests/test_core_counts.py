@@ -1,10 +1,11 @@
 """Output does not depend on the core count.
 
-The Fourier transform, the marginal and factor_out split their passes over
-the cores in the affinity mask. Each case runs the CLI in a fresh process on
-every core and again in one that first narrows its own mask to one core,
-before numpy loads, so OpenBLAS sizes its pool from that core too. stdout and
-the saved chi file must be the same bytes both times.
+A division with the transform that follows it, the marginal and factor_out
+split their passes over the cores in the affinity mask. Each case runs the
+CLI in a fresh process on every core and again in one that first narrows its
+own mask to one core, before numpy loads, so OpenBLAS sizes its pool from
+that core too. stdout and the saved chi file must be the same bytes both
+times.
 """
 
 import hashlib
@@ -44,6 +45,14 @@ def run(cores, argv, cwd):
 
 def test_dlog_prepare_stdout_is_the_same_on_one_core_and_all(tmp_path):
     argv = ["dlog", "--n", "2003", "--g", "5", "--x-count", "3", "--prepare",
+            "--mode", "exhaustive"]
+    assert run("one", argv, tmp_path) == run("all", argv, tmp_path)
+
+
+def test_dlog_prepare_stdout_at_m_4000_is_the_same_on_one_core_and_all(tmp_path):
+    # near the largest order the cap admits, where each division hands the
+    # most blocks of rows to its transform on every core
+    argv = ["dlog", "--n", "4001", "--g", "3", "--x-count", "3", "--prepare",
             "--mode", "exhaustive"]
     assert run("one", argv, tmp_path) == run("all", argv, tmp_path)
 

@@ -234,7 +234,7 @@ def test_run_dlog_gates_a_handle_corrupted_after_verify():
 def divide_by_two(monkeypatch):
     """Make every run divide by 2, whatever x it was given."""
     monkeypatch.setattr(dlog, "div_x_apply",
-                        lambda a, b, x, out=None: div_x_apply(a, b, 2, out=out))
+                        lambda a, b, x, **kwargs: div_x_apply(a, b, 2, **kwargs))
 
 
 def test_run_dlog_gates_exhaustive_success_mass(monkeypatch):
@@ -274,6 +274,7 @@ FAULTS = {
                              (RetryLimitExceeded, "no coprime measurement")),
     "power-oracle-g2-odd": (RESIDUAL, RESIDUAL),
 }
+FLIPPED = {"forward": "inverse", "inverse": "forward"}
 PREPARATION_FAULTS = ("flipped-second-fft", "power-oracle-g2-even", "power-oracle-g2-odd")
 FAULT_CASES = [(fault, m) for fault in FAULTS for m in FAULT_GROUPS
                if not (fault == "power-oracle-g2-even" and m % 2
@@ -286,33 +287,37 @@ def inject(monkeypatch, fault, spec, handle=None):
 
     def divide_by(step):
         monkeypatch.setattr(dlog, "div_x_apply",
-                            lambda a, b, x, out=None: div_x_apply(a, b, step(x), out=out))
+                            lambda a, b, x, **kwargs: div_x_apply(a, b, step(x), **kwargs))
 
-    def poisoned(a, b, x, out=None):
+    def flip(module):
+        """Make module's division follow itself with the other transform."""
+        monkeypatch.setattr(module, "div_x_apply", lambda *args, qft, **kwargs:
+                            transforms.div_x_apply(*args, qft=FLIPPED[qft], **kwargs))
+
+    def poisoned(a, b, x, out=None, qft=None):
+        # the NaN lands between the division and its transform
         joint = div_x_apply(a, b, x, out=out)
         joint.amplitudes[7] = np.nan
-        return joint
+        return transforms.qft_apply(joint, inverse=qft == "inverse")
 
     if fault == "wrong-division":
         divide_by(lambda x: spec.pow(g, 7))
     elif fault == "wrong-step":  # multiply by x instead of dividing
         divide_by(spec.inverse)
     elif fault == "flipped-inverse-fft":
-        monkeypatch.setattr(dlog, "qft_apply",
-                            lambda state, inverse=False: transforms.qft_apply(state))
+        flip(dlog)
     elif fault == "corrupted-handle":
         handle.state = chi_reference(spec, 2)
     elif fault == "nan-amplitude":
         monkeypatch.setattr(dlog, "div_x_apply", poisoned)
     elif fault == "flipped-second-fft":
-        # the round's second transform is the one over both registers
-        monkeypatch.setattr(chi, "qft_apply", lambda state, inverse=False:
-                            transforms.qft_apply(state, len(state.layout.registers) == 2))
+        # the round's second transform is the one its division makes
+        flip(chi)
     else:
         # the round loads the powers of g by div_x_apply(., ., g**-1)
-        monkeypatch.setattr(chi, "div_x_apply", lambda a, b, x:
+        monkeypatch.setattr(chi, "div_x_apply", lambda a, b, x, **kwargs:
                             transforms.controlled_product(a, b, spec.pow(g, 2),
-                                                          range(spec.order)))
+                                                          range(spec.order), **kwargs))
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
@@ -369,19 +374,26 @@ def test_one_power_walk_per_operator(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 def test_run_transforms_the_fresh_register_before_it_joins(monkeypatch, mode):
-    # one m-amplitude transform of |0> and one joint inverse transform; the
-    # ledger still counts the procedure's two transforms and two registers
+    # one m-amplitude transform of |0>, then the division makes the joint
+    # inverse transform as it builds the state; the ledger still counts the
+    # procedure's two transforms and two registers
     spec = validate_group(1009, 11)
     handle = fresh_chi(spec)
-    registers = []
-    real_qft = dlog.qft_apply
+    registers, divisions = [], []
+    real_qft, real_div = dlog.qft_apply, dlog.div_x_apply
 
     def counted(state, *args, **kwargs):
         registers.append(len(state.layout.registers))
         return real_qft(state, *args, **kwargs)
+
+    def divided(*args, **kwargs):
+        divisions.append(kwargs.get("qft"))
+        return real_div(*args, **kwargs)
     monkeypatch.setattr(dlog, "qft_apply", counted)
+    monkeypatch.setattr(dlog, "div_x_apply", divided)
     result = run_dlog(spec, handle, 5, mode=mode, seed=0)
     assert result.measured_p == dlog_oracle(spec, 5)
-    assert registers == [1, 2]
+    assert registers == [1]
+    assert divisions == ["inverse"]
     assert result.resources.fourier_count == 2
     assert result.resources.registers_used == 2

@@ -1,16 +1,18 @@
 """The memory contract: a preparation and a run each hold one m x m state.
 
 tracemalloc sees numpy's buffers, so its peak is the largest amount of traced
-memory alive at once. The division builds the one state, every later stage
-transforms it in place, and the readout and factor_out, with its product
-check, work in row blocks, so the peak is 16*m**2 bytes plus O(m); the bound
-leaves a quarter of a state for the row blocks and vectors. Every run takes
-the same checked path, so one bound covers all of them. Peak RSS also depends on
-where the allocator places those buffers, which a fresh process shows.
+memory alive at once. The division builds the one state, transforming it one
+block of rows at a time where a transform follows, and the readout and
+factor_out, with its product check, work in row blocks. Each of these passes
+shares one fixed scratch among its per-core ranges, at most 3 MiB on any core
+count, so the peak is 16*m**2 bytes plus that scratch plus O(m); the bound
+leaves a quarter of a state for the scratch and vectors. Every run takes the same
+checked path, so one bound covers all of them. Peak RSS also depends on where
+the allocator places those buffers, which a fresh process shows.
 
 From m = 1449 on (2**21 joint amplitudes) a chi handle keeps its runs' buffer,
-so a run on a handle that already holds it allocates under a quarter of a
-state; below that size nothing is kept.
+so a run on a handle that already holds it allocates only the division's
+scratch, one readout block and O(m); below that size nothing is kept.
 """
 
 import os
@@ -122,6 +124,17 @@ def test_a_preparation_that_keeps_its_buffer_holds_one_state(mode):
     assert "_buffer" not in repr(handle)
 
 
+def kept_buffer_run_bytes(m):
+    """What a run on a handle that keeps its buffer may allocate, in bytes.
+
+    The division's scratch, at most 3 MiB on any core count, which is freed
+    before the readout's smaller block; and O(m) for the registers, the
+    cycle walk with its tables, and the marginal: at most 256 bytes per
+    basis state.
+    """
+    return 3 * 2 ** 20 + 256 * m
+
+
 @pytest.mark.parametrize("origin", ["prepared", "loaded"])
 def test_runs_divide_into_the_buffer_their_handle_keeps(origin, tmp_path):
     handle, _ = prepare_chi(BIG, seed=2, mode="exhaustive")
@@ -139,12 +152,34 @@ def test_runs_divide_into_the_buffer_their_handle_keeps(origin, tmp_path):
             assert peak >= BIG_BYTES
             kept = handle._buffer
         else:
-            assert peak < 0.25 * BIG_BYTES, \
-                f"run {run + 1} peaked at {peak / BIG_BYTES:.2f} states"
+            assert peak <= kept_buffer_run_bytes(BIG.order), \
+                f"run {run + 1} peaked at {peak / 2 ** 20:.2f} MiB"
         assert kept is not None and handle._buffer is kept
         assert not np.shares_memory(handle.state.amplitudes, kept)
         assert np.array_equal(result.marginal, want_marginal)
         assert np.array_equal(handle.state.amplitudes, want_post.amplitudes)
+
+
+@pytest.mark.parametrize("count", [8, 64])
+def test_the_peak_does_not_grow_with_the_cores(see_cores, count):
+    # every split pass shares one fixed scratch among its per-core ranges,
+    # so on a many-core host the peak stays within the two-core bounds
+    see_cores(count)
+    (handle, _), prepare = traced_peak(
+        lambda: prepare_chi(SPEC, seed=1, mode="exhaustive"))
+    result, run = traced_peak(lambda: run_dlog(SPEC, handle, 5))
+    assert result.measured_p == result.oracle_p
+    for what, peak in (("prepare_chi", prepare), ("run_dlog", run)):
+        assert STATE_BYTES <= peak <= 1.25 * STATE_BYTES, \
+            f"{what} on {count} cores peaked at {peak / STATE_BYTES:.2f} states"
+    (handle, _), prepare = traced_peak(
+        lambda: prepare_chi(BIG, seed=1, mode="exhaustive"))
+    assert BIG_BYTES <= prepare <= 1.25 * BIG_BYTES, \
+        f"prepare_chi on {count} cores peaked at {prepare / BIG_BYTES:.2f} states"
+    result, run = traced_peak(lambda: run_dlog(BIG, handle, 5))
+    assert result.measured_p == result.oracle_p
+    assert run <= kept_buffer_run_bytes(BIG.order), \
+        f"a kept-buffer run on {count} cores peaked at {run / 2 ** 20:.2f} MiB"
 
 
 def test_a_failed_run_leaves_the_kept_buffer_serving(monkeypatch):
@@ -152,7 +187,7 @@ def test_a_failed_run_leaves_the_kept_buffer_serving(monkeypatch):
     kept = handle._buffer
     with monkeypatch.context() as patch:
         patch.setattr(dlog, "div_x_apply",
-                      lambda a, b, x, out=None: div_x_apply(a, b, 2, out=out))
+                      lambda a, b, x, **kwargs: div_x_apply(a, b, 2, **kwargs))
         with pytest.raises(InvariantViolation, match="success mass"):
             run_dlog(BIG, handle, 5)
     want_marginal, want_post = fresh_buffer_run(BIG, handle.state, 5)

@@ -2,6 +2,7 @@
 and the basis relabelling the verify suites compare the operators against."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,11 @@ def test_factor_out_sums_the_rows_in_order(d0, d1):
     weighted = joint.amplitudes.reshape(d1, d0) * b.amplitudes.conj()[:, None]
     left = factor_out(joint, 1, b)
     assert np.array_equal(left.amplitudes, weighted.sum(axis=0))
+    # register 0 is split off by the same running sum over the grid's columns
+    columns = np.ascontiguousarray(joint.amplitudes.reshape(d1, d0).T)
+    right = factor_out(joint, 0, a)
+    assert np.array_equal(right.amplitudes,
+                          (columns * a.amplitudes.conj()[:, None]).sum(axis=0))
 
 
 def test_factor_out_checks_every_row_block():
@@ -347,15 +353,20 @@ def test_split_passes_are_bit_identical_on_any_core_count(see_cores, started, d0
         started.clear()
         results[count] = (marginal_distribution(noisy),
                           factor_out(joint, 1, b).amplitudes,
+                          factor_out(joint, 0, a).amplitudes,
                           qstate._residual(b.amplitudes, a.amplitudes, grid))
-        # the two row sums split only where every range can be 64 columns wide;
-        # factor_out's residual and the one called here always split
-        assert len(started) == (count - 1) * (4 if d0 >= 64 * count else 2)
+        # the row sums split only where every range can be 64 columns wide (d0
+        # of them for the marginal and register 1's, d1 for register 0's);
+        # factor_out's residuals and the one called here always split
+        wide = 2 * (d0 >= 64 * count) + (d1 >= 64 * count)
+        assert len(started) == (count - 1) * (wide + 3)
         assert not any(thread.is_alive() for thread in started)
     # the one-core passes are the whole-array sums, row after row
     weighted = joint.amplitudes.reshape(d1, d0) * b.amplitudes.conj()[:, None]
     assert np.array_equal(results[1][0], (np.abs(grid) ** 2).sum(axis=0))
     assert np.array_equal(results[1][1], weighted.sum(axis=0))
+    columns = np.ascontiguousarray(joint.amplitudes.reshape(d1, d0).T)
+    assert np.array_equal(results[1][2], (columns * a.amplitudes.conj()[:, None]).sum(axis=0))
     for count in (2, 3, 4):
         for got, want in zip(results[count], results[1]):
             assert np.array_equal(got, want)
@@ -380,6 +391,24 @@ def test_a_nan_in_the_last_part_fails_factor_out(see_cores, count):
     joint.amplitudes[-5] = np.nan  # the last row, which the last part checks
     with pytest.raises(NotAProductState):
         factor_out(joint, 1, b)
+
+
+def test_the_residual_scratch_does_not_grow_with_the_cores(see_cores, started):
+    # 64 cores, but rows of 1450 amplitudes: at most READOUT_BLOCK // 1450 = 45
+    # ranges share one block of complex and one of float values
+    see_cores(64)
+    d = 1450
+    a, b = random_state(exp_layout(d), 1), random_state(exp_layout(d), 2)
+    grid = _product(a, b).amplitudes.reshape(d, d)
+    tracemalloc.start()
+    try:
+        residual = qstate._residual(b.amplitudes, a.amplitudes, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual <= qstate.NORM_TOL
+    assert 0 < len(started) <= 44
+    assert peak <= 24 * qstate.READOUT_BLOCK + 2 ** 16, f"peaked at {peak} bytes"
 
 
 class PartFailed(Exception):

@@ -1,10 +1,12 @@
 """The benchmark's tracer under the passes split over the cores.
 
 perfbench's Tracer wraps every public chi_dlog function with one span stack
-that is not thread-safe, so the threads the split passes start (the Fourier
-transform, the marginal, factor_out's row sum and its residual) must call
-numpy only: a traced run records exactly one transforms.qft_apply span per
-transform, and every span comes from the calling thread.
+that is not thread-safe, so the threads the split passes start (a division
+with the transform that follows it, the marginal, factor_out's row sum and
+its residual) must call numpy only: a traced run records one
+transforms.qft_apply span per lone-register transform and one
+transforms.div_x_apply span per division, the joint transforms' FFT calls run
+on both threads, and every span comes from the calling thread.
 """
 
 import functools
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import chi_dlog
+from chi_dlog import transforms
 from chi_dlog.group import validate_group
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -41,7 +44,8 @@ def thread_tracer(span_threads):
     return ThreadTracer()
 
 
-def test_a_traced_run_records_one_qft_span_per_transform(monkeypatch, see_cores):
+def test_a_traced_run_records_one_qft_span_per_lone_register_transform(
+        monkeypatch, see_cores):
     see_cores(2)  # so the joint transforms split on any host
     caller = threading.get_ident()
     fft_threads = []  # the thread of every numpy FFT call
@@ -55,6 +59,7 @@ def test_a_traced_run_records_one_qft_span_per_transform(monkeypatch, see_cores)
 
     span_threads = []  # the thread that opened every span
     spec = validate_group(1009, 11)  # m = 1008, above the split threshold
+    m = spec.order
     tracer = thread_tracer(span_threads)
     tracer.install()
     try:
@@ -63,12 +68,15 @@ def test_a_traced_run_records_one_qft_span_per_transform(monkeypatch, see_cores)
     finally:
         tracer.uninstall()
 
-    # each transform makes one FFT call on the calling thread; the two joint
-    # transforms also make one on a second thread
-    on_caller = fft_threads.count(caller)
-    assert on_caller == 4
-    assert len(fft_threads) - on_caller == 2
-    assert tracer.count("transforms.qft_apply") == on_caller
+    # each lone register's transform is one FFT call on the calling thread;
+    # each joint transform is one call per block of rows its division builds:
+    # on two cores, 504 rows a core in blocks of 32, so 16 blocks on the
+    # calling thread and 16 on a second
+    assert m == 1008 and transforms._blocks(m, m) == ([0, 504, 1008], 32)
+    assert tracer.count("transforms.qft_apply") == 2
+    assert tracer.count("transforms.div_x_apply") == 2
+    assert fft_threads.count(caller) == 2 + 2 * 16
+    assert len(fft_threads) == 2 + 2 * 32
     assert len(span_threads) == len(tracer.spans)
     assert set(span_threads) == {caller}
 

@@ -132,35 +132,114 @@ def test_qft_register_kind_guard():
             qft_apply(random_state(layout, 1))
 
 
-def square_layout(m):
-    return RegisterLayout((ExponentRegister(m), ExponentRegister(m)))
+def qft_after(op, *args, qft):
+    """op(*args) with no transform, then qft_apply: what the fused pass must equal."""
+    return qft_apply(op(*args), inverse=qft == "inverse").amplitudes
+
+
+def assert_fused_on_any_core_count(see_cores, started, spec, x):
+    """div_x_apply with its transform against the two steps, on 1 to 4 cores."""
+    m = spec.order
+    a, b = exponent_state(m, m), group_state(spec, m + 1)
+    for qft in ("forward", "inverse"):
+        want = qft_after(div_x_apply, a, b, x, qft=qft)
+        for count in (1, 2, 3, 4):
+            see_cores(count)
+            for out in (None, np.full(m * m, np.nan, dtype=np.complex128)):
+                started.clear()
+                got = div_x_apply(a, b, x, out=out, qft=qft)
+                assert np.array_equal(got.amplitudes, want)
+                assert out is None or got.amplitudes is out
+                # from _SPLIT_MIN, one range of rows per core
+                split = m * m >= qstate._SPLIT_MIN
+                assert len(started) == (count - 1 if split else 0)
+                assert not any(thread.is_alive() for thread in started)
 
 
 @pytest.mark.parametrize("m", [512, 724, 1008])
 def test_split_qft_is_bit_identical_on_any_core_count(see_cores, started, m):
-    layout = square_layout(m)
-    amps = random_state(layout, m).amplitudes
-    for inverse, whole in ((False, np.fft.ifft), (True, np.fft.fft)):
-        # one whole-array call, as qft_apply made it before the rows were split
-        want = amps.copy()
-        grid = want.reshape(m, m)
-        whole(grid, axis=1, norm="ortho", out=grid)
-        for count in (1, 2, 3, 4):
-            see_cores(count)
-            started.clear()
-            got = qft_apply(QState(layout, amps.copy()), inverse=inverse)
-            assert np.array_equal(got.amplitudes, want)
-            assert len(started) == count - 1
-            assert not any(thread.is_alive() for thread in started)
+    # a joint transform is split over the cores only inside the division it
+    # follows. In Z/mZ, x = 0 makes m cycles of length 1, x = 1 one cycle of
+    # length m, and x = m/4 cycles of length 4, shorter than a block: at
+    # m = 724 (22 to 90 rows a block, by the core count) the blocks straddle them
+    spec = cyclic_group(m)
+    for x in (0, 1, m // 4):
+        assert_fused_on_any_core_count(see_cores, started, spec, x)
+
+
+# below the split threshold, a prime order, and a unit group whose cycles of
+# length 7 straddle its blocks of 16 to 65 rows
+FUSED_CASES = {
+    "m=256, x=1": (validate_group(257, 3), 1),
+    "m=256, x=g": (validate_group(257, 3), 3),
+    "m=256, order 16": (validate_group(257, 3), pow(3, 16, 257)),
+    "prime m=521, x=1": (cyclic_group(521), 0),
+    "prime m=521, x=g": (cyclic_group(521), 1),
+    "m=1008, order 7": (validate_group(1009, 11), pow(11, 144, 1009)),
+}
+
+
+@pytest.mark.parametrize("case", list(FUSED_CASES))
+def test_a_division_with_its_transform_is_bit_identical_on_any_core_count(
+        see_cores, started, case):
+    assert_fused_on_any_core_count(see_cores, started, *FUSED_CASES[case])
+
+
+def test_a_division_with_its_transform_matches_the_two_steps_exhaustively():
+    for spec in oracle_groups():
+        m = spec.order
+        a, b = exponent_state(m, m), group_state(spec, m + 1)
+        for x in spec.elements:
+            for qft in ("forward", "inverse"):
+                assert np.array_equal(div_x_apply(a, b, x, qft=qft).amplitudes,
+                                      qft_after(div_x_apply, a, b, x, qft=qft))
+
+
+def test_a_transform_follows_a_gathered_control_order_too():
+    # an order that is not the identity reads each row through its inverse
+    a, b = exponent_state(6, 21), group_state(Z7, 22)
+    for qft in ("forward", "inverse"):
+        assert np.array_equal(
+            controlled_product(a, b, 3, [2, 0, 1, 3, 5, 4], qft=qft).amplitudes,
+            qft_after(controlled_product, a, b, 3, [2, 0, 1, 3, 5, 4], qft=qft))
+
+
+def test_a_division_refuses_a_transform_it_cannot_make():
+    a, b = exponent_state(6, 23), group_state(Z7, 24)
+    with pytest.raises(ValueError, match="qft must be"):
+        div_x_apply(a, b, 3, qft=True)
+    # register 0 of a (group, group) pair is no exponent register
+    with pytest.raises(WrongRegisterKind):
+        controlled_product(group_state(Z7, 25), b, 3, Z7.power_indices, qft="forward")
 
 
 def test_a_state_below_the_split_threshold_starts_no_thread(see_cores, started):
     see_cores(4)
-    assert 513 * 511 == qstate._SPLIT_MIN - 1 and 512 * 512 == qstate._SPLIT_MIN
-    qft_apply(random_state(RegisterLayout((ExponentRegister(513), ExponentRegister(511))), 1))
+    assert 511 * 513 == qstate._SPLIT_MIN - 1 and 512 * 512 == qstate._SPLIT_MIN
+    controlled_product(exponent_state(511, 1), group_state(cyclic_group(513), 2), 1,
+                       range(511), qft="forward")
     assert started == []
-    qft_apply(random_state(square_layout(512), 2))
+    joint = controlled_product(exponent_state(512, 3), group_state(cyclic_group(512), 4),
+                               1, range(512), qft="forward")
     assert len(started) == 3
+    # qft_apply transforms lone registers on the run's path, in one call
+    started.clear()
+    qft_apply(joint)
+    assert started == []
+
+
+@pytest.mark.parametrize("count", [1, 2, 8, 64, 4096])
+def test_the_division_scratch_does_not_grow_with_the_cores(see_cores, count):
+    # each range of rows holds a block, a tile of 2m + d0, a window of d0
+    # and numpy's two multiply buffers: at most 3 MiB together, whatever the
+    # core count (no thread starts here)
+    see_cores(count)
+    for m in (512, 1008, 1450, 2002, 4000):
+        cuts, size = transforms._blocks(m, m)
+        parts = len(cuts) - 1
+        assert cuts[0] == 0 and cuts[-1] == m and min(np.diff(cuts)) >= 1
+        assert 1 <= parts <= count and size >= 1
+        assert 16 * parts * (size * m + 4 * m + 2 * np.getbufsize()) <= 3 * 2 ** 20
 
 
 class PartFailed(Exception):
@@ -179,8 +258,9 @@ def test_a_failing_part_raises_in_the_caller_and_every_thread_is_joined(
         return real(a, *args, **kwargs)
     monkeypatch.setattr(np.fft, "ifft", transform)
     before = threading.active_count()
+    spec = cyclic_group(512)
     with pytest.raises(PartFailed, match=failing):
-        qft_apply(random_state(square_layout(512), 3))
+        div_x_apply(exponent_state(512, 3), group_state(spec, 4), 1, qft="forward")
     assert len(started) == 3
     assert not any(thread.is_alive() for thread in started)
     assert threading.active_count() == before
@@ -192,9 +272,11 @@ def test_a_run_at_m_1008_leaves_no_thread_running(see_cores, started):
     before = threading.active_count()
     handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
     run_dlog(spec, handle, 3, mode="exhaustive")
-    # on two cores each pass over a joint state starts one thread: the
-    # preparation's transform, marginal, row sum and residual, then the run's
-    # transform and marginal; the lone registers' passes (1008 amplitudes) start none
+    # on two cores each split pass over a joint state starts one thread: the
+    # preparation's division with its transform, marginal, row sum and
+    # residual, then the run's division with its transform and its marginal.
+    # The lone registers' transforms (1008 amplitudes) and the preparation's
+    # last division, which no transform follows, start none
     assert len(started) == 6
     assert threading.active_count() == before
 

@@ -6,7 +6,7 @@ from chi_dlog import chi, verify
 from chi_dlog.chi import ChiHandle, chi_reference, save_chi
 from chi_dlog.group import validate_group
 from chi_dlog.qstate import QState
-from chi_dlog.transforms import qft_apply
+from chi_dlog.transforms import div_x_apply
 from chi_dlog.verify import (
     check_chi_file,
     chi_suite,
@@ -45,8 +45,8 @@ def test_chi_suite_names_a_drifted_pre_measurement_column(monkeypatch):
 
     def flipped_round(spec):
         with monkeypatch.context() as patch:
-            patch.setattr(chi, "qft_apply", lambda state, inverse=False:
-                          qft_apply(state, len(state.layout.registers) == 2))
+            patch.setattr(chi, "div_x_apply", lambda *args, qft, **kwargs:
+                          div_x_apply(*args, qft="inverse", **kwargs))
             return real_round(spec)
     monkeypatch.setattr(verify, "_superposed_round", flipped_round)
     failures = chi_suite(4).failures
