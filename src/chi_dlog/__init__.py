@@ -51,12 +51,7 @@ from .qstate import (
     parse_amplitudes,
     sample_index,
 )
-from .transforms import (
-    controlled_product,
-    div_alpha_apply,
-    div_x_apply,
-    qft_apply,
-)
+from .transforms import controlled_product, div_x_apply, qft_apply
 from .chi import (
     ChiHandle,
     PrepStats,

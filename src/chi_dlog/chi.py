@@ -6,6 +6,13 @@ superposition. Preparation runs the five-step protocol: superpose exponents,
 load powers of g, transform the exponent register again, measure it, and
 retry until the observed value is coprime to m; a final division by the
 measured value's inverse converts the surviving state to power 1.
+
+Every division here is the run's own operator, div_x_apply. The round loads
+the powers of g with x = g**-1. The conversion, and chi_power_from, divide by
+a group register holding g**k raised to alpha: that is dividing by
+(g**alpha)**k, controlled on the exponent k, so their left register is the
+chi state written over exponents (_chi_exponents) and comes back to the
+group's basis in one O(m) scatter through power_indices (_over_group).
 """
 from __future__ import annotations
 
@@ -38,7 +45,7 @@ from .qstate import (
     parse_amplitudes,
     sample_index,
 )
-from .transforms import div_alpha_apply, div_x_apply, qft_apply
+from .transforms import div_x_apply, qft_apply
 
 __all__ = [
     "FIDELITY_TOL",
@@ -54,13 +61,23 @@ __all__ = [
 FIDELITY_TOL = 1e-9
 
 
+def _chi_exponents(spec: GroupSpec, power: int) -> QState:
+    """The chi state of a power written over exponents: position r holds g**r's amplitude."""
+    m = spec.order
+    amps = np.exp(2j * np.pi * ((power % m) * np.arange(m) % m) / m) / np.sqrt(m)
+    return QState(RegisterLayout((ExponentRegister(m),)), amps)
+
+
+def _over_group(spec: GroupSpec, state: QState) -> QState:
+    """A register written over exponents moved to the group's basis: r goes to g**r."""
+    amps = np.empty(spec.order, dtype=np.complex128)
+    amps[spec.power_indices] = state.amplitudes
+    return QState(RegisterLayout((GroupRegister(spec),)), amps)
+
+
 def chi_reference(spec: GroupSpec, power: int) -> QState:
     """Reference chi state built directly from its definition."""
-    m = spec.order
-    amps = np.empty(m, dtype=np.complex128)
-    amps[spec.power_indices] = np.exp(2j * np.pi * ((power % m) * np.arange(m) % m) / m)
-    amps /= np.sqrt(m)
-    return QState(RegisterLayout((GroupRegister(spec),)), amps)
+    return _over_group(spec, _chi_exponents(spec, power))
 
 
 @dataclass
@@ -174,13 +191,15 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     success = observed[-1]
     if gcd(success, m) != 1:
         raise InvariantViolation(f"accepted s={success} shares a factor with m={m}")
-    # the measurement left the chi register of power s alone: pair it with a
-    # uniform chi register and divide down to power 1. collapse copied the
-    # survivor out, so the division writes over the round's m x m buffer
+    # the measurement left the chi register of power s alone. A uniform chi
+    # register written over exponents, k for g**k, divides it by
+    # (g**k)**(s**-1), which kicks power 1 back onto that register. collapse
+    # copied the survivor out, so the division writes over the round's buffer
     survivor = collapse(state, success).post_state
-    joint = div_alpha_apply(chi_reference(spec, 0), survivor, mod_inverse(success, m),
-                            out=state.amplitudes)
-    chi_state = factor_out(joint, 1, chi_reference(spec, success))
+    joint = div_x_apply(_chi_exponents(spec, 0), survivor,
+                        spec.pow(spec.generator, mod_inverse(success, m)),
+                        out=state.amplitudes)
+    chi_state = _over_group(spec, factor_out(joint, 1, chi_reference(spec, success)))
 
     handle = ChiHandle(power=1, state=chi_state)
     if m * m >= _KEEP_MIN:  # factor_out copied the register out of the buffer
@@ -207,9 +226,10 @@ def chi_power_from(spec: GroupSpec, source: ChiHandle, alpha: int,
         raise UnverifiedChi("source handle must be verified before powering")
     m = spec.order
     new_power = (start_power + alpha * source.power) % m
-    joint = div_alpha_apply(chi_reference(spec, start_power), source.state, alpha)
-    new_state = factor_out(joint, 1, source.state)
-    untouched = factor_out(joint, 0, chi_reference(spec, new_power))
+    joint = div_x_apply(_chi_exponents(spec, start_power), source.state,
+                        spec.pow(spec.generator, alpha))
+    new_state = _over_group(spec, factor_out(joint, 1, source.state))
+    untouched = factor_out(joint, 0, _chi_exponents(spec, new_power))
     drift = fidelity(untouched, source.state)
     if not drift >= 1.0 - FIDELITY_TOL:
         raise InvariantViolation(f"source register drifted to fidelity {drift}")

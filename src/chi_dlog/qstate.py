@@ -5,9 +5,9 @@ digit, so a two-register state keeps amplitude(i0, i1) at flat index
 i0 + dim0 * i1. The text dump format uses the same indexing.
 
 This module holds states, not operators: every gate of the simulation is in
-transforms. A two-register state is built there, by controlled_product (with
-its two wrappers), which writes the divided joint state of two one-register
-states straight into a fresh buffer or one its caller hands it, and, where a
+transforms. A two-register state is built there, by div_x_apply, the one
+division, which writes the divided joint state of two one-register states
+straight into a fresh buffer or one its caller hands it, and, where a
 Fourier transform follows the division, transforms it block by block in the
 same pass. Everything here returns new arrays.
 Only register 0 is ever read out, as in the procedure, where it is the
@@ -20,14 +20,14 @@ its columns, are one row sum, which adds in a fixed order and makes no BLAS
 call, so their bits are the same on any core and BLAS thread count.
 
 From _SPLIT_MIN amplitudes on, a pass over a two-register state runs on every
-core in the process's affinity mask through _over_cores, which the division
-with its transform in transforms shares: one contiguous range per core, the
-first on the calling thread, the others on short-lived threads that call
-numpy only, all joined before the pass returns. The row sum splits its
-columns, so each column's rows are still added top to bottom, and
-factor_out's product check splits its rows and takes the largest of the
-ranges' maxima. No bit depends on the
-core count. collapse and everything smaller run on the calling thread.
+core in the process's affinity mask through _over_cores, which every
+division in transforms shares: one contiguous range per core, the first on
+the calling thread, the others on short-lived threads that call numpy only,
+all joined before the pass returns. The row sum splits its columns into at
+most READOUT_BLOCK // (2 * np.getbufsize()) ranges, 4 by default, so each
+column's rows are still added top to bottom, and factor_out's product check
+splits its rows and takes the largest of the ranges' maxima. No bit depends
+on the core count. collapse and everything smaller run on the calling thread.
 """
 from __future__ import annotations
 
@@ -190,13 +190,13 @@ def _core_count() -> int:
         return os.cpu_count() or 1
 
 
-def _cuts(n: int, size: int, least: int = 1) -> list[int]:
+def _cuts(n: int, size: int, least: int = 1, most: int = DIM_CAP) -> list[int]:
     """Bounds of one contiguous range of range(n) per core, none shorter than least.
 
     A pass over fewer than _SPLIT_MIN amplitudes (size) is one range, and so
-    is one whose n cannot give two ranges of least.
+    is one whose n cannot give two ranges of least. There are at most most.
     """
-    parts = max(1, min(_core_count(), n // least)) if size >= _SPLIT_MIN else 1
+    parts = max(1, min(_core_count(), n // least, most)) if size >= _SPLIT_MIN else 1
     return [n * k // parts for k in range(parts + 1)]
 
 
@@ -273,8 +273,11 @@ def _row_sum(grid: np.ndarray, dtype, fill) -> np.ndarray:
     as a whole-array sum(axis=0) of a C-contiguous grid does: the order
     depends on the grid's shape alone, and no BLAS call is made. From
     _SPLIT_MIN amplitudes the columns are split over the cores, which changes
-    no bit; the ranges share one scratch of at most READOUT_BLOCK + d0 values
-    and allocate nothing of their own.
+    no bit. The ranges share one scratch of at most READOUT_BLOCK + d0 values,
+    and numpy's call over a range's strided block may hold two buffers of
+    np.getbufsize() values; those share READOUT_BLOCK values too, so there
+    are at most READOUT_BLOCK // (2 * np.getbufsize()) ranges and the scratch
+    does not grow with the core count.
     """
     d1, d0 = grid.shape
     rows = max(1, min(READOUT_BLOCK // d0, d1))
@@ -289,7 +292,8 @@ def _row_sum(grid: np.ndarray, dtype, fill) -> np.ndarray:
             np.add.reduce(buf[:1 + len(block)], axis=0, out=total[lo:hi])
             buf[0] = total[lo:hi]
 
-    _over_cores(_cuts(d0, grid.size, _COLUMNS_MIN), columns)
+    most = max(1, READOUT_BLOCK // (2 * np.getbufsize()))
+    _over_cores(_cuts(d0, grid.size, _COLUMNS_MIN, most), columns)
     return total
 
 

@@ -1,4 +1,4 @@
-"""The Fourier transform over Z/mZ and the exact division/power operators.
+"""The Fourier transform over Z/mZ and the exact division operator.
 
 The Fourier transform is numpy's pocketfft, which covers every length (primes
 through Bluestein's algorithm) with kernel exp(2*pi*i*x*y/m)/sqrt(m). It acts
@@ -7,33 +7,33 @@ no other register. qft_apply transforms the lone exponent register a run or
 a preparation starts from; it consumes the state it is given, overwriting its
 amplitudes in one numpy call, and returns it.
 
-Every division in the procedure acts on two registers that have not met yet,
-so both division operators, div_alpha_apply and div_x_apply, are one
-primitive, controlled_product, which takes the two one-register states and
-writes the divided joint state straight into a fresh buffer, or into one the
-caller passes as out (a chi handle keeps one for its runs), along the cycles
-of a single multiplier. Those cycles come from group multiplication alone,
-never from a discrete-log lookup. The inputs are left alone. The
-preparation's power oracle, |r, y> -> |r, y * g**r>, is div_x_apply with
-x = g**-1, so it has no operator of its own.
+Every division in the procedure is div_x_apply: it joins an exponent
+register k and a group register and divides the latter by x**k. Its
+primitive, controlled_product, takes the two one-register states and writes
+the divided joint state straight into a fresh buffer, or into one the caller
+passes as out (a chi handle keeps one for its runs), along the cycles of a
+single multiplier. Those cycles come from group multiplication alone, never
+from a discrete-log lookup. The inputs are left alone. The preparation's
+power oracle, |r, y> -> |r, y * g**r>, is div_x_apply with x = g**-1, and its
+conversion, which divides by a register holding g**k raised to alpha, is
+div_x_apply with x = g**alpha on that register written over exponents (chi),
+so neither has an operator of its own.
 
-Each div_x_apply in the procedure is followed at once by a transform of the
-joint state it builds: the forward one in the preparation's round and the
-inverse one in a run. div_x_apply makes that transform itself (qft=), in the
-same pass: controlled_product builds a block of consecutive rows along the
-cycles in a per-core scratch, transforms it there while it is in cache, and
-copies the rows to their places, so the joint state goes through memory
-once. Each row is transformed exactly as one whole-array call transforms it,
-so the bits are those of qft_apply after the division. From 2**18 amplitudes
-on (a joint state at m = 512) qstate._over_cores, which the marginal and
-factor_out share, cuts the rows into one contiguous range per core in the
-process's affinity mask; numpy releases the GIL inside its FFT, so one core's
-Python loop overlaps another's transform. The ranges share one fixed scratch
-(_blocks), so a division in the procedure holds at most 3 MiB beside its
-state on any core count. Every thread is joined before the call returns, and
-the output is the same on any core count. div_alpha_apply, which no
-transform follows, writes each row straight into its place on the calling
-thread.
+controlled_product builds a block of consecutive rows along the cycles in a
+per-core scratch and copies the rows to their places. Where a transform of
+the joint state follows the division at once, the forward one in the
+preparation's round and the inverse one in a run, div_x_apply makes it in
+the same pass (qft=): each block is transformed while it is in cache, so the
+joint state goes through memory once. Each row is transformed exactly as one
+whole-array call transforms it, so the bits are those of qft_apply after the
+division. From 2**18 amplitudes on (a joint state at m = 512)
+qstate._over_cores, which the marginal and factor_out share, cuts the rows of
+every division into one contiguous range per core in the process's affinity
+mask; numpy releases the GIL inside its multiply and FFT, so one core's
+Python loop overlaps another's work. The ranges share one fixed scratch
+(_blocks), so a division holds at most 3 MiB beside its state on any core
+count. Every thread is joined before the call returns, and the output is the
+same on any core count.
 
 fourier_matrix and the three joint-index tables below (div_alpha_permutation,
 div_x_permutation, power_oracle_permutation) are reference oracles: the verify
@@ -64,7 +64,6 @@ from .qstate import (
 
 __all__ = [
     "controlled_product",
-    "div_alpha_apply",
     "div_alpha_permutation",
     "div_x_apply",
     "div_x_permutation",
@@ -130,48 +129,44 @@ def _mult_index_perm(spec: GroupSpec, c: int) -> np.ndarray:
 
 
 def _blocks(d0: int, m: int) -> tuple[list[int], int]:
-    """Row ranges, one per core, and the rows in a block, of a division with its transform.
+    """Row ranges, one per core, and the rows in a block, of a division.
 
     The ranges share _SCRATCH amplitudes for their blocks of rows. Each range
-    also holds a tile of 2 * m + d0 amplitudes and a window of d0, and
-    numpy's multiply of a block through the strided window may hold two
-    buffers of np.getbufsize() values; these share twice _SCRATCH. So a
-    division holds at most 3 MiB of scratch on any core count (6 ranges at
-    most at m = d0 = 1008, 4 at 4000), and every range has a block of at
-    least one row. A block also holds at most an eighth of the rows, so that
-    a small state's scratch adds little to its peak memory (m = 256: 32 rows,
-    128 KiB; the reuse-256 benchmark's peak RSS rose 1.3 % with 128 rows).
+    also holds a tile of 2 * m + d0 amplitudes, and numpy's multiply of a
+    block through the strided window may hold two buffers of np.getbufsize()
+    values; these share twice _SCRATCH. So a division holds at most 3 MiB of
+    scratch on any core count (6 ranges at most at m = d0 = 1008, 4 at 4000),
+    and every range has a block of at least one row. A block also holds at
+    most an eighth of the rows, so that a small state's scratch adds little
+    to its peak memory (m = 256: 32 rows, 128 KiB; the reuse-256 benchmark's
+    peak RSS rose 1.3 % with 128 rows).
     """
-    most = max(1, 2 * _SCRATCH // (2 * (m + d0) + 2 * np.getbufsize()))
+    most = max(1, 2 * _SCRATCH // (2 * m + d0 + 2 * np.getbufsize()))
     cuts = _cuts(m, d0 * m, -(-m // most))
     return cuts, max(1, min(m // 8, _SCRATCH // ((len(cuts) - 1) * d0)))
 
 
-def controlled_product(a: QState, b: QState, step: int, order, out=None,
-                       qft=None) -> QState:
-    """The joint state |a>|b> after the map |order[k], y> -> |order[k], y * step**k>.
+def controlled_product(a: QState, b: QState, step: int, out=None, qft=None) -> QState:
+    """The joint state |a>|b> after the map |k, y> -> |k, y * step**k>.
 
     a is the control register (register 0 of the result) and b a group
-    register (register 1); order lists every basis index of a once. Row k of
-    the map is the permutation "multiply by step" composed k times, so one
-    bijectivity check covers every row. The divided state is written straight
-    into out, out[y, order[k]] = a[order[k]] * b[y * step**-k], and the inputs
-    are left alone. out defaults to a fresh buffer; one the caller passes is
-    overwritten whole and becomes the result's amplitudes, with the same bits.
-    It must be a flat, C-contiguous, writable complex128 array of exactly
-    d0 * m amplitudes that shares no memory with a or b, else WrongLayout.
-    Along a cycle c_0, c_1 = c_0 * step, ... of length L, row c_j is the
-    window at L - 1 - j of b[cycle reversed], tiled, read through the inverse
-    of order and multiplied by a; when order is the identity the window is
-    multiplied as it is.
+    register (register 1). Row k of the map is the permutation "multiply by
+    step" composed k times, so one bijectivity check covers every row. The
+    divided state is written straight into out, out[y, k] = a[k] *
+    b[y * step**-k], and the inputs are left alone. out defaults to a fresh
+    buffer; one the caller passes is overwritten whole and becomes the
+    result's amplitudes, with the same bits. It must be a flat, C-contiguous,
+    writable complex128 array of exactly d0 * m amplitudes that shares no
+    memory with a or b, else WrongLayout. Along a cycle c_0, c_1 = c_0 *
+    step, ... of length L, row c_j is the window at L - 1 - j of b[cycle
+    reversed], tiled, times a.
 
-    qft, "forward" or "inverse", also Fourier-transforms register 0, which
-    must then be an exponent register: the result has the bits of qft_apply on
-    the divided state. Consecutive rows are built a block at a time in a
-    per-core scratch, transformed there while they are in cache, and copied
-    to their rows; from qstate._SPLIT_MIN amplitudes the rows are split over
-    the cores, which share one fixed scratch (_blocks). Without qft every row
-    is written straight into its row of out on the calling thread.
+    Consecutive rows are built a block at a time in a per-core scratch and
+    copied to their rows; from qstate._SPLIT_MIN amplitudes the rows are
+    split over the cores, which share one fixed scratch (_blocks). qft,
+    "forward" or "inverse", also Fourier-transforms register 0, which must
+    then be an exponent register: each block is transformed while it is in
+    cache, and the result has the bits of qft_apply on the divided state.
     """
     ra, rb = _lone_register(a), _lone_register(b)
     if not isinstance(rb, GroupRegister):
@@ -193,12 +188,8 @@ def controlled_product(a: QState, b: QState, step: int, order, out=None,
         if np.shares_memory(out, a.amplitudes) or np.shares_memory(out, b.amplitudes):
             raise WrongLayout("out shares memory with an input register")
     one = _mult_index_perm(spec, step)
-    order = np.asarray(order, dtype=np.intp)
-    for perm, n, what in ((one, m, f"multiplying by {step!r}"),
-                          (order, d0, "the control order")):
-        if perm.shape != (n,) or perm.min() < 0 or perm.max() >= n \
-                or np.bincount(perm, minlength=n).max() != 1:
-            raise NotBijective(f"{what} is not a permutation of {n} basis indices")
+    if one.min() < 0 or one.max() >= m or np.bincount(one, minlength=m).max() != 1:
+        raise NotBijective(f"multiplying by {step!r} is not a permutation of {m} basis indices")
     # every scratch array exists before the m x d0 output and the loop below
     # keeps none of its own (numpy frees its multiply buffers within each
     # call), so no small array lands above a freed state in the heap
@@ -215,25 +206,19 @@ def controlled_product(a: QState, b: QState, step: int, order, out=None,
             walk.extend(reversed(cycle))
             ends.append(len(walk))
     walk = np.array(walk, dtype=np.intp)
-    gather = not np.array_equal(order, np.arange(d0))
-    inverse = np.empty(d0, dtype=np.intp)  # window entry k lands in column order[k]
-    inverse[order] = np.arange(d0)
     along = b.amplitudes.take(walk)  # b along each reversed cycle
-    # each range of walk positions goes in blocks of size from its start;
-    # without a transform the whole walk is one block, on the calling thread
-    cuts, size = ([0, m], m) if qft is None else _blocks(d0, m)
+    cuts, size = _blocks(d0, m)  # each range of walk positions goes in blocks from its start
     parts = len(cuts) - 1
     # a cycle of length L is tiled in whole copies, L + d0 - 1 <= L * reps < 2L + d0
     tiles = np.empty((parts, 2 * m + d0), dtype=np.complex128)
-    windows = np.empty((parts, d0), dtype=np.complex128)
-    blocks = np.empty((parts, size if qft else 0, d0), dtype=np.complex128)
+    blocks = np.empty((parts, size, d0), dtype=np.complex128)
     if out is None:
         out = np.empty(d0 * m, dtype=np.complex128)
     rows = out.reshape(m, d0)
     transform = _fft(qft == "inverse")
 
     def build(part, lo, hi):
-        tile, window, block = tiles[part], windows[part], blocks[part]
+        tile, block = tiles[part], blocks[part]
         slide = sliding_window_view(tile, d0)  # slide[p] is window p of the tile
         cycle, tiled = bisect_right(ends, lo), -1
         for first in range(lo, hi, size):
@@ -249,23 +234,18 @@ def controlled_product(a: QState, b: QState, step: int, order, out=None,
                     tile[:reps * length].reshape(reps, length)[...] = along[begin:end]
                     tiled = cycle
                 stop = min(end, last)
-                # numpy rounds a one-element product made in place, or by a
-                # 2-D call, differently: a one-row segment takes the row path
-                if qft is not None and not gather and stop - pos > 1:
+                # numpy rounds a one-element product made by a 2-D call
+                # differently: a one-row segment is multiplied as one row
+                if stop - pos > 1:
                     np.multiply(slide[pos - begin:stop - begin], a.amplitudes,
                                 out=block[pos - first:stop - first])
                 else:
-                    for p in range(pos, stop):
-                        src = slide[p - begin]
-                        if gather:
-                            src = src.take(inverse, out=window, mode="clip")
-                        np.multiply(src, a.amplitudes,
-                                    out=rows[walk[p]] if qft is None else block[p - first])
+                    np.multiply(slide[pos - begin], a.amplitudes, out=block[pos - first])
                 pos = stop
+            built = block[:last - first]
             if qft is not None:
-                built = block[:last - first]
                 transform(built, axis=1, norm="ortho", out=built)
-                rows[walk[first:last]] = built
+            rows[walk[first:last]] = built
 
     _over_cores(cuts, build)
     return QState(layout, out)
@@ -320,15 +300,6 @@ def _lone_register(state: QState):
     return regs[0]
 
 
-def _group_group(a: QState, b: QState) -> GroupSpec:
-    ra, rb = _lone_register(a), _lone_register(b)
-    if not isinstance(ra, GroupRegister) or not isinstance(rb, GroupRegister):
-        raise WrongLayout("expected a (group, group) register pair")
-    if ra.group != rb.group:
-        raise WrongLayout("both registers must carry the same group")
-    return rb.group
-
-
 def _exponent_group(a: QState, b: QState) -> GroupSpec:
     ra, rb = _lone_register(a), _lone_register(b)
     if not isinstance(ra, ExponentRegister) or not isinstance(rb, GroupRegister):
@@ -340,17 +311,6 @@ def _exponent_group(a: QState, b: QState) -> GroupSpec:
     return spec
 
 
-def div_alpha_apply(a: QState, b: QState, alpha: int, out=None) -> QState:
-    """Join two group registers and divide the right one by the left raised to alpha.
-
-    out, if given, is the buffer controlled_product writes the state into.
-    """
-    spec = _group_group(a, b)
-    # the left label g**k picks up (g**-alpha)**k
-    return controlled_product(a, b, spec.pow(spec.generator, -alpha), spec.power_indices,
-                              out=out)
-
-
 def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None) -> QState:
     """Join an exponent register and a group register; divide the right by x**left.
 
@@ -359,4 +319,4 @@ def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None) -> QState:
     that follows the division, made block by block as the rows are built.
     """
     spec = _exponent_group(a, b)
-    return controlled_product(a, b, spec.inverse(x), range(spec.order), out=out, qft=qft)
+    return controlled_product(a, b, spec.inverse(x), out=out, qft=qft)

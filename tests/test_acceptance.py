@@ -41,13 +41,13 @@ from chi_dlog.qstate import (
     fidelity,
 )
 from chi_dlog.transforms import (
-    div_alpha_apply,
     div_alpha_permutation,
     div_x_apply,
     div_x_permutation,
     fourier_matrix,
     power_oracle_permutation,
 )
+from chi_dlog.verify import _div_alpha
 
 MASS_TOL = 1e-9
 REUSE_TOL = 1e-7
@@ -121,7 +121,7 @@ def test_criterion_3_preparation_success_rate():
 
 def power_shift_case(spec, alpha, beta, gamma):
     m = spec.order
-    joint = div_alpha_apply(chi_reference(spec, beta), chi_reference(spec, gamma), alpha)
+    joint = _div_alpha(chi_reference(spec, beta), chi_reference(spec, gamma), alpha)
     left = factor_out(joint, 1, chi_reference(spec, gamma))
     right = factor_out(joint, 0, chi_reference(spec, (beta + alpha * gamma) % m))
     fid_left = fidelity(left, chi_reference(spec, (beta + alpha * gamma) % m))

@@ -45,9 +45,9 @@ PROJECT = textwrap.dedent("""
     from chi_dlog.chi import chi_reference
     from chi_dlog.group import validate_group
     from chi_dlog.qstate import factor_out
-    from chi_dlog.transforms import div_alpha_apply
+    from chi_dlog.verify import _div_alpha
     spec = validate_group(1009, 11)
-    joint = div_alpha_apply(chi_reference(spec, 3), chi_reference(spec, 1), 5)
+    joint = _div_alpha(chi_reference(spec, 3), chi_reference(spec, 1), 5)
     kept = factor_out(joint, 0, chi_reference(spec, 8))
     print(hashlib.sha256(kept.amplitudes.tobytes()).hexdigest())
 """)

@@ -17,7 +17,7 @@ from chi_dlog.chi import (
 )
 from chi_dlog.dlog import run_dlog
 from chi_dlog.errors import ArtifactMismatch, RetryLimitExceeded, UnverifiedChi
-from chi_dlog.group import totient, validate_group
+from chi_dlog.group import cyclic_group, totient, validate_group
 from chi_dlog.qstate import QState, fidelity
 
 Z5 = validate_group(5, 2)
@@ -221,15 +221,18 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
     # the transform it was asked to make, so qft_apply shows that the fresh
     # exponent register is transformed alone, and div_x_apply, which loads the
     # powers of g, that it joins the group register there and makes the
-    # round's second transform as it builds the joint state
+    # round's second transform as it builds the joint state. Only the round's
+    # division, the one with the forward transform, is counted: the
+    # conversion after the measurement divides too
     calls = {"div_x_apply": [], "qft_apply": [], "marginal_distribution": []}
 
     def counted(name):
         inner = getattr(chi, name)
 
         def wrapper(*args, **kwargs):
-            calls[name].append((sum(len(arg.layout.registers) for arg in args
-                                    if isinstance(arg, QState)), kwargs.get("qft")))
+            if name != "div_x_apply" or kwargs.get("qft") == "forward":
+                calls[name].append((sum(len(arg.layout.registers) for arg in args
+                                        if isinstance(arg, QState)), kwargs.get("qft")))
             return inner(*args, **kwargs)
         return wrapper
 
@@ -294,6 +297,39 @@ def test_chi_power_from_general_source_power():
     handle = chi_power_from(Z7, source, 2)
     assert handle.power == 4
     assert fidelity(handle.state, chi_reference(Z7, 4)) >= 1 - 1e-9
+
+
+CORE_COUNT_GROUPS = {"m=512": cyclic_group(512), "m=1008": validate_group(1009, 11)}
+
+
+@pytest.mark.parametrize("name", list(CORE_COUNT_GROUPS))
+def test_the_conversion_and_powering_are_bit_identical_on_any_core_count(
+        see_cores, started, name):
+    # from 2**18 amplitudes the conversion division splits its rows over the
+    # cores as every division does: the division itself, with and without a
+    # passed buffer, a prepared chi register and a powered one must have the
+    # same bits on one core as on two to four
+    spec = CORE_COUNT_GROUPS[name]
+    m = spec.order
+    rng = np.random.default_rng(m)
+    survivor = QState(chi_reference(spec, 0).layout,
+                      rng.normal(size=m) + 1j * rng.normal(size=m))
+    x = spec.pow(spec.generator, 5)
+    first = {}
+    for count in (1, 2, 3, 4):
+        see_cores(count)
+        got = []
+        for out in (None, np.full(m * m, np.nan, dtype=np.complex128)):
+            started.clear()
+            joint = chi.div_x_apply(chi._chi_exponents(spec, 0), survivor, x, out=out)
+            assert out is None or joint.amplitudes is out
+            assert len(started) == count - 1
+            got.append(("conversion", joint.amplitudes))
+        handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
+        got += [("prepared", handle.state.amplitudes),
+                ("powered", chi_power_from(spec, handle, 5, start_power=2).state.amplitudes)]
+        for key, amps in got:
+            assert np.array_equal(amps, first.setdefault(key, amps.copy())), key
 
 
 def test_chi_power_from_requires_verified_source():

@@ -289,10 +289,14 @@ def inject(monkeypatch, fault, spec, handle=None):
         monkeypatch.setattr(dlog, "div_x_apply",
                             lambda a, b, x, **kwargs: div_x_apply(a, b, step(x), **kwargs))
 
-    def flip(module):
-        """Make module's division follow itself with the other transform."""
-        monkeypatch.setattr(module, "div_x_apply", lambda *args, qft, **kwargs:
-                            transforms.div_x_apply(*args, qft=FLIPPED[qft], **kwargs))
+    def flipped(*args, qft, **kwargs):
+        """The division followed by the other transform."""
+        return transforms.div_x_apply(*args, qft=FLIPPED[qft], **kwargs)
+
+    def in_the_round(fake):
+        """Patch the preparation's round only: its division makes the forward transform."""
+        monkeypatch.setattr(chi, "div_x_apply", lambda *args, qft=None, **kwargs: (
+            fake if qft == "forward" else transforms.div_x_apply)(*args, qft=qft, **kwargs))
 
     def poisoned(a, b, x, out=None, qft=None):
         # the NaN lands between the division and its transform
@@ -305,19 +309,18 @@ def inject(monkeypatch, fault, spec, handle=None):
     elif fault == "wrong-step":  # multiply by x instead of dividing
         divide_by(spec.inverse)
     elif fault == "flipped-inverse-fft":
-        flip(dlog)
+        monkeypatch.setattr(dlog, "div_x_apply", flipped)
     elif fault == "corrupted-handle":
         handle.state = chi_reference(spec, 2)
     elif fault == "nan-amplitude":
         monkeypatch.setattr(dlog, "div_x_apply", poisoned)
     elif fault == "flipped-second-fft":
         # the round's second transform is the one its division makes
-        flip(chi)
+        in_the_round(flipped)
     else:
         # the round loads the powers of g by div_x_apply(., ., g**-1)
-        monkeypatch.setattr(chi, "div_x_apply", lambda a, b, x, **kwargs:
-                            transforms.controlled_product(a, b, spec.pow(g, 2),
-                                                          range(spec.order), **kwargs))
+        in_the_round(lambda a, b, x, **kwargs:
+                     transforms.controlled_product(a, b, spec.pow(g, 2), **kwargs))
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])

@@ -411,6 +411,32 @@ def test_the_residual_scratch_does_not_grow_with_the_cores(see_cores, started):
     assert peak <= 24 * qstate.READOUT_BLOCK + 2 ** 16, f"peaked at {peak} bytes"
 
 
+def test_the_row_sum_scratch_does_not_grow_with_the_cores(see_cores, started):
+    # numpy's call over a range's strided column block holds buffers of its
+    # own, so however many cores there are the row sum cuts at most
+    # READOUT_BLOCK // (2 * np.getbufsize()) column ranges: with 64 cores and
+    # rows of 1450, 4 ranges rather than 1450 // 64 = 22
+    d = 1450
+    joint = random_state(RegisterLayout((ExponentRegister(d), ExponentRegister(d))), 3)
+    see_cores(1)
+    want = marginal_distribution(joint)
+    see_cores(64)
+    started.clear()
+    tracemalloc.start()
+    try:
+        got = marginal_distribution(joint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert len(started) == qstate.READOUT_BLOCK // (2 * np.getbufsize()) - 1 == 3
+    # the float scratch and total, READOUT_BLOCK + 2 * d values, and the
+    # ranges' buffers, measured at 128 KiB a range: 0.77-0.88 MiB here, and
+    # 1.33-1.42 MiB with 22 ranges
+    assert peak <= 8 * (qstate.READOUT_BLOCK + 2 * d) + 2 ** 19 + 2 ** 16, \
+        f"peaked at {peak} bytes"
+
+
 class PartFailed(Exception):
     pass
 

@@ -1,9 +1,10 @@
 """The benchmark's tracer under the passes split over the cores.
 
 perfbench's Tracer wraps every public chi_dlog function with one span stack
-that is not thread-safe, so the threads the split passes start (a division
-with the transform that follows it, the marginal, factor_out's row sum and
-its residual) must call numpy only: a traced run records one
+that is not thread-safe, so the threads the split passes start (every
+division, with the transform that follows it where one does, the marginal,
+factor_out's row sum and its residual) must call numpy only: a traced run
+records one
 transforms.qft_apply span per lone-register transform and one
 transforms.div_x_apply span per division, the joint transforms' FFT calls run
 on both threads, and every span comes from the calling thread.
@@ -73,8 +74,10 @@ def test_a_traced_run_records_one_qft_span_per_lone_register_transform(
     # on two cores, 504 rows a core in blocks of 32, so 16 blocks on the
     # calling thread and 16 on a second
     assert m == 1008 and transforms._blocks(m, m) == ([0, 504, 1008], 32)
+    # three divisions: the round's and the run's, each with its transform,
+    # and the preparation's conversion, which makes no FFT call
     assert tracer.count("transforms.qft_apply") == 2
-    assert tracer.count("transforms.div_x_apply") == 2
+    assert tracer.count("transforms.div_x_apply") == 3
     assert fft_threads.count(caller) == 2 + 2 * 16
     assert len(fft_threads) == 2 + 2 * 32
     assert len(span_threads) == len(tracer.spans)
@@ -83,9 +86,11 @@ def test_a_traced_run_records_one_qft_span_per_lone_register_transform(
 
 def test_a_traced_preparation_records_every_span_on_the_calling_thread(
         see_cores, started):
-    # on two cores the preparation's transform, marginal, row sum and residual
-    # each run a part on a second thread
-    see_cores(2)
+    # the preparation's five split passes, its division with the transform,
+    # marginal, row sum, residual and conversion division, each run one part
+    # on the calling thread and one on each other core
+    cores = 2
+    see_cores(cores)
     span_threads = []
     tracer = thread_tracer(span_threads)
     tracer.install()
@@ -93,7 +98,7 @@ def test_a_traced_preparation_records_every_span_on_the_calling_thread(
         chi_dlog.prepare_chi(validate_group(1009, 11), seed=0, mode="exhaustive")
     finally:
         tracer.uninstall()
-    assert len(started) == 4
+    assert len(started) == 5 * (cores - 1)
     assert tracer.count("qstate.factor_out") == 1
     assert len(span_threads) == len(tracer.spans)
     assert set(span_threads) == {threading.get_ident()}

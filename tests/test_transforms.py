@@ -29,7 +29,6 @@ from chi_dlog.qstate import (
 )
 from chi_dlog.transforms import (
     controlled_product,
-    div_alpha_apply,
     div_alpha_permutation,
     div_x_apply,
     div_x_permutation,
@@ -37,7 +36,7 @@ from chi_dlog.transforms import (
     power_oracle_permutation,
     qft_apply,
 )
-from chi_dlog.verify import _product, _relabel
+from chi_dlog.verify import _div_alpha, _product, _relabel
 
 Z5 = validate_group(5, 2)
 Z7 = validate_group(7, 3)
@@ -195,32 +194,23 @@ def test_a_division_with_its_transform_matches_the_two_steps_exhaustively():
                                       qft_after(div_x_apply, a, b, x, qft=qft))
 
 
-def test_a_transform_follows_a_gathered_control_order_too():
-    # an order that is not the identity reads each row through its inverse
-    a, b = exponent_state(6, 21), group_state(Z7, 22)
-    for qft in ("forward", "inverse"):
-        assert np.array_equal(
-            controlled_product(a, b, 3, [2, 0, 1, 3, 5, 4], qft=qft).amplitudes,
-            qft_after(controlled_product, a, b, 3, [2, 0, 1, 3, 5, 4], qft=qft))
-
-
 def test_a_division_refuses_a_transform_it_cannot_make():
     a, b = exponent_state(6, 23), group_state(Z7, 24)
     with pytest.raises(ValueError, match="qft must be"):
         div_x_apply(a, b, 3, qft=True)
     # register 0 of a (group, group) pair is no exponent register
     with pytest.raises(WrongRegisterKind):
-        controlled_product(group_state(Z7, 25), b, 3, Z7.power_indices, qft="forward")
+        controlled_product(group_state(Z7, 25), b, 3, qft="forward")
 
 
 def test_a_state_below_the_split_threshold_starts_no_thread(see_cores, started):
     see_cores(4)
     assert 511 * 513 == qstate._SPLIT_MIN - 1 and 512 * 512 == qstate._SPLIT_MIN
     controlled_product(exponent_state(511, 1), group_state(cyclic_group(513), 2), 1,
-                       range(511), qft="forward")
+                       qft="forward")
     assert started == []
     joint = controlled_product(exponent_state(512, 3), group_state(cyclic_group(512), 4),
-                               1, range(512), qft="forward")
+                               1, qft="forward")
     assert len(started) == 3
     # qft_apply transforms lone registers on the run's path, in one call
     started.clear()
@@ -230,9 +220,9 @@ def test_a_state_below_the_split_threshold_starts_no_thread(see_cores, started):
 
 @pytest.mark.parametrize("count", [1, 2, 8, 64, 4096])
 def test_the_division_scratch_does_not_grow_with_the_cores(see_cores, count):
-    # each range of rows holds a block, a tile of 2m + d0, a window of d0
-    # and numpy's two multiply buffers: at most 3 MiB together, whatever the
-    # core count (no thread starts here)
+    # each range of rows holds a block, a tile of 2m + d0 and numpy's two
+    # multiply buffers: at most 3 MiB together even with another m amplitudes
+    # a range, whatever the core count (no thread starts here)
     see_cores(count)
     for m in (512, 1008, 1450, 2002, 4000):
         cuts, size = transforms._blocks(m, m)
@@ -273,11 +263,10 @@ def test_a_run_at_m_1008_leaves_no_thread_running(see_cores, started):
     handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
     run_dlog(spec, handle, 3, mode="exhaustive")
     # on two cores each split pass over a joint state starts one thread: the
-    # preparation's division with its transform, marginal, row sum and
-    # residual, then the run's division with its transform and its marginal.
-    # The lone registers' transforms (1008 amplitudes) and the preparation's
-    # last division, which no transform follows, start none
-    assert len(started) == 6
+    # preparation's division with its transform, marginal, row sum, residual
+    # and conversion division, then the run's division with its transform and
+    # its marginal. The lone registers' transforms (1008 amplitudes) start none
+    assert len(started) == 7
     assert threading.active_count() == before
 
 
@@ -307,7 +296,7 @@ def test_div_alpha_exhaustive_against_group_ops():
 
 def test_div_alpha_zero_is_identity():
     a, b = group_state(Z7, 3), group_state(Z7, 4)
-    out = div_alpha_apply(a, b, 0)
+    out = _div_alpha(a, b, 0)
     assert np.array_equal(out.amplitudes, _product(a, b).amplitudes)
 
 
@@ -379,11 +368,7 @@ def test_division_layout_guards():
     exp7 = basis_state(RegisterLayout((ExponentRegister(6),)), (0,))
     grp7 = basis_state(RegisterLayout((GroupRegister(Z7),)), (1,))
     with pytest.raises(WrongLayout):
-        div_alpha_apply(exp7, grp7, 1)
-    with pytest.raises(WrongLayout):
         div_x_apply(grp7, grp7, 3)
-    with pytest.raises(WrongLayout):
-        div_alpha_apply(grp7, basis_state(RegisterLayout((GroupRegister(Z5),)), (1,)), 1)
     short = basis_state(RegisterLayout((ExponentRegister(3),)), (0,))
     with pytest.raises(WrongLayout):
         div_x_apply(short, grp7, 3)
@@ -443,10 +428,12 @@ def assert_matches_table(op, a_layout, spec, table):
 
 
 def test_div_alpha_apply_matches_table_exhaustively():
+    # the (group, group) division: div_x_apply on the left register written
+    # over exponents, its columns relabelled back to the group's basis
     for spec in oracle_groups():
         layout = RegisterLayout((GroupRegister(spec),))
         for alpha in range(spec.order):
-            assert_matches_table(lambda a, b: div_alpha_apply(a, b, alpha), layout, spec,
+            assert_matches_table(lambda a, b: _div_alpha(a, b, alpha), layout, spec,
                                  div_alpha_permutation(spec, alpha))
 
 
@@ -467,45 +454,44 @@ def test_power_oracle_is_div_x_by_the_inverse_generator_exhaustively():
 
 
 def test_controlled_product_known_mapping():
-    # (n=7, g=3), order (2, 0, 1): |0, 2> is row k=1, so 2 * 3 = 6
+    # (n=7, g=3): |1, 2> is row k=1, so 2 * 3 = 6
     control = RegisterLayout((ExponentRegister(6),))
     group = RegisterLayout((GroupRegister(Z7),))
-    out = controlled_product(basis_state(control, (0,)), basis_state(group, (2,)), 3,
-                             [2, 0, 1, 3, 4, 5])
+    out = controlled_product(basis_state(control, (1,)), basis_state(group, (2,)), 3)
     assert out.layout == run_layout(Z7)
-    assert out.amplitudes[joint_index(run_layout(Z7), (0, 6))] == 1.0
-    # row k=0 of the order is left alone whatever the step
-    a, b = basis_state(control, (2,)), basis_state(group, (5,))
-    out = controlled_product(a, b, 3, [2, 0, 1, 3, 4, 5])
+    assert out.amplitudes[joint_index(run_layout(Z7), (1, 6))] == 1.0
+    # row k=0 is left alone whatever the step
+    a, b = basis_state(control, (0,)), basis_state(group, (5,))
+    out = controlled_product(a, b, 3)
     assert np.array_equal(out.amplitudes, _product(a, b).amplitudes)
 
 
 def test_identity_step_builds_the_plain_product():
-    # register 0 fastest: flat amplitudes are kron(right, left), for either order
+    # register 0 fastest: flat amplitudes are kron(right, left)
     a = random_state(RegisterLayout((ExponentRegister(2),)), 1)
     b = group_state(Z5, 2)
-    for order in ([0, 1], [1, 0]):
-        joint = controlled_product(a, b, Z5.identity, order)
-        assert joint.layout == RegisterLayout((ExponentRegister(2), GroupRegister(Z5)))
-        assert np.array_equal(joint.amplitudes, np.kron(b.amplitudes, a.amplitudes))
+    joint = controlled_product(a, b, Z5.identity)
+    assert joint.layout == RegisterLayout((ExponentRegister(2), GroupRegister(Z5)))
+    assert np.array_equal(joint.amplitudes, np.kron(b.amplitudes, a.amplitudes))
     with pytest.raises(WrongLayout):
-        controlled_product(joint, b, Z5.identity, range(8))
+        controlled_product(joint, b, Z5.identity)
 
 
 def test_controlled_product_guards():
     a, b = exponent_state(6, 1), group_state(Z7, 1)
-    with pytest.raises(NotBijective):
-        controlled_product(a, b, 3, [0, 0, 1, 2, 3, 4])
-    with pytest.raises(NotBijective):
-        controlled_product(a, b, 3, range(5))
     with pytest.raises(NotInGroup):
-        controlled_product(a, b, 0, range(6))
-    broken = validate_group(7, 3)
-    broken._mul = lambda a, b: 1  # every product collapses onto one label
+        controlled_product(a, b, 0)
     with pytest.raises(NotBijective):
-        controlled_product(a, group_state(broken, 2), 3, range(6))
+        controlled_product(a, group_state(collapsed_group(), 2), 3)
     with pytest.raises(WrongLayout):
-        controlled_product(a, exponent_state(6, 3), 3, range(6))
+        controlled_product(a, exponent_state(6, 3), 3)
+
+
+def collapsed_group():
+    """The units mod 7, but every product collapses onto one label."""
+    broken = validate_group(7, 3)
+    broken._mul = lambda a, b: 1
+    return broken
 
 
 def _out_buffers():
@@ -530,7 +516,7 @@ def test_controlled_product_refuses_a_bad_out(what):
     a, b = exponent_state(6, 11), group_state(Z7, 12)
     out = _out_buffers()[what]
     with pytest.raises(WrongLayout, match="out must be"):
-        controlled_product(a, b, 3, range(6), out=out)
+        controlled_product(a, b, 3, out=out)
     assert not np.any(out)
 
 
@@ -543,24 +529,28 @@ def test_controlled_product_refuses_an_out_that_shares_an_input(register):
     inputs = {"a": a, "b": b}
     inputs[register] = QState(inputs[register].layout, inside)
     with pytest.raises(WrongLayout, match="shares memory"):
-        controlled_product(inputs["a"], inputs["b"], 3, range(6), out=out)
+        controlled_product(inputs["a"], inputs["b"], 3, out=out)
     assert np.array_equal(inside, (a if register == "a" else b).amplitudes)
 
 
 def test_a_passed_out_becomes_the_state_with_the_fresh_buffer_bits():
-    # every x and every alpha of every group of order <= 64; the buffer holds
-    # NaN before each call, so every amplitude must be written
+    # every x of every group of order <= 64, and every alpha as the
+    # preparation's conversion divides: by g**alpha, its left register a group
+    # register written over exponents. The buffer holds NaN before each call,
+    # so every amplitude must be written
     for spec in oracle_groups():
         m = spec.order
         chi = group_state(spec, m)
         out = np.empty(m * m, dtype=np.complex128)
-        calls = [(div_x_apply, exponent_state(m, m + 1), x) for x in spec.elements] + \
-            [(div_alpha_apply, group_state(spec, m + 2), alpha) for alpha in range(m)]
-        for op, a, arg in calls:
+        left = QState(RegisterLayout((ExponentRegister(m),)),
+                      group_state(spec, m + 2).amplitudes[spec.power_indices])
+        calls = [(exponent_state(m, m + 1), x) for x in spec.elements] + \
+            [(left, spec.pow(spec.generator, alpha)) for alpha in range(m)]
+        for a, x in calls:
             out.fill(np.nan)
-            joint = op(a, chi, arg, out=out)
+            joint = div_x_apply(a, chi, x, out=out)
             assert joint.amplitudes is out
-            assert np.array_equal(out, op(a, chi, arg).amplitudes)
+            assert np.array_equal(out, div_x_apply(a, chi, x).amplitudes)
 
 
 def test_transforms_consume_their_input():
@@ -574,11 +564,11 @@ def test_transforms_consume_their_input():
 
 
 def test_divisions_build_a_fresh_state_and_leave_their_inputs_alone():
-    exp, grp, left = exponent_state(6, 6), group_state(Z7, 7), group_state(Z7, 8)
-    for op, a, args in ((controlled_product, exp, (3, [2, 0, 1, 3, 4, 5])),
+    exp, grp = exponent_state(6, 6), group_state(Z7, 7)
+    for op, a, args in ((controlled_product, exp, (3,)),
                         (div_x_apply, exp, (5,)),
                         (div_x_apply, exp, (Z7.inverse(Z7.generator),)),
-                        (div_alpha_apply, left, (2,))):
+                        (div_x_apply, exp, (Z7.pow(Z7.generator, 2),))):
         before = a.amplitudes.copy(), grp.amplitudes.copy()
         out = op(a, grp, *args)
         assert out.amplitudes.flags.c_contiguous and out.amplitudes.flags.writeable
@@ -608,10 +598,10 @@ def test_transforms_copy_a_buffer_they_cannot_overwrite():
 
 
 def test_refused_transforms_leave_their_input_alone():
-    a, b = exponent_state(6, 9), group_state(Z7, 10)
+    a, b = exponent_state(6, 9), group_state(collapsed_group(), 10)
     before = a.amplitudes.copy(), b.amplitudes.copy()
     with pytest.raises(NotBijective):
-        controlled_product(a, b, 3, range(5))
+        controlled_product(a, b, 3)
     assert np.array_equal(a.amplitudes, before[0])
     assert np.array_equal(b.amplitudes, before[1])
     state = random_state(pair_layout(Z7), 9)
@@ -624,7 +614,7 @@ def test_refused_transforms_leave_their_input_alone():
 def test_package_exports_only_the_simulation_path():
     removed = ("apply_register_unitary", "NotUnitary", "BasisPermutation",
                "apply_basis_permutation", "measure", "ResourceComparison",
-               "controlled_multiply", "tensor", "power_oracle_apply")
+               "controlled_multiply", "tensor", "power_oracle_apply", "div_alpha_apply")
     oracles = {"fourier_matrix", "div_alpha_permutation", "div_x_permutation",
                "power_oracle_permutation"}
     for module in (chi_dlog, qstate, errors, dlog, transforms):
@@ -640,5 +630,5 @@ def test_package_exports_only_the_simulation_path():
     assert [name for name in oracles if hasattr(chi_dlog, name)] == []
     # the cached oracles stay listed here only while the benchmark's tracer
     # reads their cache counters by name
-    simulation = {"qft_apply", "controlled_product", "div_alpha_apply", "div_x_apply"}
+    simulation = {"qft_apply", "controlled_product", "div_x_apply"}
     assert set(transforms.__all__) == simulation | oracles
