@@ -8,11 +8,13 @@ retry until the observed value is coprime to m; a final division by the
 measured value's inverse converts the surviving state to power 1.
 
 Every division here is the run's own operator, div_x_apply. The round loads
-the powers of g with x = g**-1. The conversion, and chi_power_from, divide by
-a group register holding g**k raised to alpha: that is dividing by
-(g**alpha)**k, controlled on the exponent k, so their left register is the
-chi state written over exponents (_chi_exponents) and comes back to the
-group's basis in one O(m) scatter through power_indices (_over_group).
+the powers of g with x = g**-1 and, in the same pass, adds up the
+distribution the measurement draws from. The conversion, and
+chi_power_from, divide by a group register holding g**k raised to alpha:
+that is dividing by (g**alpha)**k, controlled on the exponent k, so their
+left register is the chi state written over exponents (_chi_exponents) and
+comes back to the group's basis in one O(m) scatter through power_indices
+(_over_group).
 """
 from __future__ import annotations
 
@@ -41,7 +43,6 @@ from .qstate import (
     dump_amplitudes,
     factor_out,
     fidelity,
-    marginal_distribution,
     parse_amplitudes,
     sample_index,
 )
@@ -130,36 +131,40 @@ class PrepStats:
     acceptance_probability: float | None = None
 
 
-def _superposed_round(spec: GroupSpec) -> QState:
+def _superposed_round(spec: GroupSpec, marginal=None) -> QState:
     """The state a preparation measures: exponent column s holds chi_s/sqrt(m).
 
     Superpose exponents, load powers of g, transform again. The powers are
     loaded by the run's own division, div_x_apply with x = g**-1, so the
     power oracle is no second operator, and that division makes the second
-    transform as it builds the joint state, block by block in one pass. The
-    fresh exponent register is transformed before it joins the group
-    register, so the first transform touches m amplitudes. A device reruns
-    the round on every attempt, but the simulated unitary and its input are
-    fixed, so every attempt draws from this one distribution.
+    transform as it builds the joint state, block by block in one pass, and
+    in the same pass fills marginal, if one is given, with the distribution
+    the measurement draws from. The fresh exponent register is transformed
+    before it joins the group register, so the first transform touches m
+    amplitudes. A device reruns the round on every attempt, but the
+    simulated unitary and its input are fixed, so every attempt draws from
+    this one distribution.
     """
     exp_zero = basis_state(RegisterLayout((ExponentRegister(spec.order),)), (0,))
     identity = basis_state(RegisterLayout((GroupRegister(spec),)), (spec.identity,))
     # dividing by (g**-1)**r is multiplying by g**r
     return div_x_apply(qft_apply(exp_zero), identity, spec.inverse(spec.generator),
-                       qft="forward")
+                       qft="forward", marginal=marginal)
 
 
 def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
                 max_attempts: int = 10_000) -> tuple[ChiHandle, PrepStats]:
     """Prepare a verified power-1 chi state for the group.
 
-    The round before the measurement is simulated once per call. Sampled
-    mode draws the measured value from its distribution with a seeded
-    generator, redrawing while the value shares a factor with the order, and
-    collapses only the accepted draw. Exhaustive mode instead
-    reports the exact acceptance probability of the coprimality test and
-    collapses deterministically onto the smallest coprime value, so it always
-    finishes in one attempt. Returns the handle and the attempt statistics.
+    The round before the measurement is simulated once per call, and its
+    division adds up the distribution of the measured value. Sampled mode
+    draws the measured value from it with a seeded generator, redrawing
+    while the value shares a factor with the order, and collapses only the
+    accepted draw. Exhaustive mode instead reports the exact acceptance
+    probability of the coprimality test, the distribution summed over the
+    coprime values, and collapses deterministically onto the smallest
+    coprime value, so it always finishes in one attempt. Returns the handle
+    and the attempt statistics.
 
     A wrong round is refused by the checks every preparation makes:
     collapse and sample_index (DegenerateNorm), the retry cap
@@ -171,8 +176,8 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     m = spec.order
-    state = _superposed_round(spec)
-    probs = marginal_distribution(state)
+    probs = np.empty(m)
+    state = _superposed_round(spec, probs)
 
     acceptance = None
     if mode == "exhaustive":

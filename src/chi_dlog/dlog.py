@@ -5,8 +5,9 @@ chi register (m amplitudes, not m**2), build the joint state with the chi
 register divided by x raised to that exponent (which only kicks phases back
 onto the exponent register), transform back, and read the exponent register.
 The division and the inverse transform are one pass over the joint state
-(div_x_apply with qft="inverse"); the ledger still counts one division and
-two Fourier transforms per run.
+(div_x_apply with qft="inverse"), which also adds up the exponent register's
+distribution (marginal=), so the run reads the joint state no second time;
+the ledger still counts one division and two Fourier transforms per run.
 The chi register survives and the handle carries its post-run state forward,
 so reuse is observable rather than assumed. Every run takes one checked
 path: a run is correct exactly when the chi register comes back at fidelity
@@ -29,9 +30,9 @@ from .group import GroupSpec, dlog_oracle
 from .qstate import (
     ExponentRegister,
     RegisterLayout,
+    _column_mass,
     basis_state,
     collapse,
-    marginal_distribution,
     sample_index,
 )
 from .transforms import div_x_apply, qft_apply
@@ -77,9 +78,11 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
              seed=None) -> DlogResult:
     """Find the exponent of x using one chi handle verified at power 1 mod m.
 
-    Both modes read the exponent-register marginal and collapse onto one
-    index of it. Exhaustive mode takes the argmax and reports the probability
-    mass sitting on the true answer; sampled mode draws the index with a
+    Both modes read the exponent-register marginal, which the division adds
+    up as it builds the joint state, and collapse onto one index of it.
+    Exhaustive mode takes the argmax and reports the probability mass
+    sitting on the true answer, that one column added in basis order as
+    marginal_distribution adds it; sampled mode draws the index with a
     seeded generator and reports the drawn index's mass.
     Either way the post-run chi register replaces the handle's state and is
     checked with ChiHandle.verify. A run whose chi register fails that check,
@@ -105,14 +108,18 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
     fresh = qft_apply(exp_zero)
     ledger.fourier_count += 1
     # the division hands each block of rows to the inverse transform as it
-    # builds it: one pass over the joint state, counted as both operations
-    joint = div_x_apply(fresh, chi.state, x, out=chi._workspace(), qft="inverse")
+    # builds it and adds the block into the exponent register's marginal:
+    # one pass over the joint state, counted as both operations
+    marginal = np.empty(m)
+    joint = div_x_apply(fresh, chi.state, x, out=chi._workspace(), qft="inverse",
+                        marginal=marginal)
     ledger.registers_used = len(joint.layout.registers)
     ledger.division_ops += 1
     ledger.fourier_count += 1
 
-    marginal = marginal_distribution(joint)
-    true_mass = float(marginal[p_true])
+    # the pass adds in walk order; the mass a record prints is added in
+    # basis order, as marginal_distribution adds it, from one column
+    true_mass = _column_mass(joint, p_true)
     if mode == "exhaustive":
         outcome = collapse(joint, int(np.argmax(marginal)))
         success = true_mass

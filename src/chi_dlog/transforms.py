@@ -26,14 +26,17 @@ preparation's round and the inverse one in a run, div_x_apply makes it in
 the same pass (qft=): each block is transformed while it is in cache, so the
 joint state goes through memory once. Each row is transformed exactly as one
 whole-array call transforms it, so the bits are those of qft_apply after the
-division. From 2**18 amplitudes on (a joint state at m = 512)
-qstate._over_cores, which the marginal and factor_out share, cuts the rows of
-every division into one contiguous range per core in the process's affinity
-mask; numpy releases the GIL inside its multiply and FFT, so one core's
-Python loop overlaps another's work. The ranges share one fixed scratch
-(_blocks), so a division holds at most 3 MiB beside its state on any core
-count. Every thread is joined before the call returns, and the output is the
-same on any core count.
+division. The same pass adds up the exponent register's distribution
+(marginal=), which the preparation and a run draw from, so neither reads the
+joint state a second time for it. From 2**18 amplitudes on (a joint state
+at m = 512) qstate._over_cores, which the readout and factor_out share, cuts
+the rows of every division into contiguous ranges of whole segments, one per
+core in the process's affinity mask; numpy releases the GIL inside its
+multiply and FFT, so one core's Python loop overlaps another's work. The
+ranges share one fixed scratch (_blocks), so a division holds at most 3 MiB
+beside its state on any core count. Every thread is joined before the call
+returns, and the output, the distribution included, is the same on any core
+count.
 
 fourier_matrix and the three joint-index tables below (div_alpha_permutation,
 div_x_permutation, power_oracle_permutation) are reference oracles: the verify
@@ -74,9 +77,13 @@ __all__ = [
 
 # amplitudes the row ranges of one division with its transform share for
 # their blocks of rows, 1 MiB on any core count (_blocks). On two cores a
-# block is 512 KiB, which stays in a core's cache between the division and
-# the transform
+# block is under 512 KiB, which stays in a core's cache between the division
+# and the transform
 _SCRATCH = 1 << 16
+# segments of the walk a marginal is added over: their bounds depend on m
+# alone and every core's range is whole segments, so the sum does not depend
+# on the core count; 8 splits evenly over 2, 4 and 8 cores
+_SEGMENTS = 8
 
 
 # maxsize=0 stores nothing (an m = 512 matrix alone is 4 MB) but still
@@ -128,25 +135,35 @@ def _mult_index_perm(spec: GroupSpec, c: int) -> np.ndarray:
                        dtype=np.int64, count=spec.order)
 
 
-def _blocks(d0: int, m: int) -> tuple[list[int], int]:
-    """Row ranges, one per core, and the rows in a block, of a division.
+def _blocks(d0: int, m: int) -> tuple[list[int], list[int], int]:
+    """Segment bounds, the segments of each core's range, and the rows in a block.
 
-    The ranges share _SCRATCH amplitudes for their blocks of rows. Each range
-    also holds a tile of 2 * m + d0 amplitudes, and numpy's multiply of a
-    block through the strided window may hold two buffers of np.getbufsize()
-    values; these share twice _SCRATCH. So a division holds at most 3 MiB of
-    scratch on any core count (6 ranges at most at m = d0 = 1008, 4 at 4000),
+    The walk positions are cut into _SEGMENTS segments from m alone, and each
+    core's range is a run of whole segments, so a marginal the pass adds
+    segment by segment does not depend on the core count. Each range holds a
+    tile of 2 * m + d0 amplitudes, and numpy's multiply of a block through
+    the strided window may hold two buffers of np.getbufsize() values; these
+    share twice _SCRATCH, which bounds the ranges (6 at most at m = d0 =
+    1008, 4 at 4000). The ranges' blocks share _SCRATCH, or what is left of
+    3 * _SCRATCH beside the tiles, the buffers, one more row a range, which
+    carries a segment's running sum, and the segments' sums, d0 amplitudes
+    each. So a division holds at most 3 MiB of scratch on any core count,
     and every range has a block of at least one row. A block also holds at
     most an eighth of the rows, so that a small state's scratch adds little
     to its peak memory (m = 256: 32 rows, 128 KiB; the reuse-256 benchmark's
     peak RSS rose 1.3 % with 128 rows).
     """
-    most = max(1, 2 * _SCRATCH // (2 * m + d0 + 2 * np.getbufsize()))
-    cuts = _cuts(m, d0 * m, -(-m // most))
-    return cuts, max(1, min(m // 8, _SCRATCH // ((len(cuts) - 1) * d0)))
+    each = 2 * m + d0 + 2 * np.getbufsize()
+    cuts = _cuts(_SEGMENTS, d0 * m, 1, max(1, 2 * _SCRATCH // each))
+    parts = len(cuts) - 1
+    spare = 3 * _SCRATCH - _SEGMENTS * d0 - parts * (each + d0)
+    rows = min(_SCRATCH, spare) // (parts * d0)
+    bounds = [m * k // _SEGMENTS for k in range(_SEGMENTS + 1)]
+    return bounds, cuts, max(1, min(m // 8, rows))
 
 
-def controlled_product(a: QState, b: QState, step: int, out=None, qft=None) -> QState:
+def controlled_product(a: QState, b: QState, step: int, out=None, qft=None,
+                       marginal=None) -> QState:
     """The joint state |a>|b> after the map |k, y> -> |k, y * step**k>.
 
     a is the control register (register 0 of the result) and b a group
@@ -167,6 +184,15 @@ def controlled_product(a: QState, b: QState, step: int, out=None, qft=None) -> Q
     "forward" or "inverse", also Fourier-transforms register 0, which must
     then be an exponent register: each block is transformed while it is in
     cache, and the result has the bits of qft_apply on the divided state.
+
+    marginal, a writable float64 array of d0 values, is filled with register
+    0's distribution; it needs qft. Once a block is copied to its rows, its
+    real and imaginary parts are squared in place and added into its
+    segment's column sums, row after row in walk order; the segments' sums
+    are then added in order, and each column's real and imaginary sums. So
+    the bits do not depend on the core count, and for a normalized state
+    they are within m * 2**-52 of marginal_distribution's, which adds the
+    same distribution in basis order.
     """
     ra, rb = _lone_register(a), _lone_register(b)
     if not isinstance(rb, GroupRegister):
@@ -175,9 +201,12 @@ def controlled_product(a: QState, b: QState, step: int, out=None, qft=None) -> Q
         raise ValueError(f"qft must be None, 'forward' or 'inverse', not {qft!r}")
     if qft is not None and not isinstance(ra, ExponentRegister):
         raise WrongRegisterKind("the Fourier transform acts on exponent registers only")
+    if marginal is not None and qft is None:
+        raise ValueError("a marginal is read after the transform: it needs qft")
     spec = rb.group
     d0, m = ra.dim, spec.order
     layout = RegisterLayout((ra, rb))  # refuses a joint state over the cap
+    inputs = (a.amplitudes, b.amplitudes)
     if out is not None:
         if not (isinstance(out, np.ndarray) and out.dtype == np.complex128
                 and out.shape == (d0 * m,) and out.flags.c_contiguous
@@ -185,8 +214,15 @@ def controlled_product(a: QState, b: QState, step: int, out=None, qft=None) -> Q
             raise WrongLayout(
                 f"out must be a flat, C-contiguous, writable complex128 array of "
                 f"{d0 * m} amplitudes")
-        if np.shares_memory(out, a.amplitudes) or np.shares_memory(out, b.amplitudes):
+        if any(np.shares_memory(out, given) for given in inputs):
             raise WrongLayout("out shares memory with an input register")
+    if marginal is not None:
+        if not (isinstance(marginal, np.ndarray) and marginal.dtype == np.float64
+                and marginal.shape == (d0,) and marginal.flags.writeable):
+            raise WrongLayout(f"marginal must be a writable float64 array of {d0} values")
+        if any(np.shares_memory(marginal, given) for given in (*inputs, out)
+               if given is not None):
+            raise WrongLayout("marginal shares memory with the state or an input")
     one = _mult_index_perm(spec, step)
     if one.min() < 0 or one.max() >= m or np.bincount(one, minlength=m).max() != 1:
         raise NotBijective(f"multiplying by {step!r} is not a permutation of {m} basis indices")
@@ -207,22 +243,29 @@ def controlled_product(a: QState, b: QState, step: int, out=None, qft=None) -> Q
             ends.append(len(walk))
     walk = np.array(walk, dtype=np.intp)
     along = b.amplitudes.take(walk)  # b along each reversed cycle
-    cuts, size = _blocks(d0, m)  # each range of walk positions goes in blocks from its start
+    # each range is whole segments of walk positions and goes in blocks from
+    # each segment's start
+    bounds, cuts, size = _blocks(d0, m)
     parts = len(cuts) - 1
     # a cycle of length L is tiled in whole copies, L + d0 - 1 <= L * reps < 2L + d0
     tiles = np.empty((parts, 2 * m + d0), dtype=np.complex128)
-    blocks = np.empty((parts, size, d0), dtype=np.complex128)
+    # row 0 of a range's block carries its segment's running sum
+    blocks = np.empty((parts, size + 1, d0), dtype=np.complex128)
+    # each segment's column sums of the squared real and imaginary parts
+    sums = np.zeros((_SEGMENTS, 2 * d0)) if marginal is not None else None
     if out is None:
         out = np.empty(d0 * m, dtype=np.complex128)
     rows = out.reshape(m, d0)
     transform = _fft(qft == "inverse")
 
-    def build(part, lo, hi):
-        tile, block = tiles[part], blocks[part]
+    def build(part, low, high):
+        tile, block = tiles[part], blocks[part, 1:]
+        squares = blocks[part].view(np.float64)  # row 0 is the carry
         slide = sliding_window_view(tile, d0)  # slide[p] is window p of the tile
-        cycle, tiled = bisect_right(ends, lo), -1
-        for first in range(lo, hi, size):
-            last = min(first + size, hi)
+        cycle, tiled = bisect_right(ends, bounds[low]), -1
+        for segment, first in [(segment, first) for segment in range(low, high)
+                               for first in range(bounds[segment], bounds[segment + 1], size)]:
+            last = min(first + size, bounds[segment + 1])
             pos = first
             while pos < last:
                 if ends[cycle] <= pos:
@@ -246,8 +289,18 @@ def controlled_product(a: QState, b: QState, step: int, out=None, qft=None) -> Q
             if qft is not None:
                 transform(built, axis=1, norm="ortho", out=built)
             rows[walk[first:last]] = built
+            if sums is not None:
+                # the carry, then the block's rows: a C-contiguous sum down
+                # the rows adds them one after another
+                added = squares[:1 + last - first]
+                np.square(added[1:], out=added[1:])
+                added[0] = sums[segment]
+                np.add.reduce(added, axis=0, out=sums[segment])
 
     _over_cores(cuts, build)
+    if sums is not None:
+        total = np.add.reduce(sums, axis=0)
+        np.add(total[0::2], total[1::2], out=marginal)
     return QState(layout, out)
 
 
@@ -311,12 +364,15 @@ def _exponent_group(a: QState, b: QState) -> GroupSpec:
     return spec
 
 
-def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None) -> QState:
+def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
+                marginal=None) -> QState:
     """Join an exponent register and a group register; divide the right by x**left.
 
     out, if given, is the buffer controlled_product writes the state into.
     qft, "forward" or "inverse", is the transform of the exponent register
     that follows the division, made block by block as the rows are built.
+    marginal, if given with qft, is filled with the exponent register's
+    distribution, added block by block in the same pass.
     """
     spec = _exponent_group(a, b)
-    return controlled_product(a, b, spec.inverse(x), out=out, qft=qft)
+    return controlled_product(a, b, spec.inverse(x), out=out, qft=qft, marginal=marginal)

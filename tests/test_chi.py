@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from chi_dlog import chi
+from chi_dlog import chi, qstate
 from chi_dlog.chi import (
     ChiHandle,
     chi_power_from,
@@ -18,7 +18,7 @@ from chi_dlog.chi import (
 from chi_dlog.dlog import run_dlog
 from chi_dlog.errors import ArtifactMismatch, RetryLimitExceeded, UnverifiedChi
 from chi_dlog.group import cyclic_group, totient, validate_group
-from chi_dlog.qstate import QState, fidelity
+from chi_dlog.qstate import QState, fidelity, marginal_distribution
 
 Z5 = validate_group(5, 2)
 Z7 = validate_group(7, 3)
@@ -223,30 +223,45 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
     # powers of g, that it joins the group register there and makes the
     # round's second transform as it builds the joint state. Only the round's
     # division, the one with the forward transform, is counted: the
-    # conversion after the measurement divides too
+    # conversion after the measurement divides too. That division also adds
+    # up the marginal the preparation draws from and sums its acceptance
+    # over, so no marginal_distribution call reads the joint state again
     calls = {"div_x_apply": [], "qft_apply": [], "marginal_distribution": []}
+    marginals = []
 
-    def counted(name):
-        inner = getattr(chi, name)
+    def counted(module, name):
+        inner = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            if name != "div_x_apply" or kwargs.get("qft") == "forward":
-                calls[name].append((sum(len(arg.layout.registers) for arg in args
-                                        if isinstance(arg, QState)), kwargs.get("qft")))
-            return inner(*args, **kwargs)
+            registers = sum(len(arg.layout.registers) for arg in args
+                            if isinstance(arg, QState))
+            # the handle's norm reads the marginal of its lone register
+            if name == "qft_apply" or name == "div_x_apply" and kwargs.get("qft") == "forward" \
+                    or name == "marginal_distribution" and registers == 2:
+                calls[name].append((registers, kwargs.get("qft")))
+            result = inner(*args, **kwargs)
+            if name == "div_x_apply" and kwargs.get("marginal") is not None:
+                marginals.append((kwargs["marginal"], marginal_distribution(result)))
+            return result
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(chi, name, counted(name))
+    for name in ("div_x_apply", "qft_apply"):
+        monkeypatch.setattr(chi, name, counted(chi, name))
+    for module in (chi, qstate):
+        monkeypatch.setattr(module, "marginal_distribution",
+                            counted(qstate, "marginal_distribution"), raising=False)
     spec = validate_group(n, g)
     for mode in ("sampled", "exhaustive"):
         for name in calls:
             calls[name] = []
+        marginals.clear()
         handle, stats = prepare_chi(spec, seed=seed, mode=mode)
         assert handle.verified
         assert stats.attempts >= (3 if mode == "sampled" else 1)
         assert calls == {"div_x_apply": [(2, "forward")], "qft_apply": [(1, None)],
-                         "marginal_distribution": [(2, None)]}
+                         "marginal_distribution": []}
+        (filled, basis_order), = marginals
+        assert np.abs(filled - basis_order).max() <= spec.order * 2.0 ** -52
 
 
 def test_prepare_sampled_retry_cap():

@@ -1,5 +1,6 @@
 """The discrete log procedure, its ledger, and the result record format."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 import chi_dlog
 from chi_dlog import chi, dlog, transforms
 from chi_dlog.chi import ChiHandle, chi_power_from, chi_reference, prepare_chi
+from chi_dlog.cli import main
 from chi_dlog.dlog import (
     SHOR_EXACT_FOURIER_TRANSFORMS,
     SHOR_EXACT_REGISTERS,
@@ -33,7 +35,7 @@ from chi_dlog.errors import (
     UnverifiedChi,
 )
 from chi_dlog.group import GroupSpec, dlog_oracle, validate_group
-from chi_dlog.qstate import QState
+from chi_dlog.qstate import QState, marginal_distribution
 from chi_dlog.transforms import div_x_apply
 
 # the order-3 subgroup modulo the prime 2**40 - 585, the largest modulus class
@@ -84,6 +86,37 @@ def test_run_dlog_sampled_mode():
     assert a.success_probability == pytest.approx(1.0, abs=1e-9)
     assert a.marginal is None
     assert np.array_equal(a.chi_post_fidelity, b.chi_post_fidelity)
+
+
+@pytest.mark.parametrize("n, g", [(1019, 2), (2003, 5)])
+def test_an_exhaustive_run_reports_the_mass_summed_in_basis_order(monkeypatch, n, g):
+    # the run reads its marginal from the division's pass, which adds in walk
+    # order; the mass it reports is the true exponent's column added in basis
+    # order, so it has the bits marginal_distribution gives that column
+    spec = validate_group(n, g)
+    handle = fresh_chi(spec)
+    joints = []
+
+    def kept(*args, **kwargs):
+        joints.append(div_x_apply(*args, **kwargs))
+        return joints[-1]
+    monkeypatch.setattr(dlog, "div_x_apply", kept)
+    for x in (spec.generator, 3, spec.pow(g, spec.order // 2 + 1)):
+        result = run_dlog(spec, handle, x)
+        basis_order = marginal_distribution(joints[-1])
+        assert result.success_probability == basis_order[result.oracle_p]
+        assert np.abs(result.marginal - basis_order).max() <= spec.order * 2.0 ** -52
+
+
+def test_dlog_stdout_at_m_2002_is_pinned(capsys):
+    # the golden recordings stop at m = 1018 and hold floats only within
+    # their tolerance; these are the bytes recorded before the run's
+    # marginal moved into its division
+    argv = ["dlog", "--n", "2003", "--g", "5", "--x-count", "3", "--prepare",
+            "--mode", "exhaustive"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "9afc7c4321fc2b8ff33c1bf0e5ca1b372c1db686d63e9ccb7d206ddcbba3a7ea"
 
 
 def test_run_dlog_replaces_handle_state():
@@ -298,11 +331,15 @@ def inject(monkeypatch, fault, spec, handle=None):
         monkeypatch.setattr(chi, "div_x_apply", lambda *args, qft=None, **kwargs: (
             fake if qft == "forward" else transforms.div_x_apply)(*args, qft=qft, **kwargs))
 
-    def poisoned(a, b, x, out=None, qft=None):
-        # the NaN lands between the division and its transform
+    def poisoned(a, b, x, out=None, qft=None, marginal=None):
+        # the NaN lands between the division and its transform, and so in
+        # the marginal the pass adds up after it
         joint = div_x_apply(a, b, x, out=out)
         joint.amplitudes[7] = np.nan
-        return transforms.qft_apply(joint, inverse=qft == "inverse")
+        joint = transforms.qft_apply(joint, inverse=qft == "inverse")
+        if marginal is not None:
+            marginal[...] = marginal_distribution(joint)
+        return joint
 
     if fault == "wrong-division":
         divide_by(lambda x: spec.pow(g, 7))

@@ -108,8 +108,8 @@ def test_repeated_preparations_keep_peak_rss_flat():
 def fresh_buffer_run(spec, chi_state, x):
     """An exhaustive run built by hand, dividing into a fresh buffer."""
     zero = basis_state(RegisterLayout((ExponentRegister(spec.order),)), (0,))
-    joint = qft_apply(div_x_apply(qft_apply(zero), chi_state, x), inverse=True)
-    marginal = marginal_distribution(joint)
+    marginal = np.empty(spec.order)
+    joint = div_x_apply(qft_apply(zero), chi_state, x, qft="inverse", marginal=marginal)
     return marginal, collapse(joint, int(np.argmax(marginal))).post_state
 
 

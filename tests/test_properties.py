@@ -19,7 +19,9 @@ from chi_dlog.cli import main
 from chi_dlog.dlog import run_dlog
 from chi_dlog.errors import ArtifactMismatch
 from chi_dlog.group import cyclic_group, multiplicative_order, validate_group
+from chi_dlog import qstate
 from chi_dlog.qstate import (
+    NORM_TOL,
     ExponentRegister,
     QState,
     RegisterLayout,
@@ -261,3 +263,37 @@ def test_parse_matches_the_line_by_line_reference(case):
     layout, text = case
     assert _parse_outcome(parse_amplitudes, text, layout) == \
         _parse_outcome(_parse_line_by_line, text, layout)
+
+
+# 300 rows of 300 amplitudes make two blocks of the product check
+RESIDUAL_SIDE = 300
+# deviations whose parts straddle the screen, 2 * max(|Re d|, |Im d|) <=
+# NORM_TOL, and the tolerance itself
+near_tolerance = st.floats(-1.5 * NORM_TOL, 1.5 * NORM_TOL)
+deviations = st.lists(st.tuples(st.integers(0, RESIDUAL_SIDE ** 2 - 1),
+                                near_tolerance, near_tolerance), min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(moved=deviations, seed=seeds)
+@example(moved=[(17, 0.75 * NORM_TOL, 0.75 * NORM_TOL)], seed=0)
+@example(moved=[(65536, 0.99 * NORM_TOL, 0.0)], seed=0)
+@example(moved=[(5, 0.5 * NORM_TOL, -0.5 * NORM_TOL), (89999, 0.71 * NORM_TOL, 0.71 * NORM_TOL)],
+         seed=1)
+def test_the_residual_screen_decides_as_the_magnitudes_do(moved, seed):
+    # a block that passes the screen takes no magnitudes; the check must
+    # still pass or fail exactly as the largest |d| does, and report that
+    # largest |d| when it fails
+    rng = np.random.default_rng(seed)
+    column, row = rng.normal(size=(2, RESIDUAL_SIDE)) + 1j * rng.normal(
+        size=(2, RESIDUAL_SIDE))
+    grid = np.multiply.outer(column, row)
+    for flat, re, im in moved:
+        grid.flat[flat] += complex(re, im)
+    exact = float(np.abs(np.multiply.outer(column, row) - grid).max())
+    got = qstate._residual(column, row, grid)
+    assert (got <= NORM_TOL) == (exact <= NORM_TOL)
+    if exact > NORM_TOL:
+        assert got == exact
+    else:
+        assert exact <= got

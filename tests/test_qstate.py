@@ -19,6 +19,7 @@ from chi_dlog.errors import (
 from chi_dlog.group import validate_group
 from chi_dlog.qstate import (
     DIM_CAP,
+    NORM_TOL,
     READOUT_BLOCK,
     ExponentRegister,
     GroupRegister,
@@ -335,6 +336,52 @@ def test_factor_out_checks_every_row_block():
             factor_out(joint, 1, b)
         with pytest.raises(NotAProductState):
             factor_out(joint, 0, a)
+
+
+def deviated(d, d0=48, d1=64, flat=17 * 48 + 5):
+    """A product state with one amplitude moved by d, its register 1, and the
+    residual factor_out must report on splitting that register off, taken
+    with a magnitude per amplitude."""
+    a, b = random_state(exp_layout(d0), d0), random_state(exp_layout(d1), d1)
+    joint = _product(a, b)
+    joint.amplitudes[flat] += d
+    grid = joint.amplitudes.reshape(d1, d0)
+    with np.errstate(invalid="ignore"):  # an infinite d makes NaNs
+        remaining = (grid * b.amplitudes.conj()[:, None]).sum(axis=0)
+        exact = np.abs(np.multiply.outer(b.amplitudes, remaining) - grid).max()
+    return joint, b, float(exact)
+
+
+def test_a_deviation_past_the_tolerance_in_both_parts_is_refused_with_its_residual():
+    # 2 * 0.75 * NORM_TOL fails the screen, and |d| is 1.06 * NORM_TOL: the
+    # block takes its magnitudes, and the message has the exact maximum
+    joint, b, exact = deviated(0.75 * NORM_TOL * (1 + 1j))
+    assert exact > NORM_TOL
+    with pytest.raises(NotAProductState,
+                       match=f"^residual {exact:.3e} after projecting register 1$"):
+        factor_out(joint, 1, b)
+    grid = joint.amplitudes.reshape(64, 48)
+    remaining = (grid * b.amplitudes.conj()[:, None]).sum(axis=0)
+    assert qstate._residual(b.amplitudes, remaining, grid) == exact
+
+
+@pytest.mark.parametrize("d", [0.99 * NORM_TOL, -0.99j * NORM_TOL, 0.4 * NORM_TOL * (1 - 1j)])
+def test_a_deviation_within_the_tolerance_passes(d):
+    # 0.99 in one part alone fails the screen and passes on its magnitude;
+    # 0.4 in both passes the screen with no magnitude taken
+    joint, b, exact = deviated(d)
+    assert exact <= NORM_TOL
+    factor_out(joint, 1, b)
+
+
+@pytest.mark.parametrize("d", [complex(np.nan, 0), complex(0, np.nan), complex(np.inf, 0),
+                               complex(0, -np.inf)])
+def test_a_nan_or_infinite_amplitude_fails_the_residual(d):
+    joint, b, _ = deviated(d)
+    # an infinite amplitude makes NaNs in the projection, which numpy warns of
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NotAProductState, match="^residual (nan|inf) "):
+        factor_out(joint, 1, b)
 
 
 # at or above the split threshold: squares whose rows and columns split

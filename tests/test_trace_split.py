@@ -71,9 +71,11 @@ def test_a_traced_run_records_one_qft_span_per_lone_register_transform(
 
     # each lone register's transform is one FFT call on the calling thread;
     # each joint transform is one call per block of rows its division builds:
-    # on two cores, 504 rows a core in blocks of 32, so 16 blocks on the
-    # calling thread and 16 on a second
-    assert m == 1008 and transforms._blocks(m, m) == ([0, 504, 1008], 32)
+    # on two cores, four segments of 126 rows a core, each in blocks of at
+    # most 32, so 16 blocks on the calling thread and 16 on a second
+    bounds, cuts, size = transforms._blocks(m, m)
+    assert m == 1008 and bounds == list(range(0, 1009, 126))
+    assert (cuts, size) == ([0, 4, 8], 32)
     # three divisions: the round's and the run's, each with its transform,
     # and the preparation's conversion, which makes no FFT call
     assert tracer.count("transforms.qft_apply") == 2
@@ -86,9 +88,9 @@ def test_a_traced_run_records_one_qft_span_per_lone_register_transform(
 
 def test_a_traced_preparation_records_every_span_on_the_calling_thread(
         see_cores, started):
-    # the preparation's five split passes, its division with the transform,
-    # marginal, row sum, residual and conversion division, each run one part
-    # on the calling thread and one on each other core
+    # the preparation's four split passes, its division with the transform
+    # and the marginal, row sum, residual and conversion division, each run
+    # one part on the calling thread and one on each other core
     cores = 2
     see_cores(cores)
     span_threads = []
@@ -98,7 +100,7 @@ def test_a_traced_preparation_records_every_span_on_the_calling_thread(
         chi_dlog.prepare_chi(validate_group(1009, 11), seed=0, mode="exhaustive")
     finally:
         tracer.uninstall()
-    assert len(started) == 5 * (cores - 1)
+    assert len(started) == 4 * (cores - 1)
     assert tracer.count("qstate.factor_out") == 1
     assert len(span_threads) == len(tracer.spans)
     assert set(span_threads) == {threading.get_ident()}

@@ -203,6 +203,90 @@ def test_a_division_refuses_a_transform_it_cannot_make():
         controlled_product(group_state(Z7, 25), b, 3, qft="forward")
 
 
+# x = 1, a generator and an x of small order (the last item) at each size;
+# from m = 1450 a chi handle keeps its runs' buffer
+PASS_MARGINAL_CASES = {
+    "m=512": (cyclic_group(512), 4),
+    "m=1008": (validate_group(1009, 11), 7),
+    "m=1450": (validate_group(1451, 2), 5),
+    "m=2002": (validate_group(2003, 5), 7),
+}
+
+
+@pytest.mark.parametrize("name", list(PASS_MARGINAL_CASES))
+def test_the_pass_marginal_is_bit_identical_on_any_core_count(see_cores, started, name):
+    # the sum goes segment by segment, so neither the core count nor a passed
+    # buffer moves a bit; and it stays within m ulps of 1 of the basis-order sum
+    spec, order = PASS_MARGINAL_CASES[name]
+    m, g = spec.order, spec.generator
+    a, b = exponent_state(m, m), group_state(spec, m + 1)
+    for x, qft in ((spec.identity, "inverse"), (g, "forward"),
+                   (spec.pow(g, m // order), "inverse")):
+        want = qft_after(div_x_apply, a, b, x, qft=qft)
+        first = None
+        for count in (1, 2, 3, 4, 8, 64):
+            see_cores(count)
+            for out in (None, np.full(m * m, np.nan, dtype=np.complex128)):
+                marginal = np.full(m, np.nan)
+                started.clear()
+                got = div_x_apply(a, b, x, out=out, qft=qft, marginal=marginal)
+                assert np.array_equal(got.amplitudes, want)
+                first = marginal if first is None else first
+                assert np.array_equal(marginal, first)
+                assert len(started) <= count - 1
+                assert not any(thread.is_alive() for thread in started)
+        basis_order = qstate.marginal_distribution(QState(got.layout, want))
+        assert np.abs(first - basis_order).max() <= m * 2.0 ** -52
+
+
+def test_the_pass_marginal_matches_the_marginal_exhaustively():
+    for spec in oracle_groups():
+        m = spec.order
+        a, b = exponent_state(m, m), group_state(spec, m + 1)
+        for x in spec.elements:
+            for qft in ("forward", "inverse"):
+                marginal = np.full(m, np.nan)
+                joint = div_x_apply(a, b, x, qft=qft, marginal=marginal)
+                assert np.abs(marginal - qstate.marginal_distribution(joint)).max() \
+                    <= m * 2.0 ** -52
+
+
+def _marginals():
+    """A bad marginal for each refusal, for a 6 x 6 joint state."""
+    frozen = np.zeros(6)
+    frozen.setflags(write=False)
+    return {
+        "a list": [0.0] * 6,
+        "float32": np.zeros(6, dtype=np.float32),
+        "complex128": np.zeros(6, dtype=np.complex128),
+        "too short": np.zeros(5),
+        "too long": np.zeros(7),
+        "two-dimensional": np.zeros((6, 1)),
+        "read-only": frozen,
+    }
+
+
+@pytest.mark.parametrize("what", list(_marginals()))
+def test_a_division_refuses_a_bad_marginal(what):
+    a, b = exponent_state(6, 11), group_state(Z7, 12)
+    marginal = _marginals()[what]
+    with pytest.raises(WrongLayout, match="marginal must be"):
+        div_x_apply(a, b, 3, qft="forward", marginal=marginal)
+    assert not np.any(marginal)
+
+
+def test_a_marginal_needs_a_transform_and_memory_of_its_own():
+    a, b = exponent_state(6, 11), group_state(Z7, 12)
+    with pytest.raises(ValueError, match="needs qft"):
+        div_x_apply(a, b, 3, marginal=np.zeros(6))
+    out = np.zeros(36, dtype=np.complex128)
+    with pytest.raises(WrongLayout, match="shares memory"):
+        div_x_apply(a, b, 3, out=out, qft="forward", marginal=out.real[:6])
+    with pytest.raises(WrongLayout, match="shares memory"):
+        div_x_apply(a, b, 3, qft="forward", marginal=a.amplitudes.imag)
+    assert not np.any(out)
+
+
 def test_a_state_below_the_split_threshold_starts_no_thread(see_cores, started):
     see_cores(4)
     assert 511 * 513 == qstate._SPLIT_MIN - 1 and 512 * 512 == qstate._SPLIT_MIN
@@ -221,15 +305,20 @@ def test_a_state_below_the_split_threshold_starts_no_thread(see_cores, started):
 @pytest.mark.parametrize("count", [1, 2, 8, 64, 4096])
 def test_the_division_scratch_does_not_grow_with_the_cores(see_cores, count):
     # each range of rows holds a block, a tile of 2m + d0 and numpy's two
-    # multiply buffers: at most 3 MiB together even with another m amplitudes
-    # a range, whatever the core count (no thread starts here)
+    # multiply buffers, and the ranges share _SEGMENTS sums of a marginal: at
+    # most 3 MiB together even with another m amplitudes a range, whatever
+    # the core count (no thread starts here)
     see_cores(count)
+    segments = transforms._SEGMENTS
     for m in (512, 1008, 1450, 2002, 4000):
-        cuts, size = transforms._blocks(m, m)
+        bounds, cuts, size = transforms._blocks(m, m)
         parts = len(cuts) - 1
-        assert cuts[0] == 0 and cuts[-1] == m and min(np.diff(cuts)) >= 1
+        # the segments depend on m alone, and each range is whole segments
+        assert bounds == [m * k // segments for k in range(segments + 1)]
+        assert cuts[0] == 0 and cuts[-1] == segments and min(np.diff(cuts)) >= 1
         assert 1 <= parts <= count and size >= 1
-        assert 16 * parts * (size * m + 4 * m + 2 * np.getbufsize()) <= 3 * 2 ** 20
+        assert 16 * (parts * (size * m + 4 * m + 2 * np.getbufsize())
+                     + segments * m) <= 3 * 2 ** 20
 
 
 class PartFailed(Exception):
@@ -263,10 +352,11 @@ def test_a_run_at_m_1008_leaves_no_thread_running(see_cores, started):
     handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
     run_dlog(spec, handle, 3, mode="exhaustive")
     # on two cores each split pass over a joint state starts one thread: the
-    # preparation's division with its transform, marginal, row sum, residual
-    # and conversion division, then the run's division with its transform and
-    # its marginal. The lone registers' transforms (1008 amplitudes) start none
-    assert len(started) == 7
+    # preparation's division with its transform, row sum, residual and
+    # conversion division, then the run's division with its transform. The
+    # two divisions with a transform add up their marginals as they go, and
+    # the lone registers' transforms (1008 amplitudes) start none
+    assert len(started) == 5
     assert threading.active_count() == before
 
 
