@@ -9,7 +9,7 @@ measured value's inverse converts the surviving state to power 1.
 
 Every division here is the run's own operator, div_x_apply. The round loads
 the powers of g with x = g**-1 and, in the same pass, adds up the
-distribution the measurement draws from. The conversion, and
+distribution a sampled preparation draws from. The conversion, and
 chi_power_from, divide by a group register holding g**k raised to alpha:
 that is dividing by (g**alpha)**k, controlled on the exponent k, so their
 left register is the chi state written over exponents (_chi_exponents) and
@@ -38,6 +38,7 @@ from .qstate import (
     GroupRegister,
     QState,
     RegisterLayout,
+    _column_masses,
     basis_state,
     collapse,
     dump_amplitudes,
@@ -156,15 +157,15 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
                 max_attempts: int = 10_000) -> tuple[ChiHandle, PrepStats]:
     """Prepare a verified power-1 chi state for the group.
 
-    The round before the measurement is simulated once per call, and its
-    division adds up the distribution of the measured value. Sampled mode
-    draws the measured value from it with a seeded generator, redrawing
-    while the value shares a factor with the order, and collapses only the
-    accepted draw. Exhaustive mode instead reports the exact acceptance
-    probability of the coprimality test, the distribution summed over the
-    coprime values, and collapses deterministically onto the smallest
-    coprime value, so it always finishes in one attempt. Returns the handle
-    and the attempt statistics.
+    The round before the measurement is simulated once per call. In sampled
+    mode its division adds up the distribution of the measured value, which
+    is drawn from with a seeded generator, redrawn while the value shares a
+    factor with the order; only the accepted draw is collapsed. Exhaustive
+    mode instead reports the exact acceptance probability of the coprimality
+    test, the round's coprime columns added in basis order as
+    marginal_distribution adds them, and collapses deterministically onto
+    the smallest coprime value, so it always finishes in one attempt.
+    Returns the handle and the attempt statistics.
 
     A wrong round is refused by the checks every preparation makes:
     collapse and sample_index (DegenerateNorm), the retry cap
@@ -176,14 +177,20 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     m = spec.order
-    probs = np.empty(m)
-    state = _superposed_round(spec, probs)
-
     acceptance = None
     if mode == "exhaustive":
-        acceptance = float(sum(probs[s] for s in range(m) if gcd(s, m) == 1))
-        observed = [next(s for s in range(m) if gcd(s, m) == 1)]
+        state = _superposed_round(spec)
+        coprime = [s for s in range(m) if gcd(s, m) == 1]
+        # the pass would add in walk order; the acceptance is added in basis
+        # order, as marginal_distribution adds it, from the columns that can
+        # be coprime: the odd ones where m is even
+        step = 2 - m % 2
+        masses = _column_masses(state, slice(step - 1, m, step))
+        acceptance = float(sum(masses[s // step] for s in coprime))
+        observed = coprime[:1]
     else:
+        probs = np.empty(m)
+        state = _superposed_round(spec, probs)
         rng = np.random.default_rng(seed)
         observed = []
         for _ in range(max_attempts):

@@ -30,7 +30,7 @@ from .group import GroupSpec, dlog_oracle
 from .qstate import (
     ExponentRegister,
     RegisterLayout,
-    _column_mass,
+    _column_masses,
     basis_state,
     collapse,
     sample_index,
@@ -119,7 +119,7 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
 
     # the pass adds in walk order; the mass a record prints is added in
     # basis order, as marginal_distribution adds it, from one column
-    true_mass = _column_mass(joint, p_true)
+    true_mass = float(_column_masses(joint, slice(p_true, p_true + 1))[0])
     if mode == "exhaustive":
         outcome = collapse(joint, int(np.argmax(marginal)))
         success = true_mass

@@ -12,18 +12,19 @@ Fourier transform follows the division, transforms it block by block in the
 same pass and adds up register 0's distribution as it goes. Everything here
 returns new arrays.
 Only register 0 is ever read out, as in the procedure, where it is the
-exponent register: a run and a preparation take its distribution from that
-pass, sample_index draws from it, and collapse measures it and keeps
-register 1. marginal_distribution gives the same distribution added in basis
-order; it serves the norm of a one-register state, and the tests read a
-two-register state's with it. Readout and factor_out work in blocks of rows,
-so none of them makes a temporary the size of a two-register state. The
-marginal, the norm, and factor_out, which splits off register 1 by summing
-the grid's rows and register 0 by summing its columns, are one row sum,
-which adds in a fixed order and makes no BLAS call, so their bits are the
-same on any core and BLAS thread count. factor_out's product check clears a
-block of rows without magnitudes where the deviations are far below its
-tolerance.
+exponent register: a run and a sampled preparation take its distribution
+from that pass, sample_index draws from it, and collapse measures it and
+keeps register 1. marginal_distribution gives the same distribution added in
+basis order; it serves the norm of a one-register state, and the tests read a
+two-register state's with it. The masses a record prints are added in that
+order from the columns they need alone (_column_masses). Readout and
+factor_out work in blocks of rows, so none of them makes a temporary the
+size of a two-register state. The marginal, the column masses, the norm,
+and factor_out, which splits off register 1 by summing the grid's rows and
+register 0 by summing its columns, are one row sum, which adds in a fixed
+order and makes no BLAS call, so their bits are the same on any core and
+BLAS thread count. factor_out's product check clears a block of rows
+without magnitudes where the deviations are far below its tolerance.
 
 From _SPLIT_MIN amplitudes on, a pass over a two-register state runs on every
 core in the process's affinity mask through _over_cores, which every
@@ -260,24 +261,30 @@ def marginal_distribution(state: QState) -> np.ndarray:
     if d0 == 1:
         # no grid to block; numpy sums a single column pairwise, not row by row
         return (np.abs(state.amplitudes) ** 2).reshape(-1, 1).sum(axis=0)
-
-    def densities(block, start, out):
-        np.abs(block, out=out)
-        np.square(out, out=out)
-
-    return _row_sum(state.amplitudes.reshape(-1, d0), np.float64, densities)
+    return _row_sum(state.amplitudes.reshape(-1, d0), np.float64, _densities)
 
 
-def _column_mass(state: QState, index: int) -> float:
-    """marginal_distribution(state)[index] of a two-register state, in O(dim1).
+def _column_masses(state: QState, columns: slice) -> np.ndarray:
+    """marginal_distribution(state)[columns] of a two-register state.
 
-    The same terms, |amplitude| squared, added one after another down the
-    column in basis order as the marginal's row sum adds them, so the bits
-    are the same.
+    Only those columns are read, through a strided view: the same terms,
+    |amplitude| squared, added one after another down each column in basis
+    order as the marginal's row sum adds them, so the bits are the same. One
+    column costs O(dim1).
     """
-    terms = np.abs(_grid(state)[:, index])
-    np.square(terms, out=terms)
-    return float(np.cumsum(terms)[-1])
+    grid = _grid(state)[:, columns]
+    if grid.shape[1] == 1:
+        # numpy sums a lone column pairwise, not row by row; cumsum adds in order
+        terms = np.abs(grid[:, 0])
+        np.square(terms, out=terms)
+        return np.cumsum(terms)[-1:]
+    return _row_sum(grid, np.float64, _densities)
+
+
+def _densities(block, start, out):
+    """The row sum's fill for a distribution: |block| squared, into out."""
+    np.abs(block, out=out)
+    np.square(out, out=out)
 
 
 def _row_sum(grid: np.ndarray, dtype, fill) -> np.ndarray:

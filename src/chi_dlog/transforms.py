@@ -27,16 +27,16 @@ the same pass (qft=): each block is transformed while it is in cache, so the
 joint state goes through memory once. Each row is transformed exactly as one
 whole-array call transforms it, so the bits are those of qft_apply after the
 division. The same pass adds up the exponent register's distribution
-(marginal=), which the preparation and a run draw from, so neither reads the
-joint state a second time for it. From 2**18 amplitudes on (a joint state
-at m = 512) qstate._over_cores, which the readout and factor_out share, cuts
-the rows of every division into contiguous ranges of whole segments, one per
-core in the process's affinity mask; numpy releases the GIL inside its
-multiply and FFT, so one core's Python loop overlaps another's work. The
-ranges share one fixed scratch (_blocks), so a division holds at most 3 MiB
-beside its state on any core count. Every thread is joined before the call
-returns, and the output, the distribution included, is the same on any core
-count.
+(marginal=), which a run and a sampled preparation draw from, so neither
+reads the joint state a second time for it. From 2**18 amplitudes on (a
+joint state at m = 512) qstate._over_cores, which the readout and factor_out
+share, cuts the rows of every division into contiguous ranges of whole
+segments, one per core in the process's affinity mask; numpy releases the
+GIL inside its multiply and FFT, so one core's Python loop overlaps
+another's work. The ranges share one fixed scratch (_blocks), so a division
+holds at most 3 MiB beside its state on any core count. Every thread is
+joined before the call returns, and the output, the distribution included,
+is the same on any core count.
 
 fourier_matrix and the three joint-index tables below (div_alpha_permutation,
 div_x_permutation, power_oracle_permutation) are reference oracles: the verify
@@ -82,8 +82,10 @@ __all__ = [
 _SCRATCH = 1 << 16
 # segments of the walk a marginal is added over: their bounds depend on m
 # alone and every core's range is whole segments, so the sum does not depend
-# on the core count; 8 splits evenly over 2, 4 and 8 cores
-_SEGMENTS = 8
+# on the core count. A division takes 7 ranges at most (_blocks); 12 splits
+# evenly over 2, 3, 4 and 6 of them, and the longest of 5 ranges holds a
+# quarter more rows than an even split, of 7 a sixth more
+_SEGMENTS = 12
 
 
 # maxsize=0 stores nothing (an m = 512 matrix alone is 4 MB) but still
@@ -143,18 +145,19 @@ def _blocks(d0: int, m: int) -> tuple[list[int], list[int], int]:
     segment by segment does not depend on the core count. Each range holds a
     tile of 2 * m + d0 amplitudes, and numpy's multiply of a block through
     the strided window may hold two buffers of np.getbufsize() values; these
-    share twice _SCRATCH, which bounds the ranges (6 at most at m = d0 =
-    1008, 4 at 4000). The ranges' blocks share _SCRATCH, or what is left of
-    3 * _SCRATCH beside the tiles, the buffers, one more row a range, which
-    carries a segment's running sum, and the segments' sums, d0 amplitudes
-    each. So a division holds at most 3 MiB of scratch on any core count,
-    and every range has a block of at least one row. A block also holds at
-    most an eighth of the rows, so that a small state's scratch adds little
-    to its peak memory (m = 256: 32 rows, 128 KiB; the reuse-256 benchmark's
-    peak RSS rose 1.3 % with 128 rows).
+    share twice _SCRATCH. The ranges' blocks share _SCRATCH, or what is left
+    of 3 * _SCRATCH beside the tiles, the buffers, one more row a range,
+    which carries a segment's running sum, and the segments' sums, d0
+    amplitudes each. There are as many ranges as both bounds allow with a
+    block of at least one row each (7 at most at m = d0 = 512, 6 at 1008, 5
+    at 2002, 4 at 4000), so a division holds at most 3 MiB of scratch on any
+    core count. A block also holds at most an eighth of the rows, so that a
+    small state's scratch adds little to its peak memory (m = 256: 32 rows,
+    128 KiB; the reuse-256 benchmark's peak RSS rose 1.3 % with 128 rows).
     """
     each = 2 * m + d0 + 2 * np.getbufsize()
-    cuts = _cuts(_SEGMENTS, d0 * m, 1, max(1, 2 * _SCRATCH // each))
+    most = min(2 * _SCRATCH // each, (3 * _SCRATCH - _SEGMENTS * d0) // (each + 2 * d0))
+    cuts = _cuts(_SEGMENTS, d0 * m, 1, max(1, most))
     parts = len(cuts) - 1
     spare = 3 * _SCRATCH - _SEGMENTS * d0 - parts * (each + d0)
     rows = min(_SCRATCH, spare) // (parts * d0)

@@ -88,6 +88,17 @@ def test_prepare_exhaustive_acceptance_matches_totient_ratio():
         assert stats.acceptance_probability == pytest.approx(totient(m) / m, abs=1e-9)
 
 
+@pytest.mark.parametrize("n, g, recorded", [(101, 2, 0.4000000000000002),
+                                            (1019, 2, 0.4990176817288758),
+                                            (2003, 5, 0.35964035964036073)])
+def test_exhaustive_acceptance_keeps_its_recorded_bits(n, g, recorded):
+    # the round's coprime columns added in basis order, as marginal_distribution
+    # adds them, then over s; summed in the division's walk order the m = 100
+    # value reads 0.4000000000000003 and the m = 2002 one moves by 2.7e-15
+    _, stats = prepare_chi(validate_group(n, g), mode="exhaustive")
+    assert stats.acceptance_probability == recorded
+
+
 def test_prepare_sampled_is_deterministic():
     a_handle, a_stats = prepare_chi(Z7, seed=1)
     b_handle, b_stats = prepare_chi(Z7, seed=1)
@@ -223,11 +234,13 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
     # powers of g, that it joins the group register there and makes the
     # round's second transform as it builds the joint state. Only the round's
     # division, the one with the forward transform, is counted: the
-    # conversion after the measurement divides too. That division also adds
-    # up the marginal the preparation draws from and sums its acceptance
-    # over, so no marginal_distribution call reads the joint state again
-    calls = {"div_x_apply": [], "qft_apply": [], "marginal_distribution": []}
-    marginals = []
+    # conversion after the measurement divides too. In sampled mode that
+    # division also adds up the marginal the preparation draws from; in
+    # exhaustive mode the acceptance is the coprime columns added in basis
+    # order, so no marginal_distribution call reads the joint state again
+    calls = {"div_x_apply": [], "qft_apply": [], "marginal_distribution": [],
+             "_column_masses": []}
+    rounds = []  # the marginal each round filled, and the reference's
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -236,32 +249,42 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
             registers = sum(len(arg.layout.registers) for arg in args
                             if isinstance(arg, QState))
             # the handle's norm reads the marginal of its lone register
-            if name == "qft_apply" or name == "div_x_apply" and kwargs.get("qft") == "forward" \
+            if name in ("qft_apply", "_column_masses") \
+                    or name == "div_x_apply" and kwargs.get("qft") == "forward" \
                     or name == "marginal_distribution" and registers == 2:
                 calls[name].append((registers, kwargs.get("qft")))
             result = inner(*args, **kwargs)
-            if name == "div_x_apply" and kwargs.get("marginal") is not None:
-                marginals.append((kwargs["marginal"], marginal_distribution(result)))
+            if name == "div_x_apply" and kwargs.get("qft") == "forward":
+                # read before the conversion divides into the round's buffer
+                rounds.append((kwargs.get("marginal"), marginal_distribution(result)))
             return result
         return wrapper
 
-    for name in ("div_x_apply", "qft_apply"):
+    for name in ("div_x_apply", "qft_apply", "_column_masses"):
         monkeypatch.setattr(chi, name, counted(chi, name))
     for module in (chi, qstate):
         monkeypatch.setattr(module, "marginal_distribution",
                             counted(qstate, "marginal_distribution"), raising=False)
     spec = validate_group(n, g)
+    m = spec.order
     for mode in ("sampled", "exhaustive"):
         for name in calls:
             calls[name] = []
-        marginals.clear()
+        rounds.clear()
         handle, stats = prepare_chi(spec, seed=seed, mode=mode)
         assert handle.verified
         assert stats.attempts >= (3 if mode == "sampled" else 1)
-        assert calls == {"div_x_apply": [(2, "forward")], "qft_apply": [(1, None)],
-                         "marginal_distribution": []}
-        (filled, basis_order), = marginals
-        assert np.abs(filled - basis_order).max() <= spec.order * 2.0 ** -52
+        (filled, basis_order), = rounds
+        if mode == "sampled":
+            assert calls == {"div_x_apply": [(2, "forward")], "qft_apply": [(1, None)],
+                             "marginal_distribution": [], "_column_masses": []}
+            assert np.abs(filled - basis_order).max() <= m * 2.0 ** -52
+        else:
+            assert calls == {"div_x_apply": [(2, "forward")], "qft_apply": [(1, None)],
+                             "marginal_distribution": [], "_column_masses": [(2, None)]}
+            assert filled is None
+            coprime = sum(basis_order[s] for s in range(m) if math.gcd(s, m) == 1)
+            assert stats.acceptance_probability == float(coprime)
 
 
 def test_prepare_sampled_retry_cap():

@@ -161,6 +161,19 @@ def test_blocked_marginal_matches_the_plain_sum(d0, d1):
     assert np.array_equal(marginal_distribution(state), dens.sum(axis=0))
 
 
+# a lone column (numpy would add it pairwise), every other column, a ragged
+# range and all of them, on grids under and over the split threshold
+@pytest.mark.parametrize("d0,d1", [(7, 20000), (1008, 1008), (1009, 300)])
+@pytest.mark.parametrize("count", [1, 2, 3, 8])
+def test_column_masses_have_the_marginals_bits(see_cores, d0, d1, count):
+    see_cores(count)
+    state = random_state(RegisterLayout((ExponentRegister(d0), ExponentRegister(d1))), d0)
+    whole = marginal_distribution(state)
+    for columns in (slice(3, 4), slice(d0 - 1, d0), slice(1, d0, 2), slice(0, d0, 2),
+                    slice(2, d0 - 1, 3), slice(0, d0)):
+        assert np.array_equal(qstate._column_masses(state, columns), whole[columns])
+
+
 def test_one_register_marginal_is_the_density():
     state = random_state(exp_layout(1009), 4)
     assert np.array_equal(marginal_distribution(state), np.abs(state.amplitudes) ** 2)

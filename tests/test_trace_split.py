@@ -71,26 +71,27 @@ def test_a_traced_run_records_one_qft_span_per_lone_register_transform(
 
     # each lone register's transform is one FFT call on the calling thread;
     # each joint transform is one call per block of rows its division builds:
-    # on two cores, four segments of 126 rows a core, each in blocks of at
-    # most 32, so 16 blocks on the calling thread and 16 on a second
+    # on two cores, six segments of 84 rows a core, each in blocks of at
+    # most 32, so 18 blocks on the calling thread and 18 on a second
     bounds, cuts, size = transforms._blocks(m, m)
-    assert m == 1008 and bounds == list(range(0, 1009, 126))
-    assert (cuts, size) == ([0, 4, 8], 32)
+    assert m == 1008 and bounds == list(range(0, 1009, 84))
+    assert (cuts, size) == ([0, 6, 12], 32)
     # three divisions: the round's and the run's, each with its transform,
     # and the preparation's conversion, which makes no FFT call
     assert tracer.count("transforms.qft_apply") == 2
     assert tracer.count("transforms.div_x_apply") == 3
-    assert fft_threads.count(caller) == 2 + 2 * 16
-    assert len(fft_threads) == 2 + 2 * 32
+    assert fft_threads.count(caller) == 2 + 2 * 18
+    assert len(fft_threads) == 2 + 2 * 36
     assert len(span_threads) == len(tracer.spans)
     assert set(span_threads) == {caller}
 
 
 def test_a_traced_preparation_records_every_span_on_the_calling_thread(
         see_cores, started):
-    # the preparation's four split passes, its division with the transform
-    # and the marginal, row sum, residual and conversion division, each run
-    # one part on the calling thread and one on each other core
+    # the exhaustive preparation's five split passes, its division with the
+    # transform, the acceptance's row sum over the coprime columns,
+    # factor_out's row sum and residual, and the conversion division, each
+    # run one part on the calling thread and one on each other core
     cores = 2
     see_cores(cores)
     span_threads = []
@@ -100,7 +101,7 @@ def test_a_traced_preparation_records_every_span_on_the_calling_thread(
         chi_dlog.prepare_chi(validate_group(1009, 11), seed=0, mode="exhaustive")
     finally:
         tracer.uninstall()
-    assert len(started) == 4 * (cores - 1)
+    assert len(started) == 5 * (cores - 1)
     assert tracer.count("qstate.factor_out") == 1
     assert len(span_threads) == len(tracer.spans)
     assert set(span_threads) == {threading.get_ident()}

@@ -310,7 +310,8 @@ def test_the_division_scratch_does_not_grow_with_the_cores(see_cores, count):
     # the core count (no thread starts here)
     see_cores(count)
     segments = transforms._SEGMENTS
-    for m in (512, 1008, 1450, 2002, 4000):
+    # from m = 3100 the segments' sums leave room for only 4 ranges
+    for m in (512, 1008, 1450, 2002, 3100, 4000):
         bounds, cuts, size = transforms._blocks(m, m)
         parts = len(cuts) - 1
         # the segments depend on m alone, and each range is whole segments
@@ -319,6 +320,16 @@ def test_the_division_scratch_does_not_grow_with_the_cores(see_cores, count):
         assert 1 <= parts <= count and size >= 1
         assert 16 * (parts * (size * m + 4 * m + 2 * np.getbufsize())
                      + segments * m) <= 3 * 2 ** 20
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 6])
+def test_the_division_splits_evenly_over_2_3_4_and_6_cores(see_cores, count):
+    # every range holds as many segments, so none runs longer than an even
+    # split of the rows would
+    see_cores(count)
+    for m in (1008, 1450):
+        _, cuts, _ = transforms._blocks(m, m)
+        assert len(cuts) - 1 == count and len(set(np.diff(cuts))) == 1
 
 
 class PartFailed(Exception):
@@ -352,11 +363,12 @@ def test_a_run_at_m_1008_leaves_no_thread_running(see_cores, started):
     handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
     run_dlog(spec, handle, 3, mode="exhaustive")
     # on two cores each split pass over a joint state starts one thread: the
-    # preparation's division with its transform, row sum, residual and
-    # conversion division, then the run's division with its transform. The
-    # two divisions with a transform add up their marginals as they go, and
-    # the lone registers' transforms (1008 amplitudes) start none
-    assert len(started) == 5
+    # preparation's division with its transform, the acceptance's row sum
+    # over the coprime columns, factor_out's row sum and residual, and the
+    # conversion division, then the run's division with its transform, which
+    # adds up the run's marginal as it goes. The lone registers' transforms
+    # (1008 amplitudes) start none
+    assert len(started) == 6
     assert threading.active_count() == before
 
 
