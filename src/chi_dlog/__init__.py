@@ -18,7 +18,6 @@ from .errors import (
     NotInGroup,
     RetryLimitExceeded,
     UnverifiedChi,
-    WrongLayout,
     WrongRegisterKind,
 )
 from .group import (
@@ -51,7 +50,7 @@ from .qstate import (
     parse_amplitudes,
     sample_index,
 )
-from .transforms import controlled_product, div_x_apply, qft_apply
+from .transforms import div_x_apply, qft_apply
 from .chi import (
     ChiHandle,
     PrepStats,

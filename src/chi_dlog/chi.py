@@ -7,7 +7,8 @@ load powers of g, transform the exponent register again, measure it, and
 retry until the observed value is coprime to m; a final division by the
 measured value's inverse converts the surviving state to power 1.
 
-Every division here is the run's own operator, div_x_apply. The round loads
+Every division here is the run's own operator, div_x_apply, the package's
+only division and its only operator that joins two registers. The round loads
 the powers of g with x = g**-1 and, in the same pass, adds up the
 distribution a sampled preparation draws from. The conversion, and
 chi_power_from, divide by a group register holding g**k raised to alpha:

@@ -5,9 +5,10 @@ chi register (m amplitudes, not m**2), build the joint state with the chi
 register divided by x raised to that exponent (which only kicks phases back
 onto the exponent register), transform back, and read the exponent register.
 The division and the inverse transform are one pass over the joint state
-(div_x_apply with qft="inverse"), which also adds up the exponent register's
-distribution (marginal=), so the run reads the joint state no second time;
-the ledger still counts one division and two Fourier transforms per run.
+(div_x_apply, the package's only division, with qft="inverse"), which also
+adds up the exponent register's distribution (marginal=), so the run reads
+the joint state no second time; the ledger still counts one division and
+two Fourier transforms per run.
 The chi register survives and the handle carries its post-run state forward,
 so reuse is observable rather than assumed. Every run takes one checked
 path: a run is correct exactly when the chi register comes back at fidelity

@@ -38,7 +38,7 @@ class DegenerateNorm(ChiDlogError):
 
 
 class LayoutMismatch(ChiDlogError):
-    """Two states (or a state and an operand) disagree on register layout."""
+    """A register layout or buffer does not fit the operation, or two states disagree on it."""
 
 
 class NotAProductState(ChiDlogError):
@@ -47,10 +47,6 @@ class NotAProductState(ChiDlogError):
 
 class WrongRegisterKind(ChiDlogError):
     """Operation applied to a register of the wrong kind."""
-
-
-class WrongLayout(ChiDlogError):
-    """Operation applied to a state with an incompatible register layout."""
 
 
 class UnverifiedChi(ChiDlogError):

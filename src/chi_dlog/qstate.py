@@ -38,6 +38,7 @@ on the core count. collapse and everything smaller run on the calling thread.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
@@ -212,8 +213,10 @@ def _over_cores(cuts: list[int], work) -> None:
 
     The caller runs part 0 and one short-lived thread each of the others; all
     are joined before this returns, and the first exception a part raises is
-    raised here. A part on a thread must call numpy only, which releases the
-    GIL, and write into arrays its caller made.
+    raised here. Each thread runs in a copy of the caller's context, so a
+    numpy errstate the caller sets holds in every part. A part on a thread
+    must call numpy only, which releases the GIL, and write into arrays its
+    caller made.
     """
     failures: list[BaseException] = []
 
@@ -226,7 +229,8 @@ def _over_cores(cuts: list[int], work) -> None:
     threads = []
     try:
         for part in range(1, len(cuts) - 1):
-            thread = threading.Thread(target=run, args=(part,))
+            thread = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(run, part))
             thread.start()
             threads.append(thread)
         run(0)
@@ -390,13 +394,16 @@ def factor_out(state: QState, register_index: int, expected: QState) -> QState:
     def weighted(block, start, out):
         np.multiply(block, weights[start:start + len(block)], out=out)
 
-    # the grid's rows are register 1's basis states and its columns register 0's
-    remaining = _row_sum(grid if register_index == 1 else grid.T, np.complex128, weighted)
-    if register_index == 1:
-        column, row, keep = e, remaining, regs[0]
-    else:
-        column, row, keep = remaining, e, regs[1]
-    residual = _residual(column, row, grid)
+    # an infinite amplitude makes NaNs, which the residual check refuses
+    with np.errstate(invalid="ignore"):
+        # the grid's rows are register 1's basis states and its columns register 0's
+        remaining = _row_sum(grid if register_index == 1 else grid.T, np.complex128,
+                             weighted)
+        if register_index == 1:
+            column, row, keep = e, remaining, regs[0]
+        else:
+            column, row, keep = remaining, e, regs[1]
+        residual = _residual(column, row, grid)
     if not residual <= NORM_TOL:
         raise NotAProductState(
             f"residual {residual:.3e} after projecting register {register_index}")

@@ -7,19 +7,19 @@ no other register. qft_apply transforms the lone exponent register a run or
 a preparation starts from; it consumes the state it is given, overwriting its
 amplitudes in one numpy call, and returns it.
 
-Every division in the procedure is div_x_apply: it joins an exponent
-register k and a group register and divides the latter by x**k. Its
-primitive, controlled_product, takes the two one-register states and writes
-the divided joint state straight into a fresh buffer, or into one the caller
-passes as out (a chi handle keeps one for its runs), along the cycles of a
-single multiplier. Those cycles come from group multiplication alone, never
-from a discrete-log lookup. The inputs are left alone. The preparation's
-power oracle, |r, y> -> |r, y * g**r>, is div_x_apply with x = g**-1, and its
+Every division in the procedure is div_x_apply, the one operator that joins
+two registers: it takes a lone exponent register k of order m and a lone
+group register of order m, and writes the joint state with the latter
+divided by x**k straight into a fresh buffer, or into one the caller passes
+as out (a chi handle keeps one for its runs), along the cycles of a single
+multiplier. Those cycles come from group multiplication alone, never from a
+discrete-log lookup. The inputs are left alone. The preparation's power
+oracle, |r, y> -> |r, y * g**r>, is div_x_apply with x = g**-1, and its
 conversion, which divides by a register holding g**k raised to alpha, is
 div_x_apply with x = g**alpha on that register written over exponents (chi),
 so neither has an operator of its own.
 
-controlled_product builds a block of consecutive rows along the cycles in a
+div_x_apply builds a block of consecutive rows along the cycles in a
 per-core scratch and copies the rows to their places. Where a transform of
 the joint state follows the division at once, the forward one in the
 preparation's round and the inverse one in a run, div_x_apply makes it in
@@ -44,7 +44,7 @@ suites and the tests compare the operators against them, and nothing on the
 simulation path calls them. Each returns a read-only array, and the package
 namespace does not re-export them. They stay here, wrapped in lru_cache, only
 while the benchmark's tracer reads those caches' counters by name; once it
-traces controlled_product instead, they belong in verify, uncached.
+no longer does, they belong in verify, uncached.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import NotBijective, WrongLayout, WrongRegisterKind
+from .errors import LayoutMismatch, NotBijective, WrongRegisterKind
 from .group import GroupSpec
 from .qstate import (
     ExponentRegister,
@@ -66,7 +66,6 @@ from .qstate import (
 )
 
 __all__ = [
-    "controlled_product",
     "div_alpha_permutation",
     "div_x_apply",
     "div_x_permutation",
@@ -137,99 +136,102 @@ def _mult_index_perm(spec: GroupSpec, c: int) -> np.ndarray:
                        dtype=np.int64, count=spec.order)
 
 
-def _blocks(d0: int, m: int) -> tuple[list[int], list[int], int]:
+def _blocks(m: int) -> tuple[list[int], list[int], int]:
     """Segment bounds, the segments of each core's range, and the rows in a block.
 
     The walk positions are cut into _SEGMENTS segments from m alone, and each
     core's range is a run of whole segments, so a marginal the pass adds
     segment by segment does not depend on the core count. Each range holds a
-    tile of 2 * m + d0 amplitudes, and numpy's multiply of a block through
-    the strided window may hold two buffers of np.getbufsize() values; these
+    tile of 3 * m amplitudes, and numpy's multiply of a block through the
+    strided window may hold two buffers of np.getbufsize() values; these
     share twice _SCRATCH. The ranges' blocks share _SCRATCH, or what is left
     of 3 * _SCRATCH beside the tiles, the buffers, one more row a range,
-    which carries a segment's running sum, and the segments' sums, d0
+    which carries a segment's running sum, and the segments' sums, m
     amplitudes each. There are as many ranges as both bounds allow with a
-    block of at least one row each (7 at most at m = d0 = 512, 6 at 1008, 5
-    at 2002, 4 at 4000), so a division holds at most 3 MiB of scratch on any
+    block of at least one row each (7 at most at m = 512, 6 at 1008, 5 at
+    2002, 4 at 4000), so a division holds at most 3 MiB of scratch on any
     core count. A block also holds at most an eighth of the rows, so that a
     small state's scratch adds little to its peak memory (m = 256: 32 rows,
     128 KiB; the reuse-256 benchmark's peak RSS rose 1.3 % with 128 rows).
     """
-    each = 2 * m + d0 + 2 * np.getbufsize()
-    most = min(2 * _SCRATCH // each, (3 * _SCRATCH - _SEGMENTS * d0) // (each + 2 * d0))
-    cuts = _cuts(_SEGMENTS, d0 * m, 1, max(1, most))
+    each = 3 * m + 2 * np.getbufsize()
+    most = min(2 * _SCRATCH // each, (3 * _SCRATCH - _SEGMENTS * m) // (each + 2 * m))
+    cuts = _cuts(_SEGMENTS, m * m, 1, max(1, most))
     parts = len(cuts) - 1
-    spare = 3 * _SCRATCH - _SEGMENTS * d0 - parts * (each + d0)
-    rows = min(_SCRATCH, spare) // (parts * d0)
+    spare = 3 * _SCRATCH - _SEGMENTS * m - parts * (each + m)
+    rows = min(_SCRATCH, spare) // (parts * m)
     bounds = [m * k // _SEGMENTS for k in range(_SEGMENTS + 1)]
     return bounds, cuts, max(1, min(m // 8, rows))
 
 
-def controlled_product(a: QState, b: QState, step: int, out=None, qft=None,
-                       marginal=None) -> QState:
-    """The joint state |a>|b> after the map |k, y> -> |k, y * step**k>.
+def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
+                marginal=None) -> QState:
+    """The joint state |a>|b> after the division |k, y> -> |k, y * x**-k>.
 
-    a is the control register (register 0 of the result) and b a group
-    register (register 1). Row k of the map is the permutation "multiply by
-    step" composed k times, so one bijectivity check covers every row. The
-    divided state is written straight into out, out[y, k] = a[k] *
-    b[y * step**-k], and the inputs are left alone. out defaults to a fresh
-    buffer; one the caller passes is overwritten whole and becomes the
-    result's amplitudes, with the same bits. It must be a flat, C-contiguous,
-    writable complex128 array of exactly d0 * m amplitudes that shares no
-    memory with a or b, else WrongLayout. Along a cycle c_0, c_1 = c_0 *
-    step, ... of length L, row c_j is the window at L - 1 - j of b[cycle
-    reversed], tiled, times a.
+    a is a lone exponent register of order m (register 0 of the result) and
+    b a lone group register of order m (register 1), else LayoutMismatch; an
+    x outside the group raises NotInGroup. Row k of the map is the
+    permutation "multiply by step = x**-1" composed k times, so one
+    bijectivity check covers every row. The divided state is written
+    straight into out, out[y, k] = a[k] * b[y * x**k], and the inputs are
+    left alone. out defaults to a fresh buffer; one the caller passes is
+    overwritten whole and becomes the result's amplitudes, with the same
+    bits. It must be a flat, C-contiguous, writable complex128 array of
+    exactly m * m amplitudes that shares no memory with a or b, else
+    LayoutMismatch. Along a cycle c_0, c_1 = c_0 * step, ... of length L, row
+    c_j is the window at L - 1 - j of b[cycle reversed], tiled, times a.
 
     Consecutive rows are built a block at a time in a per-core scratch and
     copied to their rows; from qstate._SPLIT_MIN amplitudes the rows are
     split over the cores, which share one fixed scratch (_blocks). qft,
-    "forward" or "inverse", also Fourier-transforms register 0, which must
-    then be an exponent register: each block is transformed while it is in
-    cache, and the result has the bits of qft_apply on the divided state.
+    "forward" or "inverse", also Fourier-transforms the exponent register:
+    each block is transformed while it is in cache, and the result has the
+    bits of qft_apply on the divided state.
 
-    marginal, a writable float64 array of d0 values, is filled with register
-    0's distribution; it needs qft. Once a block is copied to its rows, its
-    real and imaginary parts are squared in place and added into its
-    segment's column sums, row after row in walk order; the segments' sums
-    are then added in order, and each column's real and imaginary sums. So
-    the bits do not depend on the core count, and for a normalized state
-    they are within m * 2**-52 of marginal_distribution's, which adds the
-    same distribution in basis order.
+    marginal, a writable float64 array of m values, is filled with the
+    exponent register's distribution; it needs qft. Once a block is copied
+    to its rows, its real and imaginary parts are squared in place and added
+    into its segment's column sums, row after row in walk order; the
+    segments' sums are then added in order, and each column's real and
+    imaginary sums. So the bits do not depend on the core count, and for a
+    normalized state they are within m * 2**-52 of marginal_distribution's,
+    which adds the same distribution in basis order.
     """
-    ra, rb = _lone_register(a), _lone_register(b)
-    if not isinstance(rb, GroupRegister):
-        raise WrongLayout("expected a (control, group) register pair")
+    ra, rb = a.layout.registers[0], b.layout.registers[0]
+    if not (len(a.layout.registers) == len(b.layout.registers) == 1
+            and isinstance(ra, ExponentRegister) and isinstance(rb, GroupRegister)
+            and ra.dim == rb.dim):
+        raise LayoutMismatch(
+            "a division joins a lone exponent register and a lone group register of one order")
+    spec = rb.group
+    step = spec.inverse(x)
     if qft not in (None, "forward", "inverse"):
         raise ValueError(f"qft must be None, 'forward' or 'inverse', not {qft!r}")
-    if qft is not None and not isinstance(ra, ExponentRegister):
-        raise WrongRegisterKind("the Fourier transform acts on exponent registers only")
     if marginal is not None and qft is None:
         raise ValueError("a marginal is read after the transform: it needs qft")
-    spec = rb.group
-    d0, m = ra.dim, spec.order
+    m = spec.order
     layout = RegisterLayout((ra, rb))  # refuses a joint state over the cap
     inputs = (a.amplitudes, b.amplitudes)
     if out is not None:
         if not (isinstance(out, np.ndarray) and out.dtype == np.complex128
-                and out.shape == (d0 * m,) and out.flags.c_contiguous
+                and out.shape == (m * m,) and out.flags.c_contiguous
                 and out.flags.writeable):
-            raise WrongLayout(
+            raise LayoutMismatch(
                 f"out must be a flat, C-contiguous, writable complex128 array of "
-                f"{d0 * m} amplitudes")
+                f"{m * m} amplitudes")
         if any(np.shares_memory(out, given) for given in inputs):
-            raise WrongLayout("out shares memory with an input register")
+            raise LayoutMismatch("out shares memory with an input register")
     if marginal is not None:
         if not (isinstance(marginal, np.ndarray) and marginal.dtype == np.float64
-                and marginal.shape == (d0,) and marginal.flags.writeable):
-            raise WrongLayout(f"marginal must be a writable float64 array of {d0} values")
+                and marginal.shape == (m,) and marginal.flags.writeable):
+            raise LayoutMismatch(f"marginal must be a writable float64 array of {m} values")
         if any(np.shares_memory(marginal, given) for given in (*inputs, out)
                if given is not None):
-            raise WrongLayout("marginal shares memory with the state or an input")
+            raise LayoutMismatch("marginal shares memory with the state or an input")
     one = _mult_index_perm(spec, step)
     if one.min() < 0 or one.max() >= m or np.bincount(one, minlength=m).max() != 1:
         raise NotBijective(f"multiplying by {step!r} is not a permutation of {m} basis indices")
-    # every scratch array exists before the m x d0 output and the loop below
+    # every scratch array exists before the m x m output and the loop below
     # keeps none of its own (numpy frees its multiply buffers within each
     # call), so no small array lands above a freed state in the heap
     nxt = one.tolist()
@@ -248,23 +250,23 @@ def controlled_product(a: QState, b: QState, step: int, out=None, qft=None,
     along = b.amplitudes.take(walk)  # b along each reversed cycle
     # each range is whole segments of walk positions and goes in blocks from
     # each segment's start
-    bounds, cuts, size = _blocks(d0, m)
+    bounds, cuts, size = _blocks(m)
     parts = len(cuts) - 1
-    # a cycle of length L is tiled in whole copies, L + d0 - 1 <= L * reps < 2L + d0
-    tiles = np.empty((parts, 2 * m + d0), dtype=np.complex128)
+    # a cycle of length L is tiled in whole copies, L + m - 1 <= L * reps < 2L + m
+    tiles = np.empty((parts, 3 * m), dtype=np.complex128)
     # row 0 of a range's block carries its segment's running sum
-    blocks = np.empty((parts, size + 1, d0), dtype=np.complex128)
+    blocks = np.empty((parts, size + 1, m), dtype=np.complex128)
     # each segment's column sums of the squared real and imaginary parts
-    sums = np.zeros((_SEGMENTS, 2 * d0)) if marginal is not None else None
+    sums = np.zeros((_SEGMENTS, 2 * m)) if marginal is not None else None
     if out is None:
-        out = np.empty(d0 * m, dtype=np.complex128)
-    rows = out.reshape(m, d0)
+        out = np.empty(m * m, dtype=np.complex128)
+    rows = out.reshape(m, m)
     transform = _fft(qft == "inverse")
 
     def build(part, low, high):
         tile, block = tiles[part], blocks[part, 1:]
         squares = blocks[part].view(np.float64)  # row 0 is the carry
-        slide = sliding_window_view(tile, d0)  # slide[p] is window p of the tile
+        slide = sliding_window_view(tile, m)  # slide[p] is window p of the tile
         cycle, tiled = bisect_right(ends, bounds[low]), -1
         for segment, first in [(segment, first) for segment in range(low, high)
                                for first in range(bounds[segment], bounds[segment + 1], size)]:
@@ -276,7 +278,7 @@ def controlled_product(a: QState, b: QState, step: int, out=None, qft=None,
                 begin, end = ends[cycle - 1] if cycle else 0, ends[cycle]
                 if tiled != cycle:
                     length = end - begin
-                    reps = -(-(length + d0 - 1) // length)
+                    reps = -(-(length + m - 1) // length)
                     tile[:reps * length].reshape(reps, length)[...] = along[begin:end]
                     tiled = cycle
                 stop = min(end, last)
@@ -348,34 +350,3 @@ def power_oracle_permutation(spec: GroupSpec) -> np.ndarray:
     """Joint table of |r, y> -> |r, y * g**r> on an (exponent, group) pair."""
     return _walk_table(spec, spec.generator)
 
-
-def _lone_register(state: QState):
-    regs = state.layout.registers
-    if len(regs) != 1:
-        raise WrongLayout(f"expected a one-register state, got {len(regs)} registers")
-    return regs[0]
-
-
-def _exponent_group(a: QState, b: QState) -> GroupSpec:
-    ra, rb = _lone_register(a), _lone_register(b)
-    if not isinstance(ra, ExponentRegister) or not isinstance(rb, GroupRegister):
-        raise WrongLayout("expected an (exponent, group) register pair")
-    spec = rb.group
-    if ra.dim != spec.order:
-        raise WrongLayout(
-            f"exponent register dimension {ra.dim} != group order {spec.order}")
-    return spec
-
-
-def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
-                marginal=None) -> QState:
-    """Join an exponent register and a group register; divide the right by x**left.
-
-    out, if given, is the buffer controlled_product writes the state into.
-    qft, "forward" or "inverse", is the transform of the exponent register
-    that follows the division, made block by block as the rows are built.
-    marginal, if given with qft, is filled with the exponent register's
-    distribution, added block by block in the same pass.
-    """
-    spec = _exponent_group(a, b)
-    return controlled_product(a, b, spec.inverse(x), out=out, qft=qft, marginal=marginal)

@@ -119,6 +119,16 @@ def test_dlog_stdout_at_m_2002_is_pinned(capsys):
     assert digest == "9afc7c4321fc2b8ff33c1bf0e5ca1b372c1db686d63e9ccb7d206ddcbba3a7ea"
 
 
+def test_dlog_stdout_at_m_4000_is_pinned(capsys):
+    # m = 4000 is where a division's blocks hold the fewest rows (8); these
+    # bytes were recorded before the division's primitive folded into it
+    argv = ["dlog", "--n", "4001", "--g", "3", "--x-count", "3", "--prepare",
+            "--mode", "exhaustive"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "17798307e3b70be4c7762b0ca53e5e71e7997fa62b1adcb3b42794ca94e9daf4"
+
+
 def test_run_dlog_replaces_handle_state():
     handle = fresh_chi(Z7)
     before = handle.state
@@ -357,7 +367,7 @@ def inject(monkeypatch, fault, spec, handle=None):
     else:
         # the round loads the powers of g by div_x_apply(., ., g**-1)
         in_the_round(lambda a, b, x, **kwargs:
-                     transforms.controlled_product(a, b, spec.pow(g, 2), **kwargs))
+                     transforms.div_x_apply(a, b, spec.pow(g, -2), **kwargs))
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
@@ -395,8 +405,8 @@ def test_run_dlog_accepts_a_power_congruent_to_one():
 
 
 def test_one_power_walk_per_operator(monkeypatch):
-    # the group is multiplied only to build each controlled_product's step
-    # permutation: two per preparation, one per run, m products each
+    # the group is multiplied only to build each div_x_apply's multiply-by-
+    # x**-1 table: two per preparation, one per run, m products each
     spec = validate_group(257, 3)
     real_mul = GroupSpec.mul
     calls = []

@@ -391,10 +391,30 @@ def test_a_deviation_within_the_tolerance_passes(d):
                                complex(0, -np.inf)])
 def test_a_nan_or_infinite_amplitude_fails_the_residual(d):
     joint, b, _ = deviated(d)
-    # an infinite amplitude makes NaNs in the projection, which numpy warns of
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(NotAProductState, match="^residual (nan|inf) "):
+    # an infinite amplitude makes NaNs in the projection; pytest makes any
+    # numpy warning an error, so the refusal must come with none
+    with pytest.raises(NotAProductState, match="^residual (nan|inf) "):
         factor_out(joint, 1, b)
+
+
+@pytest.mark.parametrize("d", [complex(np.nan, 0), complex(np.inf, 0), complex(0, -np.inf)])
+def test_a_nan_or_infinite_amplitude_fails_a_split_residual(see_cores, started, d):
+    # the amplitude sits in the second core's rows and columns, so the NaNs
+    # are made on a thread, which must run in factor_out's errstate. Both
+    # registers are real, so the weighted row sum makes NaNs too (inf * 0)
+    see_cores(2)
+    assert 512 * 512 >= qstate._SPLIT_MIN
+    a = QState(exp_layout(512), np.full(512, 512 ** -0.5, dtype=np.complex128))
+    real = np.random.default_rng(512).normal(size=512) + 0j
+    b = QState(exp_layout(512), real / np.linalg.norm(real))
+    joint = _product(a, b)
+    joint.amplitudes[300 * 512 + 400] += d
+    for register, expected in ((1, b), (0, a)):
+        started.clear()
+        with pytest.raises(NotAProductState,
+                           match=f"^residual (nan|inf) after projecting register {register}$"):
+            factor_out(joint, register, expected)
+        assert started and not any(thread.is_alive() for thread in started)
 
 
 # at or above the split threshold: squares whose rows and columns split

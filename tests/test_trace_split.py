@@ -73,7 +73,7 @@ def test_a_traced_run_records_one_qft_span_per_lone_register_transform(
     # each joint transform is one call per block of rows its division builds:
     # on two cores, six segments of 84 rows a core, each in blocks of at
     # most 32, so 18 blocks on the calling thread and 18 on a second
-    bounds, cuts, size = transforms._blocks(m, m)
+    bounds, cuts, size = transforms._blocks(m)
     assert m == 1008 and bounds == list(range(0, 1009, 84))
     assert (cuts, size) == ([0, 6, 12], 32)
     # three divisions: the round's and the run's, each with its transform,

@@ -1,6 +1,6 @@
-"""The FFT and the controlled-product operators, against the dense Fourier
-matrix and the three reference permutation tables, those oracles against
-direct recomputation, and the names the package exports."""
+"""The FFT and the division operator, against the dense Fourier matrix and
+the three reference permutation tables, those oracles against direct
+recomputation, and the names the package exports."""
 
 import inspect
 import threading
@@ -14,9 +14,9 @@ from chi_dlog import dlog, errors, qstate, transforms
 from chi_dlog.chi import prepare_chi
 from chi_dlog.dlog import run_dlog
 from chi_dlog.errors import (
+    LayoutMismatch,
     NotBijective,
     NotInGroup,
-    WrongLayout,
     WrongRegisterKind,
 )
 from chi_dlog.group import cyclic_group, cyclic_moduli, primitive_root, validate_group
@@ -28,7 +28,6 @@ from chi_dlog.qstate import (
     basis_state,
 )
 from chi_dlog.transforms import (
-    controlled_product,
     div_alpha_permutation,
     div_x_apply,
     div_x_permutation,
@@ -198,9 +197,9 @@ def test_a_division_refuses_a_transform_it_cannot_make():
     a, b = exponent_state(6, 23), group_state(Z7, 24)
     with pytest.raises(ValueError, match="qft must be"):
         div_x_apply(a, b, 3, qft=True)
-    # register 0 of a (group, group) pair is no exponent register
-    with pytest.raises(WrongRegisterKind):
-        controlled_product(group_state(Z7, 25), b, 3, qft="forward")
+    # a group register in the exponent register's place is refused whole
+    with pytest.raises(LayoutMismatch):
+        div_x_apply(group_state(Z7, 25), b, 5, qft="forward")
 
 
 # x = 1, a generator and an x of small order (the last item) at each size;
@@ -270,7 +269,7 @@ def _marginals():
 def test_a_division_refuses_a_bad_marginal(what):
     a, b = exponent_state(6, 11), group_state(Z7, 12)
     marginal = _marginals()[what]
-    with pytest.raises(WrongLayout, match="marginal must be"):
+    with pytest.raises(LayoutMismatch, match="marginal must be"):
         div_x_apply(a, b, 3, qft="forward", marginal=marginal)
     assert not np.any(marginal)
 
@@ -280,21 +279,21 @@ def test_a_marginal_needs_a_transform_and_memory_of_its_own():
     with pytest.raises(ValueError, match="needs qft"):
         div_x_apply(a, b, 3, marginal=np.zeros(6))
     out = np.zeros(36, dtype=np.complex128)
-    with pytest.raises(WrongLayout, match="shares memory"):
+    with pytest.raises(LayoutMismatch, match="shares memory"):
         div_x_apply(a, b, 3, out=out, qft="forward", marginal=out.real[:6])
-    with pytest.raises(WrongLayout, match="shares memory"):
+    with pytest.raises(LayoutMismatch, match="shares memory"):
         div_x_apply(a, b, 3, qft="forward", marginal=a.amplitudes.imag)
     assert not np.any(out)
 
 
 def test_a_state_below_the_split_threshold_starts_no_thread(see_cores, started):
     see_cores(4)
-    assert 511 * 513 == qstate._SPLIT_MIN - 1 and 512 * 512 == qstate._SPLIT_MIN
-    controlled_product(exponent_state(511, 1), group_state(cyclic_group(513), 2), 1,
-                       qft="forward")
+    assert 511 * 511 < qstate._SPLIT_MIN == 512 * 512
+    div_x_apply(exponent_state(511, 1), group_state(cyclic_group(511), 2), 510,
+                qft="forward")
     assert started == []
-    joint = controlled_product(exponent_state(512, 3), group_state(cyclic_group(512), 4),
-                               1, qft="forward")
+    joint = div_x_apply(exponent_state(512, 3), group_state(cyclic_group(512), 4),
+                        511, qft="forward")
     assert len(started) == 3
     # qft_apply transforms lone registers on the run's path, in one call
     started.clear()
@@ -304,7 +303,7 @@ def test_a_state_below_the_split_threshold_starts_no_thread(see_cores, started):
 
 @pytest.mark.parametrize("count", [1, 2, 8, 64, 4096])
 def test_the_division_scratch_does_not_grow_with_the_cores(see_cores, count):
-    # each range of rows holds a block, a tile of 2m + d0 and numpy's two
+    # each range of rows holds a block, a tile of 3m and numpy's two
     # multiply buffers, and the ranges share _SEGMENTS sums of a marginal: at
     # most 3 MiB together even with another m amplitudes a range, whatever
     # the core count (no thread starts here)
@@ -312,7 +311,7 @@ def test_the_division_scratch_does_not_grow_with_the_cores(see_cores, count):
     segments = transforms._SEGMENTS
     # from m = 3100 the segments' sums leave room for only 4 ranges
     for m in (512, 1008, 1450, 2002, 3100, 4000):
-        bounds, cuts, size = transforms._blocks(m, m)
+        bounds, cuts, size = transforms._blocks(m)
         parts = len(cuts) - 1
         # the segments depend on m alone, and each range is whole segments
         assert bounds == [m * k // segments for k in range(segments + 1)]
@@ -328,7 +327,7 @@ def test_the_division_splits_evenly_over_2_3_4_and_6_cores(see_cores, count):
     # split of the rows would
     see_cores(count)
     for m in (1008, 1450):
-        _, cuts, _ = transforms._blocks(m, m)
+        _, cuts, _ = transforms._blocks(m)
         assert len(cuts) - 1 == count and len(set(np.diff(cuts))) == 1
 
 
@@ -469,18 +468,40 @@ def test_permutation_tables_are_bijections():
 def test_division_layout_guards():
     exp7 = basis_state(RegisterLayout((ExponentRegister(6),)), (0,))
     grp7 = basis_state(RegisterLayout((GroupRegister(Z7),)), (1,))
-    with pytest.raises(WrongLayout):
+    with pytest.raises(LayoutMismatch):
         div_x_apply(grp7, grp7, 3)
     short = basis_state(RegisterLayout((ExponentRegister(3),)), (0,))
-    with pytest.raises(WrongLayout):
+    with pytest.raises(LayoutMismatch):
         div_x_apply(short, grp7, 3)
-    with pytest.raises(WrongLayout):
+    with pytest.raises(LayoutMismatch):
         div_x_apply(short, grp7, Z7.inverse(Z7.generator))
     # each input is one register; a joint state is refused
-    with pytest.raises(WrongLayout):
+    with pytest.raises(LayoutMismatch):
         div_x_apply(basis_state(run_layout(Z7), (0, 1)), grp7, 3)
     with pytest.raises(NotInGroup):
         div_x_apply(exp7, grp7, 0)
+
+
+# the one shape a division takes is a lone exponent register and a lone
+# group register of the same order; each of these breaks it
+WRONG_SHAPES = {
+    "a group-register control": lambda: (group_state(Z7, 31), group_state(Z7, 32)),
+    "an exponent register of another order": lambda: (exponent_state(7, 33),
+                                                      group_state(Z7, 34)),
+    "a two-register control": lambda: (random_state(run_layout(Z7), 35),
+                                       group_state(Z7, 36)),
+    "a two-register group state": lambda: (exponent_state(6, 37),
+                                           random_state(run_layout(Z7), 38)),
+}
+
+
+@pytest.mark.parametrize("shape", list(WRONG_SHAPES))
+def test_a_division_refuses_any_other_shape_and_writes_nothing(shape):
+    a, b = WRONG_SHAPES[shape]()
+    out, marginal = np.zeros(36, dtype=np.complex128), np.zeros(6)
+    with pytest.raises(LayoutMismatch, match="lone exponent register"):
+        div_x_apply(a, b, 5, out=out, qft="forward", marginal=marginal)
+    assert not np.any(out) and not np.any(marginal)
 
 
 def test_unitary_check_passes_the_dense_fourier_oracle():
@@ -555,38 +576,42 @@ def test_power_oracle_is_div_x_by_the_inverse_generator_exhaustively():
                              spec, power_oracle_permutation(spec))
 
 
+# the tests still named for controlled_product, once the division's
+# primitive, now check div_x_apply, which took over its body
+
+
 def test_controlled_product_known_mapping():
-    # (n=7, g=3): |1, 2> is row k=1, so 2 * 3 = 6
+    # (n=7, g=3): |1, 2> is row k=1, so 2 / 5 = 2 * 3 = 6
     control = RegisterLayout((ExponentRegister(6),))
     group = RegisterLayout((GroupRegister(Z7),))
-    out = controlled_product(basis_state(control, (1,)), basis_state(group, (2,)), 3)
+    out = div_x_apply(basis_state(control, (1,)), basis_state(group, (2,)), 5)
     assert out.layout == run_layout(Z7)
     assert out.amplitudes[joint_index(run_layout(Z7), (1, 6))] == 1.0
-    # row k=0 is left alone whatever the step
+    # row k=0 is left alone whatever x
     a, b = basis_state(control, (0,)), basis_state(group, (5,))
-    out = controlled_product(a, b, 3)
+    out = div_x_apply(a, b, 5)
     assert np.array_equal(out.amplitudes, _product(a, b).amplitudes)
 
 
 def test_identity_step_builds_the_plain_product():
     # register 0 fastest: flat amplitudes are kron(right, left)
-    a = random_state(RegisterLayout((ExponentRegister(2),)), 1)
+    a = random_state(RegisterLayout((ExponentRegister(4),)), 1)
     b = group_state(Z5, 2)
-    joint = controlled_product(a, b, Z5.identity)
-    assert joint.layout == RegisterLayout((ExponentRegister(2), GroupRegister(Z5)))
+    joint = div_x_apply(a, b, Z5.identity)
+    assert joint.layout == run_layout(Z5)
     assert np.array_equal(joint.amplitudes, np.kron(b.amplitudes, a.amplitudes))
-    with pytest.raises(WrongLayout):
-        controlled_product(joint, b, Z5.identity)
+    with pytest.raises(LayoutMismatch):
+        div_x_apply(joint, b, Z5.identity)
 
 
 def test_controlled_product_guards():
     a, b = exponent_state(6, 1), group_state(Z7, 1)
     with pytest.raises(NotInGroup):
-        controlled_product(a, b, 0)
+        div_x_apply(a, b, 0)
     with pytest.raises(NotBijective):
-        controlled_product(a, group_state(collapsed_group(), 2), 3)
-    with pytest.raises(WrongLayout):
-        controlled_product(a, exponent_state(6, 3), 3)
+        div_x_apply(a, group_state(collapsed_group(), 2), 5)
+    with pytest.raises(LayoutMismatch):
+        div_x_apply(a, exponent_state(6, 3), 5)
 
 
 def collapsed_group():
@@ -617,8 +642,8 @@ def _out_buffers():
 def test_controlled_product_refuses_a_bad_out(what):
     a, b = exponent_state(6, 11), group_state(Z7, 12)
     out = _out_buffers()[what]
-    with pytest.raises(WrongLayout, match="out must be"):
-        controlled_product(a, b, 3, out=out)
+    with pytest.raises(LayoutMismatch, match="out must be"):
+        div_x_apply(a, b, 5, out=out)
     assert not np.any(out)
 
 
@@ -630,8 +655,8 @@ def test_controlled_product_refuses_an_out_that_shares_an_input(register):
     inside[...] = (a if register == "a" else b).amplitudes
     inputs = {"a": a, "b": b}
     inputs[register] = QState(inputs[register].layout, inside)
-    with pytest.raises(WrongLayout, match="shares memory"):
-        controlled_product(inputs["a"], inputs["b"], 3, out=out)
+    with pytest.raises(LayoutMismatch, match="shares memory"):
+        div_x_apply(inputs["a"], inputs["b"], 5, out=out)
     assert np.array_equal(inside, (a if register == "a" else b).amplitudes)
 
 
@@ -667,8 +692,7 @@ def test_transforms_consume_their_input():
 
 def test_divisions_build_a_fresh_state_and_leave_their_inputs_alone():
     exp, grp = exponent_state(6, 6), group_state(Z7, 7)
-    for op, a, args in ((controlled_product, exp, (3,)),
-                        (div_x_apply, exp, (5,)),
+    for op, a, args in ((div_x_apply, exp, (5,)),
                         (div_x_apply, exp, (Z7.inverse(Z7.generator),)),
                         (div_x_apply, exp, (Z7.pow(Z7.generator, 2),))):
         before = a.amplitudes.copy(), grp.amplitudes.copy()
@@ -703,7 +727,7 @@ def test_refused_transforms_leave_their_input_alone():
     a, b = exponent_state(6, 9), group_state(collapsed_group(), 10)
     before = a.amplitudes.copy(), b.amplitudes.copy()
     with pytest.raises(NotBijective):
-        controlled_product(a, b, 3)
+        div_x_apply(a, b, 5)
     assert np.array_equal(a.amplitudes, before[0])
     assert np.array_equal(b.amplitudes, before[1])
     state = random_state(pair_layout(Z7), 9)
@@ -716,7 +740,8 @@ def test_refused_transforms_leave_their_input_alone():
 def test_package_exports_only_the_simulation_path():
     removed = ("apply_register_unitary", "NotUnitary", "BasisPermutation",
                "apply_basis_permutation", "measure", "ResourceComparison",
-               "controlled_multiply", "tensor", "power_oracle_apply", "div_alpha_apply")
+               "controlled_multiply", "tensor", "power_oracle_apply", "div_alpha_apply",
+               "controlled_product", "WrongLayout")
     oracles = {"fourier_matrix", "div_alpha_permutation", "div_x_permutation",
                "power_oracle_permutation"}
     for module in (chi_dlog, qstate, errors, dlog, transforms):
@@ -732,5 +757,5 @@ def test_package_exports_only_the_simulation_path():
     assert [name for name in oracles if hasattr(chi_dlog, name)] == []
     # the cached oracles stay listed here only while the benchmark's tracer
     # reads their cache counters by name
-    simulation = {"qft_apply", "controlled_product", "div_x_apply"}
+    simulation = {"qft_apply", "div_x_apply"}
     assert set(transforms.__all__) == simulation | oracles
