@@ -39,12 +39,12 @@ from .qstate import (
     GroupRegister,
     QState,
     RegisterLayout,
-    _column_masses,
     basis_state,
     collapse,
     dump_amplitudes,
     factor_out,
     fidelity,
+    marginal_distribution,
     parse_amplitudes,
     sample_index,
 )
@@ -163,9 +163,9 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     is drawn from with a seeded generator, redrawn while the value shares a
     factor with the order; only the accepted draw is collapsed. Exhaustive
     mode instead reports the exact acceptance probability of the coprimality
-    test, the round's coprime columns added in basis order as
-    marginal_distribution adds them, and collapses deterministically onto
-    the smallest coprime value, so it always finishes in one attempt.
+    test, marginal_distribution's basis-order sum of the round's coprime
+    columns, and collapses deterministically onto the smallest coprime
+    value, so it always finishes in one attempt.
     Returns the handle and the attempt statistics.
 
     A wrong round is refused by the checks every preparation makes:
@@ -182,11 +182,11 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     if mode == "exhaustive":
         state = _superposed_round(spec)
         coprime = [s for s in range(m) if gcd(s, m) == 1]
-        # the pass would add in walk order; the acceptance is added in basis
-        # order, as marginal_distribution adds it, from the columns that can
-        # be coprime: the odd ones where m is even
+        # the pass would add in walk order; the acceptance is read in basis
+        # order from the columns that can be coprime alone: the odd ones where
+        # m is even
         step = 2 - m % 2
-        masses = _column_masses(state, slice(step - 1, m, step))
+        masses = marginal_distribution(state, slice(step - 1, m, step))
         acceptance = float(sum(masses[s // step] for s in coprime))
         observed = coprime[:1]
     else:

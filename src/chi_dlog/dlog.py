@@ -31,9 +31,9 @@ from .group import GroupSpec, dlog_oracle
 from .qstate import (
     ExponentRegister,
     RegisterLayout,
-    _column_masses,
     basis_state,
     collapse,
+    marginal_distribution,
     sample_index,
 )
 from .transforms import div_x_apply, qft_apply
@@ -82,9 +82,9 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
     Both modes read the exponent-register marginal, which the division adds
     up as it builds the joint state, and collapse onto one index of it.
     Exhaustive mode takes the argmax and reports the probability mass
-    sitting on the true answer, that one column added in basis order as
-    marginal_distribution adds it; sampled mode draws the index with a
-    seeded generator and reports the drawn index's mass.
+    sitting on the true answer, marginal_distribution's basis-order sum of
+    that one column; sampled mode draws the index with a seeded generator
+    and reports the drawn index's mass.
     Either way the post-run chi register replaces the handle's state and is
     checked with ChiHandle.verify. A run whose chi register fails that check,
     or whose marginal mass on the true exponent is not within FIDELITY_TOL of
@@ -118,9 +118,9 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
     ledger.division_ops += 1
     ledger.fourier_count += 1
 
-    # the pass adds in walk order; the mass a record prints is added in
-    # basis order, as marginal_distribution adds it, from one column
-    true_mass = float(_column_masses(joint, slice(p_true, p_true + 1))[0])
+    # the pass adds in walk order; the mass a record prints is read in
+    # basis order from the true exponent's column alone
+    true_mass = float(marginal_distribution(joint, slice(p_true, p_true + 1))[0])
     if mode == "exhaustive":
         outcome = collapse(joint, int(np.argmax(marginal)))
         success = true_mass

@@ -14,13 +14,12 @@ returns new arrays.
 Only register 0 is ever read out, as in the procedure, where it is the
 exponent register: a run and a sampled preparation take its distribution
 from that pass, sample_index draws from it, and collapse measures it and
-keeps register 1. marginal_distribution gives the same distribution added in
-basis order; it serves the norm of a one-register state, and the tests read a
-two-register state's with it. The masses a record prints are added in that
-order from the columns they need alone (_column_masses). Readout and
-factor_out work in blocks of rows, so none of them makes a temporary the
-size of a two-register state. The marginal, the column masses, the norm,
-and factor_out, which splits off register 1 by summing the grid's rows and
+keeps register 1. marginal_distribution, the one reader of register 0 in
+basis order, adds it in that order over the columns asked for: a record's
+masses read the columns they need alone, a one-register norm reads them all.
+Readout and factor_out work in blocks of rows, so none of them makes a
+temporary the size of a two-register state. The marginal, the norm, and
+factor_out, which splits off register 1 by summing the grid's rows and
 register 0 by summing its columns, are one row sum, which adds in a fixed
 order and makes no BLAS call, so their bits are the same on any core and
 BLAS thread count. factor_out's product check clears a block of rows
@@ -30,11 +29,12 @@ From _SPLIT_MIN amplitudes on, a pass over a two-register state runs on every
 core in the process's affinity mask through _over_cores, which every
 division in transforms shares: one contiguous range per core, the first on
 the calling thread, the others on short-lived threads that call numpy only,
-all joined before the pass returns. The row sum splits its columns into at
-most READOUT_BLOCK // (2 * np.getbufsize()) ranges, 4 by default, so each
-column's rows are still added top to bottom, and factor_out's product check
-splits its rows and takes the largest of the ranges' maxima. No bit depends
-on the core count. collapse and everything smaller run on the calling thread.
+all joined before the pass returns. The row sum splits its columns, and
+factor_out's product check its rows, into at most
+READOUT_BLOCK // (2 * np.getbufsize()) ranges, 4 by default: each column's
+rows are still added top to bottom, and the check takes the largest of the
+ranges' maxima. No bit depends on the core count. collapse and everything
+smaller run on the calling thread.
 """
 from __future__ import annotations
 
@@ -256,27 +256,16 @@ def basis_state(layout: RegisterLayout, labels: Sequence[int]) -> QState:
     return QState(layout, amps)
 
 
-def marginal_distribution(state: QState) -> np.ndarray:
+def marginal_distribution(state: QState, columns: slice = slice(None)) -> np.ndarray:
     """Measurement distribution of register 0, marginalized over register 1.
 
-    A one-register state is a single row, so its marginal is its density.
+    Only the columns asked for are read, through a strided view. Each
+    column's terms, |amplitude| squared, are added one row after another in
+    basis order, so a subset of the columns has the bits it has in the whole
+    distribution; one column costs O(dim1). A one-register state is a single
+    row, so its marginal is its density.
     """
-    d0 = state.layout.dim(0)
-    if d0 == 1:
-        # no grid to block; numpy sums a single column pairwise, not row by row
-        return (np.abs(state.amplitudes) ** 2).reshape(-1, 1).sum(axis=0)
-    return _row_sum(state.amplitudes.reshape(-1, d0), np.float64, _densities)
-
-
-def _column_masses(state: QState, columns: slice) -> np.ndarray:
-    """marginal_distribution(state)[columns] of a two-register state.
-
-    Only those columns are read, through a strided view: the same terms,
-    |amplitude| squared, added one after another down each column in basis
-    order as the marginal's row sum adds them, so the bits are the same. One
-    column costs O(dim1).
-    """
-    grid = _grid(state)[:, columns]
+    grid = state.amplitudes.reshape(-1, state.layout.dim(0))[:, columns]
     if grid.shape[1] == 1:
         # numpy sums a lone column pairwise, not row by row; cumsum adds in order
         terms = np.abs(grid[:, 0])
@@ -418,24 +407,30 @@ def _residual(column: np.ndarray, row: np.ndarray, grid: np.ndarray) -> float:
     the block counts that bound, 2 * max(|Re d|, |Im d|), with no magnitude
     taken. Any other block takes the exact |d|, a hypot each. So the check
     passes and fails as the exact max does, and one that fails returns that
-    max. The ranges share one scratch of READOUT_BLOCK values per kind, or of
-    one row where a row is longer than that: there are at most
-    READOUT_BLOCK // d0 ranges, so the scratch does not grow with the core
-    count.
+    max. numpy buffers a multiply broadcast over rows shorter than its
+    buffer, so a block's column entries are copied across its rows and then
+    multiplied by a shared tile of the row, with outer's bits. The blocks and
+    the tile share one scratch of READOUT_BLOCK values per kind (one row each
+    where a row is longer than a share); there are at most READOUT_BLOCK // d0
+    ranges, and at most READOUT_BLOCK // (2 * np.getbufsize()) as in _row_sum,
+    so the scratch does not grow with the core count.
     """
     d1, d0 = grid.shape
-    cuts = _cuts(d1, grid.size, -(-d1 // max(1, READOUT_BLOCK // d0)))
+    most = max(1, READOUT_BLOCK // (2 * np.getbufsize()))
+    cuts = _cuts(d1, grid.size, -(-d1 // max(1, READOUT_BLOCK // d0)), most)
     parts = len(cuts) - 1
-    rows = max(1, min(READOUT_BLOCK // (d0 * parts), cuts[1]))
+    rows = max(1, min(READOUT_BLOCK // (d0 * (parts + 1)), cuts[1]))
     recons = np.empty((parts, rows, d0), np.complex128)
     mags = np.empty((parts, rows, d0), np.float64)
     peaks = np.zeros(parts)
+    tile = np.tile(row, (rows, 1))
 
     def row_range(part, lo, hi):
         for start in range(lo, hi, rows):
             stop = min(start + rows, hi)
             recon, mag = recons[part, :stop - start], mags[part, :stop - start]
-            np.multiply.outer(column[start:stop], row, out=recon)
+            recon[...] = column[start:stop, None]
+            np.multiply(recon, tile[:stop - start], out=recon)
             recon -= grid[start:stop]
             # max and min propagate a NaN, which fails the screen
             flat = recon.view(np.float64)

@@ -42,9 +42,9 @@ fourier_matrix and the three joint-index tables below (div_alpha_permutation,
 div_x_permutation, power_oracle_permutation) are reference oracles: the verify
 suites and the tests compare the operators against them, and nothing on the
 simulation path calls them. Each returns a read-only array, and the package
-namespace does not re-export them. They stay here, wrapped in lru_cache, only
-while the benchmark's tracer reads those caches' counters by name; once it
-no longer does, they belong in verify, uncached.
+namespace does not re-export them. They stay here, in an lru_cache that stores
+nothing, only while the benchmark's tracer reads its call counters by name;
+once it no longer does, they belong in verify, unwrapped.
 """
 from __future__ import annotations
 
@@ -87,8 +87,8 @@ _SCRATCH = 1 << 16
 _SEGMENTS = 12
 
 
-# maxsize=0 stores nothing (an m = 512 matrix alone is 4 MB) but still
-# counts the calls in cache_info(), which the benchmark's tracer reads
+# maxsize=0, here and on the tables below, stores nothing (an m = 512 matrix is
+# 4 MB, a table 134 MB at m = 4096) but counts calls in cache_info() for the tracer
 @lru_cache(maxsize=0)
 def fourier_matrix(m: int, inverse: bool = False) -> np.ndarray:
     """Dense m x m Fourier matrix; the inverse is the conjugate transpose.
@@ -195,7 +195,7 @@ def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
     segments' sums are then added in order, and each column's real and
     imaginary sums. So the bits do not depend on the core count, and for a
     normalized state they are within m * 2**-52 of marginal_distribution's,
-    which adds the same distribution in basis order.
+    the one reader that adds it in basis order.
     """
     ra, rb = a.layout.registers[0], b.layout.registers[0]
     if not (len(a.layout.registers) == len(b.layout.registers) == 1
@@ -328,7 +328,7 @@ def _walk_table(spec: GroupSpec, step: int) -> np.ndarray:
     return _joint_table(rows, m)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=0)
 def div_alpha_permutation(spec: GroupSpec, alpha: int) -> np.ndarray:
     """Joint table of |x, y> -> |x, y * x**(-alpha)> on a (group, group) pair."""
     m = spec.order
@@ -339,13 +339,13 @@ def div_alpha_permutation(spec: GroupSpec, alpha: int) -> np.ndarray:
     return _joint_table(rows, m)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=0)
 def div_x_permutation(spec: GroupSpec, x: int) -> np.ndarray:
     """Joint table of |a, y> -> |a, y * x**(-a)> on an (exponent, group) pair."""
     return _walk_table(spec, spec.inverse(x))
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=0)
 def power_oracle_permutation(spec: GroupSpec) -> np.ndarray:
     """Joint table of |r, y> -> |r, y * g**r> on an (exponent, group) pair."""
     return _walk_table(spec, spec.generator)

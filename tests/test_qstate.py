@@ -158,7 +158,9 @@ def test_blocked_marginal_matches_the_plain_sum(d0, d1):
     assert READOUT_BLOCK == 1 << 16
     state = random_state(RegisterLayout((ExponentRegister(d0), ExponentRegister(d1))), d0)
     dens = (np.abs(state.amplitudes) ** 2).reshape(d1, d0)
-    assert np.array_equal(marginal_distribution(state), dens.sum(axis=0))
+    # numpy sums a lone column pairwise; the marginal adds it in order
+    plain = np.cumsum(dens[:, 0])[-1:] if d0 == 1 else dens.sum(axis=0)
+    assert np.array_equal(marginal_distribution(state), plain)
 
 
 # a lone column (numpy would add it pairwise), every other column, a ragged
@@ -171,7 +173,7 @@ def test_column_masses_have_the_marginals_bits(see_cores, d0, d1, count):
     whole = marginal_distribution(state)
     for columns in (slice(3, 4), slice(d0 - 1, d0), slice(1, d0, 2), slice(0, d0, 2),
                     slice(2, d0 - 1, 3), slice(0, d0)):
-        assert np.array_equal(qstate._column_masses(state, columns), whole[columns])
+        assert np.array_equal(marginal_distribution(state, columns), whole[columns])
 
 
 def test_one_register_marginal_is_the_density():
@@ -473,10 +475,12 @@ def test_a_nan_in_the_last_part_fails_factor_out(see_cores, count):
         factor_out(joint, 1, b)
 
 
-def test_the_residual_scratch_does_not_grow_with_the_cores(see_cores, started):
-    # 64 cores, but rows of 1450 amplitudes: at most READOUT_BLOCK // 1450 = 45
-    # ranges share one block of complex and one of float values
-    see_cores(64)
+@pytest.mark.parametrize("count", [1, 2, 4, 64])
+def test_the_residual_scratch_does_not_grow_with_the_cores(see_cores, started, count):
+    # rows of 1450 amplitudes: at most READOUT_BLOCK // (2 * np.getbufsize()) = 4
+    # ranges and the row tile they share hold one block of complex and one of
+    # float values, and numpy holds no buffer of its own beside them
+    see_cores(count)
     d = 1450
     a, b = random_state(exp_layout(d), 1), random_state(exp_layout(d), 2)
     grid = _product(a, b).amplitudes.reshape(d, d)
@@ -487,7 +491,7 @@ def test_the_residual_scratch_does_not_grow_with_the_cores(see_cores, started):
     finally:
         tracemalloc.stop()
     assert residual <= qstate.NORM_TOL
-    assert 0 < len(started) <= 44
+    assert len(started) == min(count, qstate.READOUT_BLOCK // (2 * np.getbufsize())) - 1
     assert peak <= 24 * qstate.READOUT_BLOCK + 2 ** 16, f"peaked at {peak} bytes"
 
 
