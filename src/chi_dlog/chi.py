@@ -34,7 +34,6 @@ from .errors import (
 )
 from .group import GroupSpec, gcd, mod_inverse, validate_group
 from .qstate import (
-    _KEEP_MIN,
     ExponentRegister,
     GroupRegister,
     QState,
@@ -87,18 +86,13 @@ def chi_reference(spec: GroupSpec, power: int) -> QState:
 class ChiHandle:
     """A chi register with its claimed power; reused and mutated across runs.
 
-    A handle serves one run at a time. From qstate._KEEP_MIN joint amplitudes
-    (m >= 1449) it also keeps the m x m buffer every run divides into, so
-    16*m**2 bytes stay resident between runs: a preparation hands over the
-    buffer of its last division, and a loaded or powered handle makes one on
-    its first run. Below that size it keeps none and each run divides into a
-    fresh buffer.
+    A handle holds the register's m amplitudes and nothing else: a run keeps
+    one column of its joint state, and a preparation frees its own when it
+    returns, so a live handle holds no m x m state.
     """
     power: int
     state: QState
     verified: bool = False
-    _buffer: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     @property
     def group(self) -> GroupSpec:
@@ -113,15 +107,6 @@ class ChiHandle:
         self.verified = (fid >= 1.0 - FIDELITY_TOL
                          and abs(self.state.norm() ** 2 - 1.0) <= FIDELITY_TOL)
         return fid
-
-    def _workspace(self) -> np.ndarray | None:
-        """The buffer a run divides into; None, for a fresh one, below _KEEP_MIN."""
-        size = self.group.order ** 2
-        if size < _KEEP_MIN:
-            return None
-        if self._buffer is None or self._buffer.size != size:
-            self._buffer = np.empty(size, dtype=np.complex128)
-        return self._buffer
 
 
 @dataclass
@@ -215,8 +200,6 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     chi_state = _over_group(spec, factor_out(joint, 1, chi_reference(spec, success)))
 
     handle = ChiHandle(power=1, state=chi_state)
-    if m * m >= _KEEP_MIN:  # factor_out copied the register out of the buffer
-        handle._buffer = joint.amplitudes
     fid = handle.verify()
     if not handle.verified:
         raise InvariantViolation(

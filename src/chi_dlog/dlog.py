@@ -13,11 +13,12 @@ The chi register survives and the handle carries its post-run state forward,
 so reuse is observable rather than assumed. Every run takes one checked
 path: a run is correct exactly when the chi register comes back at fidelity
 1 and the exponent register puts mass 1 on the answer, and both are checked
-after every run at every order. From m >= 1449 the joint state is written
-into the m x m buffer the handle keeps (see ChiHandle), so a run maps no new
-state once the handle holds one; the post-run chi register is a copy and
-shares no memory with that buffer. Resource counts are incremented at the
-operation call sites, never hand-entered.
+after every run at every order. A run measures the exponent register and
+keeps the chi register, so of the joint state it needs the distribution
+and the measured column: the pass keeps the true exponent's column
+(keep=), and a run that measures another index makes the pass once more to
+keep that one. No run holds an m x m state. Resource counts are
+incremented at the operation call sites, never hand-entered.
 """
 from __future__ import annotations
 
@@ -84,7 +85,9 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
     Exhaustive mode takes the argmax and reports the probability mass
     sitting on the true answer, marginal_distribution's basis-order sum of
     that one column; sampled mode draws the index with a seeded generator
-    and reports the drawn index's mass.
+    and reports the drawn index's mass. The division keeps the true
+    answer's column only; where the index is another, it runs again and
+    keeps that one, with the bits the first pass gave it.
     Either way the post-run chi register replaces the handle's state and is
     checked with ChiHandle.verify. A run whose chi register fails that check,
     or whose marginal mass on the true exponent is not within FIDELITY_TOL of
@@ -109,26 +112,29 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
     fresh = qft_apply(exp_zero)
     ledger.fourier_count += 1
     # the division hands each block of rows to the inverse transform as it
-    # builds it and adds the block into the exponent register's marginal:
-    # one pass over the joint state, counted as both operations
+    # builds it, adds the block into the exponent register's marginal and
+    # keeps its entries in the true exponent's column: one pass over the
+    # joint state, counted as both operations
     marginal = np.empty(m)
-    joint = div_x_apply(fresh, chi.state, x, out=chi._workspace(), qft="inverse",
-                        marginal=marginal)
-    ledger.registers_used = len(joint.layout.registers)
+    kept = div_x_apply(fresh, chi.state, x, qft="inverse", marginal=marginal, keep=p_true)
+    ledger.registers_used = len(kept.layout.registers)
     ledger.division_ops += 1
     ledger.fourier_count += 1
 
     # the pass adds in walk order; the mass a record prints is read in
-    # basis order from the true exponent's column alone
-    true_mass = float(marginal_distribution(joint, slice(p_true, p_true + 1))[0])
+    # basis order from the true exponent's column
+    true_mass = float(marginal_distribution(kept)[0])
+    observed = int(np.argmax(marginal)) if mode == "exhaustive" else sample_index(marginal, seed)
+    if observed != p_true:
+        # every row is transformed as in the first pass, so this column has
+        # the bits it had there
+        kept = div_x_apply(fresh, chi.state, x, qft="inverse", keep=observed)
+    outcome = collapse(kept, 0)
+    ledger.measurements += 1
     if mode == "exhaustive":
-        outcome = collapse(joint, int(np.argmax(marginal)))
         success = true_mass
     else:
-        outcome = collapse(joint, sample_index(marginal, seed))
-        success = outcome.probability
-        marginal = None
-    ledger.measurements += 1
+        success, marginal = outcome.probability, None
 
     chi.state = outcome.post_state
     chi_fid = chi.verify()
@@ -136,7 +142,7 @@ def run_dlog(spec: GroupSpec, chi: ChiHandle, x: int, mode: str = "exhaustive",
         raise InvariantViolation(f"chi register fidelity fell to {chi_fid:.3e} in the run")
     if not abs(true_mass - 1.0) <= FIDELITY_TOL:
         raise InvariantViolation(f"success mass {true_mass:.3e} on the true exponent")
-    return DlogResult(x, p_true, outcome.observed, success, chi_fid, ledger, marginal)
+    return DlogResult(x, p_true, observed, success, chi_fid, ledger, marginal)
 
 
 def run_dlog_repeated(spec: GroupSpec, chi: ChiHandle, x_list, mode: str = "exhaustive",

@@ -9,7 +9,9 @@ transforms. A two-register state is built there, by div_x_apply, the one
 division, which writes the divided joint state of two one-register states
 straight into a fresh buffer or one its caller hands it, and, where a
 Fourier transform follows the division, transforms it block by block in the
-same pass and adds up register 0's distribution as it goes. Everything here
+same pass and adds up register 0's distribution as it goes. A run's pass
+keeps one column instead: a state whose register 0 holds one value, which
+collapse and marginal_distribution read like any other. Everything here
 returns new arrays.
 Only register 0 is ever read out, as in the procedure, where it is the
 exponent register: a run and a sampled preparation take its distribution
@@ -85,14 +87,6 @@ NORM_TOL = 1e-9
 CORRUPT_TOL = 1e-6
 DIM_CAP = 2 ** 24  # amplitudes in any state: 256 MiB of complex128
 READOUT_BLOCK = 1 << 16  # amplitudes per row block of a readout or residual
-# from this many amplitudes (m >= 1449 for a joint state) a chi handle keeps
-# its runs' joint buffer: a state of 32 MiB or more is past glibc's mmap
-# threshold ceiling, so a freed one goes back to the OS and the next run maps
-# and faults it afresh. Smaller ones come back from the heap anyway, and
-# keeping them would hold one per live handle (prepare-1008 peak RSS rose
-# from 54 to 70-83 MB, the last handle's buffer alive while the next is
-# prepared)
-_KEEP_MIN = 1 << 21
 # below this many amplitudes one core makes a whole pass: on a two-vCPU host
 # the split of an m x m Fourier transform loses at m = 256 (0.48 -> 0.64 ms),
 # breaks even near m = 512 and wins from m ~ 700

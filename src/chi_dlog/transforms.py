@@ -11,9 +11,10 @@ Every division in the procedure is div_x_apply, the one operator that joins
 two registers: it takes a lone exponent register k of order m and a lone
 group register of order m, and writes the joint state with the latter
 divided by x**k straight into a fresh buffer, or into one the caller passes
-as out (a chi handle keeps one for its runs), along the cycles of a single
-multiplier. Those cycles come from group multiplication alone, never from a
-discrete-log lookup. The inputs are left alone. The preparation's power
+as out (the preparation's conversion writes over its round's), along the
+cycles of a single multiplier; a run keeps one exponent column of it
+instead (keep=). Those cycles come from group multiplication alone, never
+from a discrete-log lookup. The inputs are left alone. The preparation's power
 oracle, |r, y> -> |r, y * g**r>, is div_x_apply with x = g**-1, and its
 conversion, which divides by a register holding g**k raised to alpha, is
 div_x_apply with x = g**alpha on that register written over exponents (chi),
@@ -54,7 +55,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import LayoutMismatch, NotBijective, WrongRegisterKind
+from .errors import BadLabel, LayoutMismatch, NotBijective, WrongRegisterKind
 from .group import GroupSpec
 from .qstate import (
     ExponentRegister,
@@ -165,7 +166,7 @@ def _blocks(m: int) -> tuple[list[int], list[int], int]:
 
 
 def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
-                marginal=None) -> QState:
+                marginal=None, keep=None) -> QState:
     """The joint state |a>|b> after the division |k, y> -> |k, y * x**-k>.
 
     a is a lone exponent register of order m (register 0 of the result) and
@@ -196,6 +197,12 @@ def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
     imaginary sums. So the bits do not depend on the core count, and for a
     normalized state they are within m * 2**-52 of marginal_distribution's,
     the one reader that adds it in basis order.
+
+    keep, an exponent in [0, m) (else BadLabel), keeps that one column of the
+    transformed state and writes no other: each block's entries in it are
+    copied to their rows of an m-vector, and nothing of m * m amplitudes is
+    allocated. The result, with the bits of the full pass's column, is a
+    state whose exponent register holds the one value. It needs qft, not out.
     """
     ra, rb = a.layout.registers[0], b.layout.registers[0]
     if not (len(a.layout.registers) == len(b.layout.registers) == 1
@@ -209,7 +216,12 @@ def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
         raise ValueError(f"qft must be None, 'forward' or 'inverse', not {qft!r}")
     if marginal is not None and qft is None:
         raise ValueError("a marginal is read after the transform: it needs qft")
+    if keep is not None and (qft is None or out is not None):
+        raise ValueError("a kept column is read after the transform and is all the pass "
+                         "writes: it needs qft and no out")
     m = spec.order
+    if keep is not None and not (isinstance(keep, (int, np.integer)) and 0 <= keep < m):
+        raise BadLabel(f"kept column {keep!r} not in [0, {m})")
     layout = RegisterLayout((ra, rb))  # refuses a joint state over the cap
     inputs = (a.amplitudes, b.amplitudes)
     if out is not None:
@@ -231,7 +243,7 @@ def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
     one = _mult_index_perm(spec, step)
     if one.min() < 0 or one.max() >= m or np.bincount(one, minlength=m).max() != 1:
         raise NotBijective(f"multiplying by {step!r} is not a permutation of {m} basis indices")
-    # every scratch array exists before the m x m output and the loop below
+    # every scratch array exists before the output and the loop below
     # keeps none of its own (numpy frees its multiply buffers within each
     # call), so no small array lands above a freed state in the heap
     nxt = one.tolist()
@@ -258,9 +270,10 @@ def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
     blocks = np.empty((parts, size + 1, m), dtype=np.complex128)
     # each segment's column sums of the squared real and imaginary parts
     sums = np.zeros((_SEGMENTS, 2 * m)) if marginal is not None else None
+    columns = slice(None) if keep is None else slice(keep, keep + 1)
     if out is None:
-        out = np.empty(m * m, dtype=np.complex128)
-    rows = out.reshape(m, m)
+        out = np.empty(m * m if keep is None else m, dtype=np.complex128)
+    rows = out.reshape(m, -1)
     transform = _fft(qft == "inverse")
 
     def build(part, low, high):
@@ -293,7 +306,7 @@ def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
             built = block[:last - first]
             if qft is not None:
                 transform(built, axis=1, norm="ortho", out=built)
-            rows[walk[first:last]] = built
+            rows[walk[first:last]] = built[:, columns]
             if sums is not None:
                 # the carry, then the block's rows: a C-contiguous sum down
                 # the rows adds them one after another
@@ -306,6 +319,8 @@ def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
     if sums is not None:
         total = np.add.reduce(sums, axis=0)
         np.add(total[0::2], total[1::2], out=marginal)
+    if keep is not None:
+        layout = RegisterLayout((ExponentRegister(1), rb))
     return QState(layout, out)
 
 

@@ -35,7 +35,15 @@ from chi_dlog.errors import (
     UnverifiedChi,
 )
 from chi_dlog.group import GroupSpec, dlog_oracle, validate_group
-from chi_dlog.qstate import QState, marginal_distribution
+from chi_dlog.qstate import (
+    ExponentRegister,
+    QState,
+    RegisterLayout,
+    basis_state,
+    collapse,
+    marginal_distribution,
+    sample_index,
+)
 from chi_dlog.transforms import div_x_apply
 
 # the order-3 subgroup modulo the prime 2**40 - 585, the largest modulus class
@@ -88,22 +96,22 @@ def test_run_dlog_sampled_mode():
     assert np.array_equal(a.chi_post_fidelity, b.chi_post_fidelity)
 
 
+def full_pass(spec, chi_state, x):
+    """A run's whole joint state, built by hand: the pass with no column kept."""
+    zero = basis_state(RegisterLayout((ExponentRegister(spec.order),)), (0,))
+    return div_x_apply(transforms.qft_apply(zero), chi_state, x, qft="inverse")
+
+
 @pytest.mark.parametrize("n, g", [(1019, 2), (2003, 5)])
-def test_an_exhaustive_run_reports_the_mass_summed_in_basis_order(monkeypatch, n, g):
+def test_an_exhaustive_run_reports_the_mass_summed_in_basis_order(n, g):
     # the run reads its marginal from the division's pass, which adds in walk
     # order; the mass it reports is the true exponent's column added in basis
     # order, so it has the bits marginal_distribution gives that column
     spec = validate_group(n, g)
     handle = fresh_chi(spec)
-    joints = []
-
-    def kept(*args, **kwargs):
-        joints.append(div_x_apply(*args, **kwargs))
-        return joints[-1]
-    monkeypatch.setattr(dlog, "div_x_apply", kept)
     for x in (spec.generator, 3, spec.pow(g, spec.order // 2 + 1)):
+        basis_order = marginal_distribution(full_pass(spec, handle.state, x))
         result = run_dlog(spec, handle, x)
-        basis_order = marginal_distribution(joints[-1])
         assert result.success_probability == basis_order[result.oracle_p]
         assert np.abs(result.marginal - basis_order).max() <= spec.order * 2.0 ** -52
 
@@ -324,6 +332,13 @@ FAULT_CASES = [(fault, m) for fault in FAULTS for m in FAULT_GROUPS
                        or fault == "power-oracle-g2-odd" and not m % 2)]
 
 
+def column_of(joint, k):
+    """Column k of a joint state as the state a pass that keeps it returns."""
+    m = joint.layout.dim(0)
+    return QState(RegisterLayout((ExponentRegister(1), joint.layout.registers[1])),
+                  joint.amplitudes.reshape(-1, m)[:, k].copy())
+
+
 def inject(monkeypatch, fault, spec, handle=None):
     """Patch one fault into this group's preparation, or into its run on handle."""
     g = spec.generator
@@ -341,15 +356,15 @@ def inject(monkeypatch, fault, spec, handle=None):
         monkeypatch.setattr(chi, "div_x_apply", lambda *args, qft=None, **kwargs: (
             fake if qft == "forward" else transforms.div_x_apply)(*args, qft=qft, **kwargs))
 
-    def poisoned(a, b, x, out=None, qft=None, marginal=None):
+    def poisoned(a, b, x, qft=None, marginal=None, keep=None):
         # the NaN lands between the division and its transform, and so in
-        # the marginal the pass adds up after it
-        joint = div_x_apply(a, b, x, out=out)
+        # the marginal the pass adds up after it and in the column it keeps
+        joint = div_x_apply(a, b, x)
         joint.amplitudes[7] = np.nan
         joint = transforms.qft_apply(joint, inverse=qft == "inverse")
         if marginal is not None:
             marginal[...] = marginal_distribution(joint)
-        return joint
+        return joint if keep is None else column_of(joint, keep)
 
     if fault == "wrong-division":
         divide_by(lambda x: spec.pow(g, 7))
@@ -387,6 +402,61 @@ def test_every_fault_raises_with_no_flag(monkeypatch, fault, m, mode):
         inject(monkeypatch, fault, spec, handle)
         with expected:
             run_dlog(spec, handle, spec.pow(spec.generator, 5), mode=mode, seed=0)
+
+
+def spied_divisions(monkeypatch):
+    """The column each of the runs' divisions keeps, in call order."""
+    kept, division = [], dlog.div_x_apply
+
+    def spy(*args, **kwargs):
+        kept.append(kwargs.get("keep"))
+        return division(*args, **kwargs)
+    monkeypatch.setattr(dlog, "div_x_apply", spy)
+    return kept
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_a_correct_run_makes_one_pass(monkeypatch, capsys, mode):
+    # the pass keeps the true exponent's column, which a correct run
+    # measures, so it is made once and the ledger and the resources table
+    # count one division and two transforms a run
+    spec = FAULT_GROUPS[1008]
+    handle = fresh_chi(spec)
+    kept = spied_divisions(monkeypatch)
+    xs = [spec.pow(spec.generator, e) for e in (1, 5, 504, 1007)] + [3, 7]
+    results = run_dlog_repeated(spec, handle, xs, mode=mode, seed=4)
+    assert [r.measured_p for r in results] == [dlog_oracle(spec, x) for x in xs]
+    assert kept == [r.oracle_p for r in results]
+    assert all(r.resources == ResourceLedger(2, 1, 2, 1) for r in results)
+    kept.clear()
+    capsys.readouterr()
+    assert main(["resources"]) == 0
+    assert len(kept) == 1
+    rows = {line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()[2:]}
+    assert rows["division_ops"] == ["1", "-"] and rows["fourier_transforms"] == ["2", "4"]
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+@pytest.mark.parametrize("m", [23, 1008])
+def test_a_run_measuring_another_index_makes_the_pass_again(monkeypatch, m, mode):
+    # the wrong division moves the mass off the true exponent: the run makes
+    # the pass again to keep the observed column, and the post-state it sets
+    # before the mass gate raises is the collapse of the whole pass onto it
+    spec = FAULT_GROUPS[m]
+    handle = fresh_chi(spec)
+    # the fault divides by g**7 whatever x is
+    joint = full_pass(spec, handle.state, spec.pow(spec.generator, 7))
+    marginal = marginal_distribution(joint)
+    observed = (int(np.argmax(marginal)) if mode == "exhaustive"
+                else sample_index(marginal, 0))
+    inject(monkeypatch, "wrong-division", spec)
+    kept = spied_divisions(monkeypatch)
+    with pytest.raises(InvariantViolation, match="^success mass "):
+        run_dlog(spec, handle, spec.pow(spec.generator, 5), mode=mode, seed=0)
+    assert kept == [5, observed] and observed != 5
+    assert np.array_equal(handle.state.amplitudes,
+                          collapse(joint, observed).post_state.amplitudes)
 
 
 def test_run_dlog_gates_success_mass_above_one():

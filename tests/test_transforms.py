@@ -203,7 +203,7 @@ def test_a_division_refuses_a_transform_it_cannot_make():
 
 
 # x = 1, a generator and an x of small order (the last item) at each size;
-# from m = 1450 a chi handle keeps its runs' buffer
+# m = 1450 and m = 2002 are where the memory tests and the dlog pins run
 PASS_MARGINAL_CASES = {
     "m=512": (cyclic_group(512), 4),
     "m=1008": (validate_group(1009, 11), 7),
@@ -284,6 +284,52 @@ def test_a_marginal_needs_a_transform_and_memory_of_its_own():
     with pytest.raises(LayoutMismatch, match="shares memory"):
         div_x_apply(a, b, 3, qft="forward", marginal=a.amplitudes.imag)
     assert not np.any(out)
+
+
+def assert_kept_columns(spec, a, b, x, ks):
+    """Each kept column, and the marginal filled with it, against the whole pass."""
+    m = spec.order
+    for qft in ("forward", "inverse"):
+        marginal = np.full(m, np.nan)
+        columns = div_x_apply(a, b, x, qft=qft, marginal=marginal).amplitudes.reshape(m, m)
+        for k in ks:
+            filled = np.full(m, np.nan)
+            kept = div_x_apply(a, b, x, qft=qft, marginal=filled, keep=k)
+            assert kept.layout == RegisterLayout((ExponentRegister(1), GroupRegister(spec)))
+            assert np.array_equal(kept.amplitudes, columns[:, k])
+            assert np.array_equal(filled, marginal)
+
+
+@pytest.mark.parametrize("n, g", [(13, 2), (47, 2), (101, 2)])
+def test_every_kept_column_has_the_bits_of_the_whole_pass(n, g):
+    spec = validate_group(n, g)
+    m = spec.order
+    a, b = exponent_state(m, m), group_state(spec, m + 1)
+    for x in (spec.identity, g, spec.pow(g, 5)):
+        assert_kept_columns(spec, a, b, x, range(m))
+
+
+@pytest.mark.parametrize("n, g", [(1451, 2), (2003, 5)])
+def test_a_kept_column_has_the_bits_of_the_whole_pass_on_any_core_count(see_cores, n, g):
+    spec = validate_group(n, g)
+    m = spec.order
+    a, b = exponent_state(m, m), group_state(spec, m + 1)
+    for count in (1, 2, 8):
+        see_cores(count)
+        assert_kept_columns(spec, a, b, spec.pow(g, 5), (0, 1, 5, m // 2, m - 1))
+
+
+def test_a_division_refuses_a_column_it_cannot_keep():
+    a, b = exponent_state(6, 11), group_state(Z7, 12)
+    with pytest.raises(ValueError, match="needs qft and no out"):
+        div_x_apply(a, b, 3, keep=2)
+    out = np.zeros(36, dtype=np.complex128)
+    with pytest.raises(ValueError, match="needs qft and no out"):
+        div_x_apply(a, b, 3, out=out, qft="inverse", keep=2)
+    assert not np.any(out)
+    for k in (-1, 6, 2.0, "2"):
+        with pytest.raises(errors.BadLabel, match="kept column"):
+            div_x_apply(a, b, 3, qft="inverse", keep=k)
 
 
 def test_a_state_below_the_split_threshold_starts_no_thread(see_cores, started):
