@@ -10,12 +10,17 @@ measured value's inverse converts the surviving state to power 1.
 Every division here is the run's own operator, div_x_apply, the package's
 only division and its only operator that joins two registers. The round loads
 the powers of g with x = g**-1 and, in the same pass, adds up the
-distribution a sampled preparation draws from. The conversion, and
-chi_power_from, divide by a group register holding g**k raised to alpha:
-that is dividing by (g**alpha)**k, controlled on the exponent k, so their
-left register is the chi state written over exponents (_chi_exponents) and
-comes back to the group's basis in one O(m) scatter through power_indices
-(_over_group).
+distribution a sampled preparation draws from, or, in exhaustive mode, keeps
+the coprime columns alone, the only ones its acceptance and collapse read.
+The conversion, and chi_power_from, divide by a group register holding g**k
+raised to alpha: that is dividing by (g**alpha)**k, controlled on the
+exponent k, so their left register is the chi state written over exponents
+(_chi_exponents) and comes back to the group's basis in one O(m) scatter
+through power_indices (_over_group). The conversion's joint state is only
+split by factor_out, which builds its rows a block at a time from the
+division's walk (transforms._division_rows), so it is never held whole: a
+sampled preparation peaks at its round's 16 * m**2 bytes and an exhaustive
+one at 16 * m * phi(m).
 """
 from __future__ import annotations
 
@@ -27,6 +32,7 @@ import numpy as np
 
 from .errors import (
     ArtifactMismatch,
+    DegenerateNorm,
     InvariantViolation,
     NotCoprime,
     RetryLimitExceeded,
@@ -47,7 +53,7 @@ from .qstate import (
     parse_amplitudes,
     sample_index,
 )
-from .transforms import div_x_apply, qft_apply
+from .transforms import _division_rows, div_x_apply, qft_apply
 
 __all__ = [
     "FIDELITY_TOL",
@@ -118,7 +124,7 @@ class PrepStats:
     acceptance_probability: float | None = None
 
 
-def _superposed_round(spec: GroupSpec, marginal=None) -> QState:
+def _superposed_round(spec: GroupSpec, marginal=None, keep=None) -> QState:
     """The state a preparation measures: exponent column s holds chi_s/sqrt(m).
 
     Superpose exponents, load powers of g, transform again. The powers are
@@ -126,17 +132,17 @@ def _superposed_round(spec: GroupSpec, marginal=None) -> QState:
     power oracle is no second operator, and that division makes the second
     transform as it builds the joint state, block by block in one pass, and
     in the same pass fills marginal, if one is given, with the distribution
-    the measurement draws from. The fresh exponent register is transformed
-    before it joins the group register, so the first transform touches m
-    amplitudes. A device reruns the round on every attempt, but the
-    simulated unitary and its input are fixed, so every attempt draws from
-    this one distribution.
+    the measurement draws from, or keeps the columns keep names alone. The
+    fresh exponent register is transformed before it joins the group
+    register, so the first transform touches m amplitudes. A device reruns
+    the round on every attempt, but the simulated unitary and its input are
+    fixed, so every attempt draws from this one distribution.
     """
     exp_zero = basis_state(RegisterLayout((ExponentRegister(spec.order),)), (0,))
     identity = basis_state(RegisterLayout((GroupRegister(spec),)), (spec.identity,))
     # dividing by (g**-1)**r is multiplying by g**r
     return div_x_apply(qft_apply(exp_zero), identity, spec.inverse(spec.generator),
-                       qft="forward", marginal=marginal)
+                       qft="forward", marginal=marginal, keep=keep)
 
 
 def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
@@ -148,9 +154,13 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     is drawn from with a seeded generator, redrawn while the value shares a
     factor with the order; only the accepted draw is collapsed. Exhaustive
     mode instead reports the exact acceptance probability of the coprimality
-    test, marginal_distribution's basis-order sum of the round's coprime
-    columns, and collapses deterministically onto the smallest coprime
-    value, so it always finishes in one attempt.
+    test and collapses deterministically onto the smallest coprime value,
+    so it always finishes in one attempt: its round keeps the coprime
+    columns alone, 16 * m * phi(m) bytes, and the acceptance is
+    marginal_distribution's basis-order sum of them. The conversion after
+    the measurement is never held whole: factor_out builds its rows a block
+    at a time (transforms._division_rows), so a sampled preparation peaks
+    at one m x m state and an exhaustive one at its coprime columns.
     Returns the handle and the attempt statistics.
 
     A wrong round is refused by the checks every preparation makes:
@@ -165,15 +175,12 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     m = spec.order
     acceptance = None
     if mode == "exhaustive":
-        state = _superposed_round(spec)
         coprime = [s for s in range(m) if gcd(s, m) == 1]
-        # the pass would add in walk order; the acceptance is read in basis
-        # order from the columns that can be coprime alone: the odd ones where
-        # m is even
-        step = 2 - m % 2
-        masses = marginal_distribution(state, slice(step - 1, m, step))
-        acceptance = float(sum(masses[s // step] for s in coprime))
-        observed = coprime[:1]
+        state = _superposed_round(spec, keep=coprime)
+        # kept column i holds exponent coprime[i]; each is added in basis
+        # order, then the columns in the order of s
+        acceptance = float(sum(marginal_distribution(state)))
+        observed, column = coprime[:1], 0
     else:
         probs = np.empty(m)
         state = _superposed_round(spec, probs)
@@ -186,17 +193,24 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
         else:
             raise RetryLimitExceeded(
                 f"no coprime measurement within {max_attempts} attempts for order {m}")
+        column = observed[-1]
     success = observed[-1]
     if gcd(success, m) != 1:
         raise InvariantViolation(f"accepted s={success} shares a factor with m={m}")
-    # the measurement left the chi register of power s alone. A uniform chi
-    # register written over exponents, k for g**k, divides it by
-    # (g**k)**(s**-1), which kicks power 1 back onto that register. collapse
-    # copied the survivor out, so the division writes over the round's buffer
-    survivor = collapse(state, success).post_state
-    joint = div_x_apply(_chi_exponents(spec, 0), survivor,
-                        spec.pow(spec.generator, mod_inverse(success, m)),
-                        out=state.amplitudes)
+    try:
+        survivor = collapse(state, column).post_state
+    except DegenerateNorm as exc:
+        # the message names the measured exponent, not the column it was kept in
+        raise DegenerateNorm(str(exc).replace(f"index {column} ", f"index {success} ", 1)) \
+            from None
+    # collapse copied the survivor out, so the round's buffer goes before the
+    # conversion. The measurement left the chi register of power s alone. A
+    # uniform chi register written over exponents, k for g**k, divides it by
+    # (g**k)**(s**-1), which kicks power 1 back onto that register; s**-1 is
+    # coprime to m, so that divisor generates the group
+    del state
+    joint = _division_rows(_chi_exponents(spec, 0), survivor,
+                           spec.pow(spec.generator, mod_inverse(success, m)))
     chi_state = _over_group(spec, factor_out(joint, 1, chi_reference(spec, success)))
 
     handle = ChiHandle(power=1, state=chi_state)

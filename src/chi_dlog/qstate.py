@@ -7,18 +7,22 @@ i0 + dim0 * i1. The text dump format uses the same indexing.
 This module holds states, not operators: every gate of the simulation is in
 transforms. A two-register state is built there, by div_x_apply, the one
 division, which writes the divided joint state of two one-register states
-straight into a fresh buffer or one its caller hands it, and, where a
-Fourier transform follows the division, transforms it block by block in the
-same pass and adds up register 0's distribution as it goes. A run's pass
-keeps one column instead: a state whose register 0 holds one value, which
-collapse and marginal_distribution read like any other. Everything here
-returns new arrays.
+straight into a fresh buffer, and, where a Fourier transform follows the
+division, transforms it block by block in the same pass and adds up register
+0's distribution as it goes. A run's pass keeps one column instead, and an
+exhaustive preparation's round its coprime columns: a state whose register
+0 holds those values, which collapse and marginal_distribution read like any
+other. The preparation's conversion is never held whole: it is a _Rows, the
+rule for its grid's rows, which factor_out writes a block at a time into the
+scratch of its row sum and of its product check. Everything here returns
+new arrays.
 Only register 0 is ever read out, as in the procedure, where it is the
 exponent register: a run and a sampled preparation take its distribution
 from that pass, sample_index draws from it, and collapse measures it and
 keeps register 1. marginal_distribution, the one reader of register 0 in
-basis order, adds it in that order over the columns asked for: a record's
-masses read the columns they need alone, a one-register norm reads them all.
+basis order, adds each column in that order, so the columns a pass kept
+read as they do in the whole distribution: a record's mass reads the one
+column a run kept, the exhaustive acceptance the coprime columns.
 Readout and factor_out work in blocks of rows, so none of them makes a
 temporary the size of a two-register state. The marginal, the norm, and
 factor_out, which splits off register 1 by summing the grid's rows and
@@ -46,7 +50,7 @@ import os
 import threading
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -177,6 +181,27 @@ class MeasurementOutcome:
     post_state: QState
 
 
+@dataclass
+class _Rows:
+    """A two-register state held as the rules for its grid's rows, never whole.
+
+    write(start, stop, lo, hi, out) writes grid[start:stop, lo:hi] into out,
+    a C-contiguous block, and walk(start, stop, out) writes the whole rows
+    grid[order[start:stop]], the order in which they are cheapest to make,
+    for a pass that does not depend on the order of the rows.
+    transforms._division_rows makes one for the preparation's conversion,
+    and factor_out splits register 1 off it.
+    """
+    layout: RegisterLayout
+    write: Callable[[int, int, int, int, np.ndarray], None]
+    order: np.ndarray
+    walk: Callable[[int, int, np.ndarray], None]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.layout.dim(1), self.layout.dim(0)
+
+
 def _grid(state: QState) -> np.ndarray:
     """(dim1, dim0) view of a two-register state; grid[i1, i0]."""
     d0 = state.layout.dim(0)
@@ -250,16 +275,16 @@ def basis_state(layout: RegisterLayout, labels: Sequence[int]) -> QState:
     return QState(layout, amps)
 
 
-def marginal_distribution(state: QState, columns: slice = slice(None)) -> np.ndarray:
+def marginal_distribution(state: QState) -> np.ndarray:
     """Measurement distribution of register 0, marginalized over register 1.
 
-    Only the columns asked for are read, through a strided view. Each
-    column's terms, |amplitude| squared, are added one row after another in
-    basis order, so a subset of the columns has the bits it has in the whole
-    distribution; one column costs O(dim1). A one-register state is a single
-    row, so its marginal is its density.
+    Each column's terms, |amplitude| squared, are added one row after another
+    in basis order, so a state that holds some columns of another reads them
+    with the bits they have in its whole distribution; one column costs
+    O(dim1). A one-register state is a single row, so its marginal is its
+    density.
     """
-    grid = state.amplitudes.reshape(-1, state.layout.dim(0))[:, columns]
+    grid = state.amplitudes.reshape(-1, state.layout.dim(0))
     if grid.shape[1] == 1:
         # numpy sums a lone column pairwise, not row by row; cumsum adds in order
         terms = np.abs(grid[:, 0])
@@ -274,24 +299,27 @@ def _densities(block, start, out):
     np.square(out, out=out)
 
 
-def _row_sum(grid: np.ndarray, dtype, fill) -> np.ndarray:
+def _row_sum(grid, dtype, fill) -> np.ndarray:
     """Sum over the rows of grid of what fill(block, start, out) writes.
 
     fill gets the rows grid[start:start + len(out)] of one column range and
     writes their terms into out. grid may be a strided view, such as the
-    transpose factor_out sums to split off register 0. Each block is summed
-    into the range's slice of the total, which buf[0] carries into the next
-    block's sum, so the rows are added one after another in order, exactly
-    as a whole-array sum(axis=0) of a C-contiguous grid does: the order
-    depends on the grid's shape alone, and no BLAS call is made. From
-    _SPLIT_MIN amplitudes the columns are split over the cores, which changes
-    no bit. The ranges share one scratch of at most READOUT_BLOCK + d0 values,
-    and numpy's call over a range's strided block may hold two buffers of
-    np.getbufsize() values; those share READOUT_BLOCK values too, so there
-    are at most READOUT_BLOCK // (2 * np.getbufsize()) ranges and the scratch
-    does not grow with the core count.
+    transpose factor_out sums to split off register 0, or a _Rows, whose
+    rows are written into out first, through a gather of at most
+    np.getbufsize() values a range, and filled there in place. Each block
+    is summed into the range's slice of the total, which buf[0] carries
+    into the next block's sum, so the rows are added one after another in
+    order, exactly as a whole-array sum(axis=0) of a C-contiguous grid does:
+    the order depends on the grid's shape alone, and no BLAS call is made.
+    From _SPLIT_MIN amplitudes the columns are split over the cores, which
+    changes no bit. The ranges share one scratch of at most READOUT_BLOCK +
+    d0 values, and numpy's call over a range's strided block may hold two
+    buffers of np.getbufsize() values; those share READOUT_BLOCK values too,
+    so there are at most READOUT_BLOCK // (2 * np.getbufsize()) ranges and
+    the scratch does not grow with the core count.
     """
     d1, d0 = grid.shape
+    built = isinstance(grid, _Rows)
     rows = max(1, min(READOUT_BLOCK // d0, d1))
     scratch = np.zeros((rows + 1) * d0, dtype)
     total = np.empty(d0, dtype)
@@ -299,13 +327,17 @@ def _row_sum(grid: np.ndarray, dtype, fill) -> np.ndarray:
     def columns(part, lo, hi):
         buf = scratch[(rows + 1) * lo:(rows + 1) * hi].reshape(rows + 1, hi - lo)
         for start in range(0, d1, rows):
-            block = grid[start:start + rows, lo:hi]
-            fill(block, start, buf[1:1 + len(block)])
-            np.add.reduce(buf[:1 + len(block)], axis=0, out=total[lo:hi])
+            terms = buf[1:1 + min(rows, d1 - start)]
+            if built:
+                grid.write(start, start + len(terms), lo, hi, terms)
+                fill(terms, start, terms)
+            else:
+                fill(grid[start:start + len(terms), lo:hi], start, terms)
+            np.add.reduce(buf[:1 + len(terms)], axis=0, out=total[lo:hi])
             buf[0] = total[lo:hi]
 
     most = max(1, READOUT_BLOCK // (2 * np.getbufsize()))
-    _over_cores(_cuts(d0, grid.size, _COLUMNS_MIN, most), columns)
+    _over_cores(_cuts(d0, d1 * d0, _COLUMNS_MIN, most), columns)
     return total
 
 
@@ -354,7 +386,7 @@ def fidelity(a: QState, b: QState) -> float:
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def factor_out(state: QState, register_index: int, expected: QState) -> QState:
+def factor_out(state, register_index: int, expected: QState) -> QState:
     """Split off one register whose state is known, returning the rest.
 
     The joint state must equal remaining x expected up to a global phase
@@ -362,7 +394,10 @@ def factor_out(state: QState, register_index: int, expected: QState) -> QState:
     Either register is split off by one row sum with no BLAS call: register
     1, as a preparation does, by adding the weighted rows of the grid in
     order, and register 0 by adding its weighted columns in order. So the
-    result does not depend on the BLAS thread count.
+    result does not depend on the BLAS thread count. state may also be a
+    _Rows, the preparation's conversion, which is never held whole: its
+    rows are written a block at a time into the row sum's scratch and the
+    product check's, and register 1 alone is split off it.
     """
     regs = state.layout.registers
     if len(regs) != 2:
@@ -370,7 +405,12 @@ def factor_out(state: QState, register_index: int, expected: QState) -> QState:
     if len(expected.layout.registers) != 1 or \
             expected.layout.registers[0] != regs[register_index]:
         raise LayoutMismatch("expected state does not match the named register")
-    grid = _grid(state)
+    if isinstance(state, _Rows):
+        if register_index != 1:
+            raise LayoutMismatch("a state held as its rows splits off register 1 alone")
+        grid = state
+    else:
+        grid = _grid(state)
     e = expected.amplitudes
     weights = e.conj()[:, None]
 
@@ -393,7 +433,7 @@ def factor_out(state: QState, register_index: int, expected: QState) -> QState:
     return QState(RegisterLayout((keep,)), remaining)
 
 
-def _residual(column: np.ndarray, row: np.ndarray, grid: np.ndarray) -> float:
+def _residual(column: np.ndarray, row: np.ndarray, grid) -> float:
     """max |outer(column, row) - grid| where it passes NORM_TOL; NaN if any is NaN.
 
     A block of rows whose deviations d all have 2 * max(|Re d|, |Im d|) <=
@@ -403,19 +443,27 @@ def _residual(column: np.ndarray, row: np.ndarray, grid: np.ndarray) -> float:
     passes and fails as the exact max does, and one that fails returns that
     max. numpy buffers a multiply broadcast over rows shorter than its
     buffer, so a block's column entries are copied across its rows and then
-    multiplied by a shared tile of the row, with outer's bits. The blocks and
-    the tile share one scratch of READOUT_BLOCK values per kind (one row each
-    where a row is longer than a share); there are at most READOUT_BLOCK // d0
-    ranges, and at most READOUT_BLOCK // (2 * np.getbufsize()) as in _row_sum,
-    so the scratch does not grow with the core count.
+    multiplied by a shared tile of the row, with outer's bits. A _Rows grid
+    is visited in its own order (the max does not depend on it), and each
+    block of its rows is written into one more scratch first. The blocks
+    and the tile share one scratch of READOUT_BLOCK values per kind (one row
+    each where a row is longer than a share); there are at most
+    READOUT_BLOCK // d0 ranges, and at most READOUT_BLOCK // (2 *
+    np.getbufsize()) as in _row_sum, so the scratch does not grow with the
+    core count, nor do the two buffers of np.getbufsize() values a range
+    that numpy's multiply may hold while a _Rows grid writes its rows.
     """
     d1, d0 = grid.shape
+    built = isinstance(grid, _Rows)
     most = max(1, READOUT_BLOCK // (2 * np.getbufsize()))
-    cuts = _cuts(d1, grid.size, -(-d1 // max(1, READOUT_BLOCK // d0)), most)
+    cuts = _cuts(d1, d1 * d0, -(-d1 // max(1, READOUT_BLOCK // d0)), most)
     parts = len(cuts) - 1
-    rows = max(1, min(READOUT_BLOCK // (d0 * (parts + 1)), cuts[1]))
+    # a _Rows grid's written rows take one more share per range
+    shares = parts + 1 + (parts if built else 0)
+    rows = max(1, min(READOUT_BLOCK // (d0 * shares), cuts[1]))
     recons = np.empty((parts, rows, d0), np.complex128)
     mags = np.empty((parts, rows, d0), np.float64)
+    written = np.empty((parts, rows, d0), np.complex128) if built else None
     peaks = np.zeros(parts)
     tile = np.tile(row, (rows, 1))
 
@@ -423,9 +471,14 @@ def _residual(column: np.ndarray, row: np.ndarray, grid: np.ndarray) -> float:
         for start in range(lo, hi, rows):
             stop = min(start + rows, hi)
             recon, mag = recons[part, :stop - start], mags[part, :stop - start]
-            recon[...] = column[start:stop, None]
+            if built:
+                block, rows_of = written[part, :stop - start], grid.order[start:stop]
+                grid.walk(start, stop, block)
+            else:
+                block, rows_of = grid[start:stop], slice(start, stop)
+            recon[...] = column[rows_of, None]
             np.multiply(recon, tile[:stop - start], out=recon)
-            recon -= grid[start:stop]
+            recon -= block
             # max and min propagate a NaN, which fails the screen
             flat = recon.view(np.float64)
             bound = 2 * np.maximum(flat.max(), -flat.min())

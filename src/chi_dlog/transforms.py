@@ -10,15 +10,19 @@ amplitudes in one numpy call, and returns it.
 Every division in the procedure is div_x_apply, the one operator that joins
 two registers: it takes a lone exponent register k of order m and a lone
 group register of order m, and writes the joint state with the latter
-divided by x**k straight into a fresh buffer, or into one the caller passes
-as out (the preparation's conversion writes over its round's), along the
-cycles of a single multiplier; a run keeps one exponent column of it
-instead (keep=). Those cycles come from group multiplication alone, never
-from a discrete-log lookup. The inputs are left alone. The preparation's power
-oracle, |r, y> -> |r, y * g**r>, is div_x_apply with x = g**-1, and its
-conversion, which divides by a register holding g**k raised to alpha, is
-div_x_apply with x = g**alpha on that register written over exponents (chi),
-so neither has an operator of its own.
+divided by x**k straight into a fresh buffer, along the cycles of a single
+multiplier; a run keeps one exponent column of it instead, and an
+exhaustive preparation's round its coprime columns (keep=). Those cycles
+come from group multiplication alone, never from a discrete-log lookup. The
+inputs are left alone. The preparation's power oracle, |r, y> -> |r, y *
+g**r>, is div_x_apply with x = g**-1, and its conversion, which divides by a
+register holding g**k raised to alpha, is the same division with x =
+g**alpha on that register written over exponents (chi), so neither has an
+operator of its own. The conversion is only read by factor_out, so it is
+never written whole: _division_rows shares div_x_apply's checks, its walk
+along the cycles and its tile, and hands factor_out the rule for its rows
+(qstate._Rows). alpha is coprime to m there, so the walk is one cycle and
+each row is one window of the one tile, times the left register.
 
 div_x_apply builds a block of consecutive rows along the cycles in a
 per-core scratch and copies the rows to their places. Where a transform of
@@ -55,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BadLabel, LayoutMismatch, NotBijective, WrongRegisterKind
+from .errors import BadLabel, LayoutMismatch, NotAGenerator, NotBijective, WrongRegisterKind
 from .group import GroupSpec
 from .qstate import (
     ExponentRegister,
@@ -64,6 +68,7 @@ from .qstate import (
     RegisterLayout,
     _cuts,
     _over_cores,
+    _Rows,
 )
 
 __all__ = [
@@ -165,8 +170,62 @@ def _blocks(m: int) -> tuple[list[int], list[int], int]:
     return bounds, cuts, max(1, min(m // 8, rows))
 
 
-def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
-                marginal=None, keep=None) -> QState:
+def _checked(a: QState, b: QState, x: int):
+    """The registers of a division and its multiplier, step = x**-1.
+
+    a must be a lone exponent register of order m and b a lone group
+    register of order m, else LayoutMismatch; an x outside the group raises
+    NotInGroup.
+    """
+    ra, rb = a.layout.registers[0], b.layout.registers[0]
+    if not (len(a.layout.registers) == len(b.layout.registers) == 1
+            and isinstance(ra, ExponentRegister) and isinstance(rb, GroupRegister)
+            and ra.dim == rb.dim):
+        raise LayoutMismatch(
+            "a division joins a lone exponent register and a lone group register of one order")
+    return ra, rb, rb.group.inverse(x)
+
+
+def _cycles(spec: GroupSpec, step: int, b: QState):
+    """The walk along the cycles of multiplying by step, their ends, and b along it.
+
+    Each cycle is walked reversed, so walk position p has window p of its
+    cycle's tile (_tile). One bijectivity check of the step table covers
+    every row of the division.
+    """
+    m = spec.order
+    one = _mult_index_perm(spec, step)
+    if one.min() < 0 or one.max() >= m or np.bincount(one, minlength=m).max() != 1:
+        raise NotBijective(f"multiplying by {step!r} is not a permutation of {m} basis indices")
+    nxt = one.tolist()
+    seen = bytearray(m)
+    walk, ends = [], []
+    for start in range(m):
+        if not seen[start]:
+            cycle = []
+            while not seen[start]:
+                seen[start] = 1
+                cycle.append(start)
+                start = nxt[start]
+            walk.extend(reversed(cycle))
+            ends.append(len(walk))
+    walk = np.array(walk, dtype=np.intp)
+    return walk, ends, b.amplitudes.take(walk)
+
+
+def _tile(tile: np.ndarray, cycle: np.ndarray, m: int) -> None:
+    """Write whole copies of one cycle's entries into tile, enough for each window of m.
+
+    A cycle of length L is tiled L * reps long, L + m - 1 <= L * reps < 2L + m,
+    so a tile of 3 * m entries holds any cycle's.
+    """
+    length = len(cycle)
+    reps = -(-(length + m - 1) // length)
+    tile[:reps * length].reshape(reps, length)[...] = cycle
+
+
+def div_x_apply(a: QState, b: QState, x: int, qft=None, marginal=None,
+                keep=None) -> QState:
     """The joint state |a>|b> after the division |k, y> -> |k, y * x**-k>.
 
     a is a lone exponent register of order m (register 0 of the result) and
@@ -174,13 +233,10 @@ def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
     x outside the group raises NotInGroup. Row k of the map is the
     permutation "multiply by step = x**-1" composed k times, so one
     bijectivity check covers every row. The divided state is written
-    straight into out, out[y, k] = a[k] * b[y * x**k], and the inputs are
-    left alone. out defaults to a fresh buffer; one the caller passes is
-    overwritten whole and becomes the result's amplitudes, with the same
-    bits. It must be a flat, C-contiguous, writable complex128 array of
-    exactly m * m amplitudes that shares no memory with a or b, else
-    LayoutMismatch. Along a cycle c_0, c_1 = c_0 * step, ... of length L, row
-    c_j is the window at L - 1 - j of b[cycle reversed], tiled, times a.
+    straight into a fresh buffer, out[y, k] = a[k] * b[y * x**k], and the
+    inputs are left alone. Along a cycle c_0, c_1 = c_0 * step, ... of
+    length L, row c_j is the window at L - 1 - j of b[cycle reversed],
+    tiled, times a.
 
     Consecutive rows are built a block at a time in a per-core scratch and
     copied to their rows; from qstate._SPLIT_MIN amplitudes the rows are
@@ -198,82 +254,58 @@ def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
     normalized state they are within m * 2**-52 of marginal_distribution's,
     the one reader that adds it in basis order.
 
-    keep, an exponent in [0, m) (else BadLabel), keeps that one column of the
-    transformed state and writes no other: each block's entries in it are
-    copied to their rows of an m-vector, and nothing of m * m amplitudes is
-    allocated. The result, with the bits of the full pass's column, is a
-    state whose exponent register holds the one value. It needs qft, not out.
+    keep, an exponent or a strictly ascending array of exponents in [0, m)
+    (else BadLabel), keeps those columns of the transformed state and writes
+    no other: each block's entries in them, gathered into a per-core scratch
+    unless they follow one another, are copied to their rows of an m x
+    len(keep) grid, and nothing of m * m amplitudes is allocated. The
+    result, with the bits of the full pass's columns, is a state whose
+    exponent register holds len(keep) values, kept column i being exponent
+    keep[i]. It needs qft.
     """
-    ra, rb = a.layout.registers[0], b.layout.registers[0]
-    if not (len(a.layout.registers) == len(b.layout.registers) == 1
-            and isinstance(ra, ExponentRegister) and isinstance(rb, GroupRegister)
-            and ra.dim == rb.dim):
-        raise LayoutMismatch(
-            "a division joins a lone exponent register and a lone group register of one order")
+    ra, rb, step = _checked(a, b, x)
     spec = rb.group
-    step = spec.inverse(x)
     if qft not in (None, "forward", "inverse"):
         raise ValueError(f"qft must be None, 'forward' or 'inverse', not {qft!r}")
     if marginal is not None and qft is None:
         raise ValueError("a marginal is read after the transform: it needs qft")
-    if keep is not None and (qft is None or out is not None):
-        raise ValueError("a kept column is read after the transform and is all the pass "
-                         "writes: it needs qft and no out")
+    if keep is not None and qft is None:
+        raise ValueError("kept columns are read after the transform: they need qft")
     m = spec.order
-    if keep is not None and not (isinstance(keep, (int, np.integer)) and 0 <= keep < m):
-        raise BadLabel(f"kept column {keep!r} not in [0, {m})")
+    if keep is not None:
+        kept = np.atleast_1d(keep)
+        if not (kept.dtype.kind in "iu" and kept.ndim == 1 and kept.size
+                and 0 <= kept[0] and kept[-1] < m and (np.diff(kept) > 0).all()):
+            raise BadLabel(f"kept columns {keep!r} are not ascending exponents in [0, {m})")
     layout = RegisterLayout((ra, rb))  # refuses a joint state over the cap
-    inputs = (a.amplitudes, b.amplitudes)
-    if out is not None:
-        if not (isinstance(out, np.ndarray) and out.dtype == np.complex128
-                and out.shape == (m * m,) and out.flags.c_contiguous
-                and out.flags.writeable):
-            raise LayoutMismatch(
-                f"out must be a flat, C-contiguous, writable complex128 array of "
-                f"{m * m} amplitudes")
-        if any(np.shares_memory(out, given) for given in inputs):
-            raise LayoutMismatch("out shares memory with an input register")
     if marginal is not None:
         if not (isinstance(marginal, np.ndarray) and marginal.dtype == np.float64
                 and marginal.shape == (m,) and marginal.flags.writeable):
             raise LayoutMismatch(f"marginal must be a writable float64 array of {m} values")
-        if any(np.shares_memory(marginal, given) for given in (*inputs, out)
-               if given is not None):
-            raise LayoutMismatch("marginal shares memory with the state or an input")
-    one = _mult_index_perm(spec, step)
-    if one.min() < 0 or one.max() >= m or np.bincount(one, minlength=m).max() != 1:
-        raise NotBijective(f"multiplying by {step!r} is not a permutation of {m} basis indices")
+        if any(np.shares_memory(marginal, given.amplitudes) for given in (a, b)):
+            raise LayoutMismatch("marginal shares memory with an input register")
+    walk, ends, along = _cycles(spec, step, b)
     # every scratch array exists before the output and the loop below
     # keeps none of its own (numpy frees its multiply buffers within each
-    # call), so no small array lands above a freed state in the heap
-    nxt = one.tolist()
-    seen = bytearray(m)
-    walk, ends = [], []  # each cycle reversed: position p has window p
-    for start in range(m):
-        if not seen[start]:
-            cycle = []
-            while not seen[start]:
-                seen[start] = 1
-                cycle.append(start)
-                start = nxt[start]
-            walk.extend(reversed(cycle))
-            ends.append(len(walk))
-    walk = np.array(walk, dtype=np.intp)
-    along = b.amplitudes.take(walk)  # b along each reversed cycle
-    # each range is whole segments of walk positions and goes in blocks from
+    # call), so no small array lands above a freed state in the heap.
+    # Each range is whole segments of walk positions and goes in blocks from
     # each segment's start
     bounds, cuts, size = _blocks(m)
     parts = len(cuts) - 1
-    # a cycle of length L is tiled in whole copies, L + m - 1 <= L * reps < 2L + m
     tiles = np.empty((parts, 3 * m), dtype=np.complex128)
     # row 0 of a range's block carries its segment's running sum
     blocks = np.empty((parts, size + 1, m), dtype=np.complex128)
     # each segment's column sums of the squared real and imaginary parts
     sums = np.zeros((_SEGMENTS, 2 * m)) if marginal is not None else None
-    columns = slice(None) if keep is None else slice(keep, keep + 1)
-    if out is None:
-        out = np.empty(m * m if keep is None else m, dtype=np.complex128)
-    rows = out.reshape(m, -1)
+    # kept columns that follow one another are a view of each block; others
+    # are gathered into a per-core scratch
+    if keep is None:
+        columns, picked = slice(None), None
+    elif kept[-1] - kept[0] == kept.size - 1:
+        columns, picked = slice(kept[0], kept[-1] + 1), None
+    else:
+        columns, picked = kept, np.empty((parts, size, kept.size), dtype=np.complex128)
+    rows = np.empty((m, m if keep is None else kept.size), dtype=np.complex128)
     transform = _fft(qft == "inverse")
 
     def build(part, low, high):
@@ -290,9 +322,7 @@ def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
                     cycle += 1
                 begin, end = ends[cycle - 1] if cycle else 0, ends[cycle]
                 if tiled != cycle:
-                    length = end - begin
-                    reps = -(-(length + m - 1) // length)
-                    tile[:reps * length].reshape(reps, length)[...] = along[begin:end]
+                    _tile(tile, along[begin:end], m)
                     tiled = cycle
                 stop = min(end, last)
                 # numpy rounds a one-element product made by a 2-D call
@@ -306,7 +336,12 @@ def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
             built = block[:last - first]
             if qft is not None:
                 transform(built, axis=1, norm="ortho", out=built)
-            rows[walk[first:last]] = built[:, columns]
+            if picked is None:
+                rows[walk[first:last]] = built[:, columns]
+            else:
+                chosen = picked[part, :last - first]
+                np.take(built, columns, axis=1, out=chosen, mode="clip")
+                rows[walk[first:last]] = chosen
             if sums is not None:
                 # the carry, then the block's rows: a C-contiguous sum down
                 # the rows adds them one after another
@@ -320,8 +355,62 @@ def div_x_apply(a: QState, b: QState, x: int, out=None, qft=None,
         total = np.add.reduce(sums, axis=0)
         np.add(total[0::2], total[1::2], out=marginal)
     if keep is not None:
-        layout = RegisterLayout((ExponentRegister(1), rb))
-    return QState(layout, out)
+        layout = RegisterLayout((ExponentRegister(kept.size), rb))
+    return QState(layout, rows.reshape(-1))
+
+
+def _division_rows(a: QState, b: QState, x: int) -> _Rows:
+    """div_x_apply(a, b, x) held as the rule for its rows, for factor_out.
+
+    For an x that generates the group, multiplying by x**-1 walks one cycle
+    through every basis state, so row y of the joint state is window pos[y]
+    of the one tile div_x_apply builds for it, times a, where pos is the
+    walk's inverse. A block of rows, or of their columns lo:hi, is one
+    gather of windows and one multiply, with the bits of div_x_apply's
+    rows, so nothing of m * m amplitudes is written. The registers are
+    checked as div_x_apply checks them; an x whose powers do not reach the
+    whole group raises NotAGenerator.
+    """
+    ra, rb, step = _checked(a, b, x)
+    layout = RegisterLayout((ra, rb))  # refuses a joint state over the cap
+    spec = rb.group
+    m = spec.order
+    walk, ends, along = _cycles(spec, step, b)
+    if len(ends) != 1:
+        raise NotAGenerator(f"{x!r} does not generate the group: its division walks "
+                            f"{len(ends)} cycles")
+    tile = np.empty(3 * m, dtype=np.complex128)
+    _tile(tile, along, m)
+    slide = sliding_window_view(tile, m)
+    pos = np.empty(m, dtype=np.intp)
+    pos[walk] = np.arange(m)
+
+    def write(start, stop, lo, hi, out):
+        # the windows are gathered by indexing (np.take would first copy the
+        # whole strided window view) and multiplied straight into out; each
+        # gather holds at most np.getbufsize() values, as numpy's own buffers do
+        factor = a.amplitudes[lo:hi]
+        if hi - lo == 1:
+            # numpy rounds a one-column 2-D product differently, as
+            # div_x_apply's one-row segments: one row at a time
+            for row, p in zip(out, pos[start:stop].tolist()):
+                np.multiply(tile[p + lo:p + hi], factor, out=row)
+            return
+        rows = np.getbufsize() // (hi - lo) or 1
+        for first in range(0, stop - start, rows):
+            last = min(first + rows, stop - start)
+            np.multiply(slide[pos[start + first:start + last], lo:hi], factor,
+                        out=out[first:last])
+
+    def walked(start, stop, out):
+        # consecutive walk positions are consecutive windows, as div_x_apply
+        # builds them, a one-row block as one row
+        if stop - start > 1:
+            np.multiply(slide[start:stop], a.amplitudes, out=out)
+        else:
+            np.multiply(slide[start], a.amplitudes, out=out[0])
+
+    return _Rows(layout, write, walk, walked)
 
 
 def _joint_table(rows: np.ndarray, d0: int) -> np.ndarray:

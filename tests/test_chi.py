@@ -17,7 +17,7 @@ from chi_dlog.chi import (
 )
 from chi_dlog.dlog import run_dlog
 from chi_dlog.errors import ArtifactMismatch, RetryLimitExceeded, UnverifiedChi
-from chi_dlog.group import cyclic_group, totient, validate_group
+from chi_dlog.group import cyclic_group, mod_inverse, totient, validate_group
 from chi_dlog.qstate import QState, fidelity, marginal_distribution
 
 Z5 = validate_group(5, 2)
@@ -97,6 +97,19 @@ def test_exhaustive_acceptance_keeps_its_recorded_bits(n, g, recorded):
     # value reads 0.4000000000000003 and the m = 2002 one moves by 2.7e-15
     _, stats = prepare_chi(validate_group(n, g), mode="exhaustive")
     assert stats.acceptance_probability == recorded
+
+
+# sha256 of an exhaustive preparation's handle amplitudes, recorded while the
+# round still held all m x m amplitudes and the conversion was written whole
+@pytest.mark.parametrize("n, g, digest", [
+    (101, 2, "1c36a1d6fa448f877cc2239424636c38126acffc4747ba0931840fb7c7ca8c5d"),
+    (1009, 11, "eb75c06906032b07d40dd781ff6990b08ce0edeb1b33612cd2e6a2cbca17c676"),
+    (2003, 5, "1ab892bd54189f3e48c3f7aa744ad20eb69b913077094f5f55c494137e7eb80d"),
+])
+def test_exhaustive_handles_keep_their_recorded_bits(n, g, digest):
+    handle, stats = prepare_chi(validate_group(n, g), mode="exhaustive")
+    assert stats.success_s == 1
+    assert hashlib.sha256(handle.state.amplitudes.tobytes()).hexdigest() == digest
 
 
 def test_prepare_sampled_is_deterministic():
@@ -232,15 +245,15 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
     # the transform it was asked to make, so qft_apply shows that the fresh
     # exponent register is transformed alone, and div_x_apply, which loads the
     # powers of g, that it joins the group register there and makes the
-    # round's second transform as it builds the joint state. Only the round's
-    # division, the one with the forward transform, is counted: the
-    # conversion after the measurement divides too. In sampled mode that
-    # division also adds up the marginal the preparation draws from, so no
+    # round's second transform as it builds the joint state. The round is
+    # the one division a preparation makes: its conversion is never built
+    # whole, and factor_out builds its rows. In sampled mode the round also
+    # adds up the marginal the preparation draws from, so no
     # marginal_distribution call reads the joint state again; in exhaustive
-    # mode the acceptance is one strided read of the columns that can be
-    # coprime, the odd ones, and no call reads every column of the round
+    # mode the round keeps the coprime columns alone, and the acceptance is
+    # one read of all of them
     calls = {"div_x_apply": [], "qft_apply": [], "marginal_distribution": []}
-    rounds = []  # the marginal each round filled, and the reference's
+    rounds = []  # the marginal and the columns each round was given, and what it returned
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -248,17 +261,14 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
         def wrapper(*args, **kwargs):
             registers = sum(len(arg.layout.registers) for arg in args
                             if isinstance(arg, QState))
-            if name == "qft_apply" \
-                    or name == "div_x_apply" and kwargs.get("qft") == "forward":
+            if name in ("qft_apply", "div_x_apply"):
                 calls[name].append((registers, kwargs.get("qft")))
             # the handle's norm reads the marginal of its lone register
             elif name == "marginal_distribution" and registers == 2:
-                columns = args[1] if len(args) > 1 else kwargs.get("columns", slice(None))
-                calls[name].append((registers, columns))
+                calls[name].append((registers, args[0].layout.dim(0)))
             result = inner(*args, **kwargs)
-            if name == "div_x_apply" and kwargs.get("qft") == "forward":
-                # read before the conversion divides into the round's buffer
-                rounds.append((kwargs.get("marginal"), marginal_distribution(result)))
+            if name == "div_x_apply":
+                rounds.append((kwargs.get("marginal"), kwargs.get("keep"), result))
             return result
         return wrapper
 
@@ -269,6 +279,9 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
                             counted(qstate, "marginal_distribution"))
     spec = validate_group(n, g)
     m = spec.order
+    # the whole round, as the kept columns and the marginal must read it
+    whole = chi._superposed_round(spec)
+    basis_order = qstate.marginal_distribution(whole)
     for mode in ("sampled", "exhaustive"):
         for name in calls:
             calls[name] = []
@@ -276,18 +289,22 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
         handle, stats = prepare_chi(spec, seed=seed, mode=mode)
         assert handle.verified
         assert stats.attempts >= (3 if mode == "sampled" else 1)
-        (filled, basis_order), = rounds
+        (filled, keep, state), = rounds
         if mode == "sampled":
             assert calls == {"div_x_apply": [(2, "forward")], "qft_apply": [(1, None)],
                              "marginal_distribution": []}
+            assert keep is None and np.array_equal(state.amplitudes, whole.amplitudes)
             assert np.abs(filled - basis_order).max() <= m * 2.0 ** -52
         else:
-            assert m % 2 == 0
+            coprime = [s for s in range(m) if math.gcd(s, m) == 1]
             assert calls == {"div_x_apply": [(2, "forward")], "qft_apply": [(1, None)],
-                             "marginal_distribution": [(2, slice(1, m, 2))]}
-            assert filled is None
-            coprime = sum(basis_order[s] for s in range(m) if math.gcd(s, m) == 1)
-            assert stats.acceptance_probability == float(coprime)
+                             "marginal_distribution": [(2, len(coprime))]}
+            assert filled is None and keep == coprime
+            assert state.layout.dim(0) == len(coprime) < m
+            assert np.array_equal(state.amplitudes.reshape(m, -1),
+                                  whole.amplitudes.reshape(m, m)[:, coprime])
+            assert stats.acceptance_probability == \
+                float(sum(basis_order[s] for s in coprime))
 
 
 def test_prepare_sampled_retry_cap():
@@ -346,29 +363,31 @@ CORE_COUNT_GROUPS = {"m=512": cyclic_group(512), "m=1008": validate_group(1009, 
 @pytest.mark.parametrize("name", list(CORE_COUNT_GROUPS))
 def test_the_conversion_and_powering_are_bit_identical_on_any_core_count(
         see_cores, started, name):
-    # from 2**18 amplitudes the conversion division splits its rows over the
-    # cores as every division does: the division itself, with and without a
-    # passed buffer, a prepared chi register and a powered one must have the
-    # same bits on one core as on two to four
+    # from 2**18 amplitudes factor_out's row sum and product check split over
+    # the cores, and each builds the conversion's rows as it goes: the rows,
+    # the converted register, a prepared chi register and a powered one must
+    # have the same bits on one core as on two to four, and the rows those
+    # of the division written whole
     spec = CORE_COUNT_GROUPS[name]
     m = spec.order
-    rng = np.random.default_rng(m)
-    survivor = QState(chi_reference(spec, 0).layout,
-                      rng.normal(size=m) + 1j * rng.normal(size=m))
-    x = spec.pow(spec.generator, 5)
+    s = 5  # coprime to both orders
+    survivor = chi_reference(spec, s)
+    x = spec.pow(spec.generator, mod_inverse(s, m))
+    whole = chi.div_x_apply(chi._chi_exponents(spec, 0), survivor, x).amplitudes
     first = {}
     for count in (1, 2, 3, 4):
         see_cores(count)
-        got = []
-        for out in (None, np.full(m * m, np.nan, dtype=np.complex128)):
-            started.clear()
-            joint = chi.div_x_apply(chi._chi_exponents(spec, 0), survivor, x, out=out)
-            assert out is None or joint.amplitudes is out
-            assert len(started) == count - 1
-            got.append(("conversion", joint.amplitudes))
+        started.clear()
+        joint = chi._division_rows(chi._chi_exponents(spec, 0), survivor, x)
+        converted = chi.factor_out(joint, 1, survivor)
+        # one range a core for the row sum and one for the product check
+        assert len(started) == 2 * (count - 1)
+        rows = np.empty((m, m), dtype=np.complex128)
+        joint.write(0, m, 0, m, rows)
+        assert np.array_equal(rows.reshape(-1), whole)
         handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
-        got += [("prepared", handle.state.amplitudes),
-                ("powered", chi_power_from(spec, handle, 5, start_power=2).state.amplitudes)]
+        got = [("converted", converted.amplitudes), ("prepared", handle.state.amplitudes),
+               ("powered", chi_power_from(spec, handle, 5, start_power=2).state.amplitudes)]
         for key, amps in got:
             assert np.array_equal(amps, first.setdefault(key, amps.copy())), key
 

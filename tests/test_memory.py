@@ -1,16 +1,21 @@
-"""The memory contract: a preparation holds one m x m state, a run none.
+"""The memory contract: a sampled preparation holds one m x m state, an
+exhaustive one its coprime columns, a run none.
 
 tracemalloc sees numpy's buffers, so its peak is the largest amount of traced
-memory alive at once. The preparation's division builds its one state,
-transforming it one block of rows at a time, and its readout and factor_out,
-with its product check, work in row blocks. Each of these passes shares one
-fixed scratch among its per-core ranges, at most 3 MiB on any core count, so
-a preparation peaks at 16*m**2 bytes plus that scratch plus O(m); the bound
-leaves a quarter of a state for the scratch and vectors. A run's pass keeps
-one column of its joint state, so a run holds the division's scratch and
-O(m), on its first run as on any other, and a live handle holds its
-register alone. Peak RSS also depends on where the allocator places those
-buffers, which a fresh process shows.
+memory alive at once. The preparation's round builds its state, transforming
+it one block of rows at a time: a sampled round all m x m amplitudes, which
+its draw needs, and an exhaustive round the phi(m) columns its acceptance and
+collapse read, 16*m*phi(m) bytes. Its readout and factor_out, with its
+product check, work in row blocks, and factor_out builds the conversion's
+rows block by block as it reads them, after the round's state is freed. Each
+of these passes shares one fixed scratch among its per-core ranges, at most 3
+MiB on any core count, so a sampled preparation peaks at 16*m**2 bytes plus
+that scratch plus O(m), within a quarter of a state, and an exhaustive one at
+16*m*phi(m) bytes plus 3 MiB plus O(m). A run's pass keeps one column of its
+joint state, so a run holds the division's scratch and O(m), on its first
+run as on any other, and a live handle holds its register alone. Peak RSS
+also depends on where the allocator places those buffers, which a fresh
+process shows.
 """
 
 import dataclasses
@@ -29,7 +34,7 @@ from chi_dlog import dlog
 from chi_dlog.chi import load_chi, prepare_chi, save_chi
 from chi_dlog.dlog import run_dlog
 from chi_dlog.errors import InvariantViolation
-from chi_dlog.group import validate_group
+from chi_dlog.group import totient, validate_group
 from chi_dlog.qstate import (
     ExponentRegister,
     RegisterLayout,
@@ -60,6 +65,28 @@ def traced_peak(fn):
     return result, peak
 
 
+def preparation_bytes(spec, mode):
+    """The least and the most a preparation may allocate at once, in bytes.
+
+    Its round's state, all m * m amplitudes in sampled mode and the phi(m)
+    coprime columns in exhaustive mode, is the least. A sampled preparation
+    may add a quarter of a state; an exhaustive one what a run may hold
+    beside it: the division's scratch, at most 3 MiB on any core count, and
+    O(m).
+    """
+    m = spec.order
+    if mode == "sampled":
+        return 16 * m * m, 1.25 * 16 * m * m
+    return 16 * m * totient(m), 16 * m * totient(m) + kept_column_run_bytes(m)
+
+
+def assert_preparation_peak(spec, mode, peak, what="prepare_chi"):
+    least, most = preparation_bytes(spec, mode)
+    assert least <= peak <= most, \
+        f"{what} peaked at {peak / 2 ** 20:.2f} MiB, not in [{least / 2 ** 20:.2f}, " \
+        f"{most / 2 ** 20:.2f}]"
+
+
 def kept_column_run_bytes(m):
     """What a run may allocate, in bytes.
 
@@ -78,9 +105,8 @@ def test_preparation_and_a_run_hold_one_state(mode):
     result, run = traced_peak(
         lambda: run_dlog(SPEC, handle, 5, mode=mode, seed=1))
     assert result.measured_p == result.oracle_p
-    # at least the state itself, so numpy's buffers are being traced
-    assert STATE_BYTES <= prepare <= 1.25 * STATE_BYTES, \
-        f"prepare_chi peaked at {prepare / STATE_BYTES:.2f} states"
+    # at least the round's state itself, so numpy's buffers are being traced
+    assert_preparation_peak(SPEC, mode, prepare)
     assert run <= kept_column_run_bytes(SPEC.order), \
         f"run_dlog peaked at {run / 2 ** 20:.2f} MiB"
 
@@ -148,6 +174,27 @@ def test_a_preparation_rebinding_a_live_handle_keeps_peak_rss_flat():
     assert growth * 1024 <= BIG_BYTES / 4, f"peak RSS (kB): {rss_kb}"
 
 
+def test_an_exhaustive_preparation_holds_its_coprime_columns_in_a_fresh_process():
+    # at m = 1450 the whole round would be 33.6 MB; the exhaustive round keeps
+    # its 560 coprime columns, 13.0 MB, and the conversion is never held
+    # whole, so a preparation and a run raise ru_maxrss over what the imports
+    # take by those columns and at most a quarter of a state beside them
+    rss_kb = peak_rss_kb("""
+        import resource
+        from chi_dlog.chi import prepare_chi
+        from chi_dlog.dlog import run_dlog
+        from chi_dlog.group import validate_group
+        spec = validate_group(1451, 2)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        h, _ = prepare_chi(spec, mode="exhaustive")
+        run_dlog(spec, h, 5)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    columns = preparation_bytes(BIG, "exhaustive")[0]
+    growth = rss_kb[-1] - rss_kb[0]
+    assert growth * 1024 <= columns + BIG_BYTES / 4, f"peak RSS (kB): {rss_kb}"
+
+
 def fresh_buffer_run(spec, chi_state, x):
     """An exhaustive run built by hand, from the whole joint state in a fresh buffer."""
     zero = basis_state(RegisterLayout((ExponentRegister(spec.order),)), (0,))
@@ -159,13 +206,12 @@ def fresh_buffer_run(spec, chi_state, x):
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 @pytest.mark.parametrize("spec", [SPEC, BIG], ids=["m=1008", "m=1450"])
 def test_a_live_handle_holds_its_register_alone(spec, mode):
-    # a preparation peaks at one state, and what is still traced once it
-    # and a run return, with the handle alive, is O(m): that state is freed
-    state_bytes = 16 * spec.order ** 2
+    # a preparation peaks at its round's state, and what is still traced
+    # once it and a run return, with the handle alive, is O(m): that state
+    # is freed
     (handle, _), prepare, peak = traced_memory(
         lambda: prepare_chi(spec, seed=1, mode=mode))
-    assert state_bytes <= peak <= 1.25 * state_bytes, \
-        f"prepare_chi peaked at {peak / state_bytes:.2f} states"
+    assert_preparation_peak(spec, mode, peak)
     _, run, _ = traced_memory(lambda: run_dlog(spec, handle, 5, mode=mode, seed=1))
     for what, held in (("prepare_chi", prepare), ("run_dlog", run)):
         assert held <= 256 * spec.order, f"{what} left {held} bytes traced"
@@ -190,16 +236,15 @@ def test_a_run_holds_one_column(spec, origin, tmp_path):
         assert np.array_equal(handle.state.amplitudes, want_post.amplitudes)
 
 
-@pytest.mark.parametrize("count", [8, 64])
+@pytest.mark.parametrize("count", [1, 2, 8, 64])
 def test_the_peak_does_not_grow_with_the_cores(see_cores, count):
     # every split pass shares one fixed scratch among its per-core ranges,
-    # so on a many-core host the peak stays within the two-core bounds
+    # so on a many-core host the peak stays within the bounds of one core
     see_cores(count)
-    for spec, state_bytes in ((SPEC, STATE_BYTES), (BIG, BIG_BYTES)):
+    for spec in (SPEC, BIG):
         (handle, _), prepare = traced_peak(
             lambda: prepare_chi(spec, seed=1, mode="exhaustive"))
-        assert state_bytes <= prepare <= 1.25 * state_bytes, \
-            f"prepare_chi on {count} cores peaked at {prepare / state_bytes:.2f} states"
+        assert_preparation_peak(spec, "exhaustive", prepare, f"prepare_chi on {count} cores")
         want_marginal, want_post = fresh_buffer_run(spec, handle.state, 5)
         result, run = traced_peak(lambda: run_dlog(spec, handle, 5))
         assert result.measured_p == result.oracle_p

@@ -3,8 +3,8 @@
 perfbench's Tracer wraps every public chi_dlog function with one span stack
 that is not thread-safe, so the threads the split passes start (every
 division, with the transform that follows it where one does, the marginal,
-factor_out's row sum and its residual) must call numpy only: a traced run
-records one
+factor_out's row sum and its residual, which build the preparation's
+conversion as they go) must call numpy only: a traced run records one
 transforms.qft_apply span per lone-register transform and one
 transforms.div_x_apply span per division, the joint transforms' FFT calls run
 on both threads, and every span comes from the calling thread.
@@ -76,10 +76,12 @@ def test_a_traced_run_records_one_qft_span_per_lone_register_transform(
     bounds, cuts, size = transforms._blocks(m)
     assert m == 1008 and bounds == list(range(0, 1009, 84))
     assert (cuts, size) == ([0, 6, 12], 32)
-    # three divisions: the round's and the run's, each with its transform,
-    # and the preparation's conversion, which makes no FFT call
+    # two divisions, the round's and the run's, each with its transform: the
+    # preparation's conversion is built row block by row block inside
+    # factor_out and makes no FFT call
     assert tracer.count("transforms.qft_apply") == 2
-    assert tracer.count("transforms.div_x_apply") == 3
+    assert tracer.count("transforms.div_x_apply") == 2
+    assert tracer.count("qstate.factor_out") == 1
     assert fft_threads.count(caller) == 2 + 2 * 18
     assert len(fft_threads) == 2 + 2 * 36
     assert len(span_threads) == len(tracer.spans)
@@ -88,10 +90,11 @@ def test_a_traced_run_records_one_qft_span_per_lone_register_transform(
 
 def test_a_traced_preparation_records_every_span_on_the_calling_thread(
         see_cores, started):
-    # the exhaustive preparation's five split passes, its division with the
-    # transform, the acceptance's row sum over the coprime columns,
-    # factor_out's row sum and residual, and the conversion division, each
-    # run one part on the calling thread and one on each other core
+    # the exhaustive preparation's four split passes, its division with the
+    # transform, which keeps the coprime columns, the acceptance's row sum
+    # over them, and factor_out's row sum and residual, which build the
+    # conversion's rows as they go, each run one part on the calling thread
+    # and one on each other core
     cores = 2
     see_cores(cores)
     span_threads = []
@@ -101,7 +104,7 @@ def test_a_traced_preparation_records_every_span_on_the_calling_thread(
         chi_dlog.prepare_chi(validate_group(1009, 11), seed=0, mode="exhaustive")
     finally:
         tracer.uninstall()
-    assert len(started) == 5 * (cores - 1)
+    assert len(started) == 4 * (cores - 1)
     assert tracer.count("qstate.factor_out") == 1
     assert len(span_threads) == len(tracer.spans)
     assert set(span_threads) == {threading.get_ident()}

@@ -3,7 +3,9 @@ the three reference permutation tables, those oracles against direct
 recomputation, and the names the package exports."""
 
 import inspect
+import math
 import threading
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -11,10 +13,12 @@ import pytest
 
 import chi_dlog
 from chi_dlog import dlog, errors, qstate, transforms
-from chi_dlog.chi import prepare_chi
+from chi_dlog.chi import chi_reference, prepare_chi
 from chi_dlog.dlog import run_dlog
 from chi_dlog.errors import (
     LayoutMismatch,
+    NotAGenerator,
+    NotAProductState,
     NotBijective,
     NotInGroup,
     WrongRegisterKind,
@@ -143,15 +147,13 @@ def assert_fused_on_any_core_count(see_cores, started, spec, x):
         want = qft_after(div_x_apply, a, b, x, qft=qft)
         for count in (1, 2, 3, 4):
             see_cores(count)
-            for out in (None, np.full(m * m, np.nan, dtype=np.complex128)):
-                started.clear()
-                got = div_x_apply(a, b, x, out=out, qft=qft)
-                assert np.array_equal(got.amplitudes, want)
-                assert out is None or got.amplitudes is out
-                # from _SPLIT_MIN, one range of rows per core
-                split = m * m >= qstate._SPLIT_MIN
-                assert len(started) == (count - 1 if split else 0)
-                assert not any(thread.is_alive() for thread in started)
+            started.clear()
+            got = div_x_apply(a, b, x, qft=qft)
+            assert np.array_equal(got.amplitudes, want)
+            # from _SPLIT_MIN, one range of rows per core
+            split = m * m >= qstate._SPLIT_MIN
+            assert len(started) == (count - 1 if split else 0)
+            assert not any(thread.is_alive() for thread in started)
 
 
 @pytest.mark.parametrize("m", [512, 724, 1008])
@@ -214,8 +216,8 @@ PASS_MARGINAL_CASES = {
 
 @pytest.mark.parametrize("name", list(PASS_MARGINAL_CASES))
 def test_the_pass_marginal_is_bit_identical_on_any_core_count(see_cores, started, name):
-    # the sum goes segment by segment, so neither the core count nor a passed
-    # buffer moves a bit; and it stays within m ulps of 1 of the basis-order sum
+    # the sum goes segment by segment, so the core count moves no bit; and it
+    # stays within m ulps of 1 of the basis-order sum
     spec, order = PASS_MARGINAL_CASES[name]
     m, g = spec.order, spec.generator
     a, b = exponent_state(m, m), group_state(spec, m + 1)
@@ -225,15 +227,14 @@ def test_the_pass_marginal_is_bit_identical_on_any_core_count(see_cores, started
         first = None
         for count in (1, 2, 3, 4, 8, 64):
             see_cores(count)
-            for out in (None, np.full(m * m, np.nan, dtype=np.complex128)):
-                marginal = np.full(m, np.nan)
-                started.clear()
-                got = div_x_apply(a, b, x, out=out, qft=qft, marginal=marginal)
-                assert np.array_equal(got.amplitudes, want)
-                first = marginal if first is None else first
-                assert np.array_equal(marginal, first)
-                assert len(started) <= count - 1
-                assert not any(thread.is_alive() for thread in started)
+            marginal = np.full(m, np.nan)
+            started.clear()
+            got = div_x_apply(a, b, x, qft=qft, marginal=marginal)
+            assert np.array_equal(got.amplitudes, want)
+            first = marginal if first is None else first
+            assert np.array_equal(marginal, first)
+            assert len(started) <= count - 1
+            assert not any(thread.is_alive() for thread in started)
         basis_order = qstate.marginal_distribution(QState(got.layout, want))
         assert np.abs(first - basis_order).max() <= m * 2.0 ** -52
 
@@ -278,25 +279,27 @@ def test_a_marginal_needs_a_transform_and_memory_of_its_own():
     a, b = exponent_state(6, 11), group_state(Z7, 12)
     with pytest.raises(ValueError, match="needs qft"):
         div_x_apply(a, b, 3, marginal=np.zeros(6))
-    out = np.zeros(36, dtype=np.complex128)
-    with pytest.raises(LayoutMismatch, match="shares memory"):
-        div_x_apply(a, b, 3, out=out, qft="forward", marginal=out.real[:6])
-    with pytest.raises(LayoutMismatch, match="shares memory"):
-        div_x_apply(a, b, 3, qft="forward", marginal=a.amplitudes.imag)
-    assert not np.any(out)
+    for given in (a, b):
+        before = given.amplitudes.copy()
+        with pytest.raises(LayoutMismatch, match="shares memory"):
+            div_x_apply(a, b, 3, qft="forward", marginal=given.amplitudes.imag)
+        assert np.array_equal(given.amplitudes, before)
 
 
 def assert_kept_columns(spec, a, b, x, ks):
-    """Each kept column, and the marginal filled with it, against the whole pass."""
+    """Each kept column, the coprime columns, and the marginal filled with them,
+    against the whole pass."""
     m = spec.order
+    coprime = [k for k in range(m) if math.gcd(k, m) == 1]
     for qft in ("forward", "inverse"):
         marginal = np.full(m, np.nan)
         columns = div_x_apply(a, b, x, qft=qft, marginal=marginal).amplitudes.reshape(m, m)
-        for k in ks:
+        for k in [*ks, coprime, np.array(ks[:2])]:
             filled = np.full(m, np.nan)
             kept = div_x_apply(a, b, x, qft=qft, marginal=filled, keep=k)
-            assert kept.layout == RegisterLayout((ExponentRegister(1), GroupRegister(spec)))
-            assert np.array_equal(kept.amplitudes, columns[:, k])
+            width = np.size(k)
+            assert kept.layout == RegisterLayout((ExponentRegister(width), GroupRegister(spec)))
+            assert np.array_equal(kept.amplitudes.reshape(m, width), columns[:, k].reshape(m, -1))
             assert np.array_equal(filled, marginal)
 
 
@@ -306,7 +309,7 @@ def test_every_kept_column_has_the_bits_of_the_whole_pass(n, g):
     m = spec.order
     a, b = exponent_state(m, m), group_state(spec, m + 1)
     for x in (spec.identity, g, spec.pow(g, 5)):
-        assert_kept_columns(spec, a, b, x, range(m))
+        assert_kept_columns(spec, a, b, x, list(range(m)))
 
 
 @pytest.mark.parametrize("n, g", [(1451, 2), (2003, 5)])
@@ -321,13 +324,12 @@ def test_a_kept_column_has_the_bits_of_the_whole_pass_on_any_core_count(see_core
 
 def test_a_division_refuses_a_column_it_cannot_keep():
     a, b = exponent_state(6, 11), group_state(Z7, 12)
-    with pytest.raises(ValueError, match="needs qft and no out"):
+    with pytest.raises(ValueError, match="they need qft"):
         div_x_apply(a, b, 3, keep=2)
-    out = np.zeros(36, dtype=np.complex128)
-    with pytest.raises(ValueError, match="needs qft and no out"):
-        div_x_apply(a, b, 3, out=out, qft="inverse", keep=2)
-    assert not np.any(out)
-    for k in (-1, 6, 2.0, "2"):
+    # an exponent outside [0, m), or not an integer; an array that is empty,
+    # not strictly ascending, reaches outside [0, m) or is not one-dimensional
+    for k in (-1, 6, 2.0, "2", True, [], [1, 1], [3, 2], [0, 6], [-1, 2], [2.0, 3.0],
+              [[1, 2]], np.array([], dtype=int)):
         with pytest.raises(errors.BadLabel, match="kept column"):
             div_x_apply(a, b, 3, qft="inverse", keep=k)
 
@@ -408,12 +410,12 @@ def test_a_run_at_m_1008_leaves_no_thread_running(see_cores, started):
     handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
     run_dlog(spec, handle, 3, mode="exhaustive")
     # on two cores each split pass over a joint state starts one thread: the
-    # preparation's division with its transform, the acceptance's row sum
-    # over the coprime columns, factor_out's row sum and residual, and the
-    # conversion division, then the run's division with its transform, which
-    # adds up the run's marginal as it goes. The lone registers' transforms
-    # (1008 amplitudes) start none
-    assert len(started) == 6
+    # preparation's division with its transform, which keeps the coprime
+    # columns, the acceptance's row sum over them, and factor_out's row sum
+    # and residual, which build the conversion's rows as they go, then the
+    # run's division with its transform, which adds up the run's marginal as
+    # it goes. The lone registers' transforms (1008 amplitudes) start none
+    assert len(started) == 5
     assert threading.active_count() == before
 
 
@@ -544,10 +546,13 @@ WRONG_SHAPES = {
 @pytest.mark.parametrize("shape", list(WRONG_SHAPES))
 def test_a_division_refuses_any_other_shape_and_writes_nothing(shape):
     a, b = WRONG_SHAPES[shape]()
-    out, marginal = np.zeros(36, dtype=np.complex128), np.zeros(6)
+    marginal = np.zeros(6)
     with pytest.raises(LayoutMismatch, match="lone exponent register"):
-        div_x_apply(a, b, 5, out=out, qft="forward", marginal=marginal)
-    assert not np.any(out) and not np.any(marginal)
+        div_x_apply(a, b, 5, qft="forward", marginal=marginal)
+    assert not np.any(marginal)
+    # the conversion's rows are checked as the division is
+    with pytest.raises(LayoutMismatch, match="lone exponent register"):
+        transforms._division_rows(a, b, 5)
 
 
 def test_unitary_check_passes_the_dense_fourier_oracle():
@@ -667,63 +672,107 @@ def collapsed_group():
     return broken
 
 
-def _out_buffers():
-    """A bad out for each refusal, for a 6 x 6 joint state."""
-    frozen = np.zeros(36, dtype=np.complex128)
-    frozen.setflags(write=False)
-    return {
-        "a list": [0j] * 36,
-        "complex64": np.zeros(36, dtype=np.complex64),
-        "float64 of the same bytes": np.zeros(72),
-        "byte-swapped complex128": np.zeros(36, dtype=">c16"),
-        "too short": np.zeros(35, dtype=np.complex128),
-        "too long": np.zeros(37, dtype=np.complex128),
-        "two-dimensional": np.zeros((6, 6), dtype=np.complex128),
-        "strided": np.zeros(72, dtype=np.complex128)[::2],
-        "read-only": frozen,
-    }
-
-
-@pytest.mark.parametrize("what", list(_out_buffers()))
-def test_controlled_product_refuses_a_bad_out(what):
-    a, b = exponent_state(6, 11), group_state(Z7, 12)
-    out = _out_buffers()[what]
-    with pytest.raises(LayoutMismatch, match="out must be"):
-        div_x_apply(a, b, 5, out=out)
-    assert not np.any(out)
-
-
-@pytest.mark.parametrize("register", ["a", "b"])
-def test_controlled_product_refuses_an_out_that_shares_an_input(register):
-    a, b = exponent_state(6, 13), group_state(Z7, 14)
-    out = np.zeros(36, dtype=np.complex128)
-    inside = out[30:] if register == "a" else out[:6]
-    inside[...] = (a if register == "a" else b).amplitudes
-    inputs = {"a": a, "b": b}
-    inputs[register] = QState(inputs[register].layout, inside)
-    with pytest.raises(LayoutMismatch, match="shares memory"):
-        div_x_apply(inputs["a"], inputs["b"], 5, out=out)
-    assert np.array_equal(inside, (a if register == "a" else b).amplitudes)
-
-
-def test_a_passed_out_becomes_the_state_with_the_fresh_buffer_bits():
-    # every x of every group of order <= 64, and every alpha as the
-    # preparation's conversion divides: by g**alpha, its left register a group
-    # register written over exponents. The buffer holds NaN before each call,
-    # so every amplitude must be written
+def test_the_conversion_rows_have_the_division_bits():
+    # every generator x of every group of order <= 64, as the preparation's
+    # conversion divides by g**alpha for a coprime alpha, its left register a
+    # group register written over exponents: each block of rows in basis
+    # order, of any column range, and each block of rows in the walk's order
+    # has the bits of the joint state div_x_apply writes
     for spec in oracle_groups():
         m = spec.order
         chi = group_state(spec, m)
-        out = np.empty(m * m, dtype=np.complex128)
         left = QState(RegisterLayout((ExponentRegister(m),)),
                       group_state(spec, m + 2).amplitudes[spec.power_indices])
-        calls = [(exponent_state(m, m + 1), x) for x in spec.elements] + \
-            [(left, spec.pow(spec.generator, alpha)) for alpha in range(m)]
-        for a, x in calls:
-            out.fill(np.nan)
-            joint = div_x_apply(a, chi, x, out=out)
-            assert joint.amplitudes is out
-            assert np.array_equal(out, div_x_apply(a, chi, x).amplitudes)
+        for alpha in (alpha for alpha in range(m) if math.gcd(alpha, m) == 1):
+            x = spec.pow(spec.generator, alpha)
+            want = div_x_apply(left, chi, x).amplitudes.reshape(m, m)
+            rows = transforms._division_rows(left, chi, x)
+            assert rows.layout == run_layout(spec) and rows.shape == (m, m)
+            for lo, hi in ((0, m), (m // 3, m), (0, m - m // 4)):
+                for size in (1, 5, m):
+                    got = np.full((m, hi - lo), np.nan, dtype=np.complex128)
+                    for start in range(0, m, size):
+                        rows.write(start, min(start + size, m), lo, hi,
+                                   got[start:start + size])
+                    assert np.array_equal(got, want[:, lo:hi])
+            walked = np.full((m, m), np.nan, dtype=np.complex128)
+            for start in range(0, m, 3):
+                rows.walk(start, min(start + 3, m), walked[start:start + 3])
+            assert sorted(rows.order) == list(range(m))
+            assert np.array_equal(walked, want[rows.order])
+
+
+def test_the_conversion_rows_need_a_generator():
+    # x = 2 in the units mod 7 has order 3: its division walks two cycles
+    with pytest.raises(NotAGenerator, match="2 does not generate"):
+        transforms._division_rows(exponent_state(6, 1), group_state(Z7, 2), 2)
+    with pytest.raises(NotInGroup):
+        transforms._division_rows(exponent_state(6, 1), group_state(Z7, 2), 0)
+
+
+def conversion(spec, s, survivor):
+    """The rows of the preparation's conversion of a survivor measured as s,
+    and the uniform left register they divide."""
+    m = spec.order
+    left = QState(RegisterLayout((ExponentRegister(m),)), np.full(m, m ** -0.5 + 0j))
+    x = spec.pow(spec.generator, pow(s, -1, m))
+    return transforms._division_rows(left, survivor, x), left
+
+
+@pytest.mark.parametrize("n, g", [(13, 2), (1009, 11)])
+def test_factor_out_of_the_conversion_rows_has_the_bits_of_the_whole_state(
+        see_cores, started, n, g):
+    # the rows written block by block into the row sum and the product check
+    # give the register, or the refusal, that the joint state written whole
+    # gives, on any core count; a survivor that is not the chi state of
+    # power s, or holds a NaN, is refused with the same residual
+    spec = validate_group(n, g)
+    m = spec.order
+    chi_s = chi_reference(spec, 5)
+    bent = chi_s.amplitudes.copy()
+    bent[3] *= 1.001
+    poisoned = chi_s.amplitudes.copy()
+    poisoned[-2] = np.nan
+    for survivor in (chi_s, QState(chi_s.layout, bent), QState(chi_s.layout, poisoned)):
+        rows, left = conversion(spec, 5, survivor)
+        whole = div_x_apply(left, survivor, spec.pow(spec.generator, pow(5, -1, m)))
+        try:
+            want = qstate.factor_out(whole, 1, survivor).amplitudes
+        except NotAProductState as exc:
+            want = str(exc)
+        for count in (1, 2, 4):
+            see_cores(count)
+            started.clear()
+            try:
+                got = qstate.factor_out(rows, 1, survivor).amplitudes
+                assert np.array_equal(got, want)
+            except NotAProductState as exc:
+                assert str(exc) == want
+            assert not any(thread.is_alive() for thread in started)
+    assert isinstance(want, str) and want.startswith("residual nan ")
+    with pytest.raises(LayoutMismatch, match="register 1 alone"):
+        qstate.factor_out(rows, 0, left)
+
+
+@pytest.mark.parametrize("count", [1, 2, 4, 64])
+def test_the_conversion_scratch_does_not_grow_with_the_cores(see_cores, count):
+    # factor_out of the conversion's rows holds the row sum's scratch and a
+    # gather of at most np.getbufsize() values a range, or the product
+    # check's blocks with one more share for the written rows, beside which
+    # numpy's multiply through the window view holds two buffers of
+    # np.getbufsize() values a range, at most READOUT_BLOCK values in all:
+    # never a row block per core, nor anything of m * m amplitudes
+    see_cores(count)
+    spec = validate_group(1451, 2)
+    survivor = chi_reference(spec, 3)
+    rows, _ = conversion(spec, 3, survivor)
+    tracemalloc.start()
+    try:
+        qstate.factor_out(rows, 1, survivor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * qstate.READOUT_BLOCK + 2 ** 16, f"peaked at {peak} bytes"
 
 
 def test_transforms_consume_their_input():
