@@ -9,18 +9,18 @@ measured value's inverse converts the surviving state to power 1.
 
 Every division here is the run's own operator, div_x_apply, the package's
 only division and its only operator that joins two registers. The round loads
-the powers of g with x = g**-1 and, in the same pass, adds up the
-distribution a sampled preparation draws from, or, in exhaustive mode, keeps
-the coprime columns alone, the only ones its acceptance and collapse read.
+the powers of g with x = g**-1 and, in the same pass, keeps the coprime
+columns alone, the only ones a preparation ever collapses, and in sampled
+mode adds up the whole distribution its draw reads.
 The conversion, and chi_power_from, divide by a group register holding g**k
 raised to alpha: that is dividing by (g**alpha)**k, controlled on the
 exponent k, so their left register is the chi state written over exponents
 (_chi_exponents) and comes back to the group's basis in one O(m) scatter
 through power_indices (_over_group). The conversion's joint state is only
 split by factor_out, which builds its rows a block at a time from the
-division's walk (transforms._division_rows), so it is never held whole: a
-sampled preparation peaks at its round's 16 * m**2 bytes and an exhaustive
-one at 16 * m * phi(m).
+division's walk (transforms._division_rows), so it is never held whole:
+every preparation peaks at its round's coprime columns, 16 * m * phi(m)
+bytes, plus a pass's fixed scratch.
 """
 from __future__ import annotations
 
@@ -149,19 +149,20 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
                 max_attempts: int = 10_000) -> tuple[ChiHandle, PrepStats]:
     """Prepare a verified power-1 chi state for the group.
 
-    The round before the measurement is simulated once per call. In sampled
-    mode its division adds up the distribution of the measured value, which
-    is drawn from with a seeded generator, redrawn while the value shares a
-    factor with the order; only the accepted draw is collapsed. Exhaustive
-    mode instead reports the exact acceptance probability of the coprimality
-    test and collapses deterministically onto the smallest coprime value,
-    so it always finishes in one attempt: its round keeps the coprime
-    columns alone, 16 * m * phi(m) bytes, and the acceptance is
-    marginal_distribution's basis-order sum of them. The conversion after
-    the measurement is never held whole: factor_out builds its rows a block
-    at a time (transforms._division_rows), so a sampled preparation peaks
-    at one m x m state and an exhaustive one at its coprime columns.
-    Returns the handle and the attempt statistics.
+    The round before the measurement is simulated once per call, and in
+    either mode it keeps the coprime columns alone, 16 * m * phi(m) bytes:
+    only a coprime value is ever collapsed. In sampled mode its division
+    also adds up the whole distribution of the measured value, which is
+    drawn from with a seeded generator, redrawn while the value shares a
+    factor with the order; only the accepted draw is collapsed. A seed numpy
+    refuses is refused before the round. Exhaustive mode instead reports the
+    exact acceptance probability of the coprimality test, marginal_distribution's
+    basis-order sum of the kept columns, and collapses deterministically onto
+    the smallest coprime value, so it always finishes in one attempt. The
+    conversion after the measurement is never held whole: factor_out builds
+    its rows a block at a time (transforms._division_rows), so every
+    preparation peaks at its round's coprime columns plus a pass's fixed
+    scratch. Returns the handle and the attempt statistics.
 
     A wrong round is refused by the checks every preparation makes:
     collapse and sample_index (DegenerateNorm), the retry cap
@@ -173,18 +174,21 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     m = spec.order
+    # only a coprime column is ever collapsed, so the round keeps those alone:
+    # kept column i holds exponent coprime[i]
+    coprime = [s for s in range(m) if gcd(s, m) == 1]
     acceptance = None
     if mode == "exhaustive":
-        coprime = [s for s in range(m) if gcd(s, m) == 1]
         state = _superposed_round(spec, keep=coprime)
-        # kept column i holds exponent coprime[i]; each is added in basis
-        # order, then the columns in the order of s
+        # each kept column is added in basis order, then the columns in the
+        # order of s
         acceptance = float(sum(marginal_distribution(state)))
-        observed, column = coprime[:1], 0
+        observed = coprime[:1]
     else:
-        probs = np.empty(m)
-        state = _superposed_round(spec, probs)
+        # a bad seed is refused before the round
         rng = np.random.default_rng(seed)
+        probs = np.empty(m)
+        state = _superposed_round(spec, probs, keep=coprime)
         observed = []
         for _ in range(max_attempts):
             observed.append(sample_index(probs, rng))
@@ -193,10 +197,10 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
         else:
             raise RetryLimitExceeded(
                 f"no coprime measurement within {max_attempts} attempts for order {m}")
-        column = observed[-1]
     success = observed[-1]
     if gcd(success, m) != 1:
         raise InvariantViolation(f"accepted s={success} shares a factor with m={m}")
+    column = coprime.index(success)
     try:
         survivor = collapse(state, column).post_state
     except DegenerateNorm as exc:

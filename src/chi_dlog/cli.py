@@ -102,12 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _group(args) -> GroupSpec:
-    """Refuse bad --output and --dim-cap values, then validate --n/--g.
+    """Refuse bad --seed, --output and --dim-cap values, then validate --n/--g.
 
-    A missing --output directory is refused before any work; _writing catches
-    what only the final write can show. The group's m**2 amplitudes are held
-    to --dim-cap after validate_group, whose walk stops at isqrt(DIM_CAP).
+    A negative --seed and a missing --output directory are refused before any
+    work; _writing catches what only the final write can show. The group's
+    m**2 amplitudes are held to --dim-cap after validate_group, whose walk
+    stops at isqrt(DIM_CAP).
     """
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     output = getattr(args, "output", None)
     if output is not None and not output.parent.is_dir():
         raise ValueError(f"cannot write {output}: {output.parent} is not a directory")

@@ -278,6 +278,8 @@ def cyclic_group(m: int) -> GroupSpec:
 def dlog_oracle(spec: GroupSpec, x: int) -> int:
     """Brute-force discrete log: the unique p in [0, m) with g**p = x.
 
-    Searches power_indices; verification-only, the simulation never consults it.
+    Searches power_indices. The verify suites check runs against it, and
+    run_dlog uses it only to choose the column its pass keeps; the index a
+    run measures always comes from the pass's marginal.
     """
     return int(np.flatnonzero(spec.power_indices == spec.index_of(x))[0])

@@ -9,13 +9,13 @@ transforms. A two-register state is built there, by div_x_apply, the one
 division, which writes the divided joint state of two one-register states
 straight into a fresh buffer, and, where a Fourier transform follows the
 division, transforms it block by block in the same pass and adds up register
-0's distribution as it goes. A run's pass keeps one column instead, and an
-exhaustive preparation's round its coprime columns: a state whose register
-0 holds those values, which collapse and marginal_distribution read like any
-other. The preparation's conversion is never held whole: it is a _Rows, the
-rule for its grid's rows, which factor_out writes a block at a time into the
-scratch of its row sum and of its product check. Everything here returns
-new arrays.
+0's distribution as it goes. A run's pass keeps one column instead, and a
+preparation's round, in either mode, its coprime columns: a state whose
+register 0 holds those values, which collapse and marginal_distribution read
+like any other. The preparation's conversion is never held whole: it is a
+_Rows, the rule for its grid's rows, which factor_out writes a block at a
+time into the scratch of its row sum and of its product check. Everything
+here returns new arrays.
 Only register 0 is ever read out, as in the procedure, where it is the
 exponent register: a run and a sampled preparation take its distribution
 from that pass, sample_index draws from it, and collapse measures it and

@@ -11,18 +11,19 @@ Every division in the procedure is div_x_apply, the one operator that joins
 two registers: it takes a lone exponent register k of order m and a lone
 group register of order m, and writes the joint state with the latter
 divided by x**k straight into a fresh buffer, along the cycles of a single
-multiplier; a run keeps one exponent column of it instead, and an
-exhaustive preparation's round its coprime columns (keep=). Those cycles
-come from group multiplication alone, never from a discrete-log lookup. The
-inputs are left alone. The preparation's power oracle, |r, y> -> |r, y *
-g**r>, is div_x_apply with x = g**-1, and its conversion, which divides by a
-register holding g**k raised to alpha, is the same division with x =
-g**alpha on that register written over exponents (chi), so neither has an
-operator of its own. The conversion is only read by factor_out, so it is
-never written whole: _division_rows shares div_x_apply's checks, its walk
-along the cycles and its tile, and hands factor_out the rule for its rows
-(qstate._Rows). alpha is coprime to m there, so the walk is one cycle and
-each row is one window of the one tile, times the left register.
+multiplier; a run keeps one exponent column of it instead, and a
+preparation's round, in either mode, its coprime columns (keep=). Those
+cycles come from group multiplication alone, never from a discrete-log
+lookup. The inputs are left alone. The preparation's power oracle,
+|r, y> -> |r, y * g**r>, is div_x_apply with x = g**-1, and its
+conversion, which divides by a register holding g**k raised to alpha, is
+the same division with x = g**alpha on that register written over
+exponents (chi), so neither has an operator of its own. The conversion is
+only read by factor_out, so it is never written whole: _division_rows
+shares div_x_apply's checks, its walk along the cycles and its tile, and
+hands factor_out the rule for its rows (qstate._Rows). alpha is coprime to
+m there, so the walk is one cycle and each row is one window of the one
+tile, times the left register.
 
 div_x_apply builds a block of consecutive rows along the cycles in a
 per-core scratch and copies the rows to their places. Where a transform of

@@ -16,7 +16,12 @@ from chi_dlog.chi import (
     save_chi,
 )
 from chi_dlog.dlog import run_dlog
-from chi_dlog.errors import ArtifactMismatch, RetryLimitExceeded, UnverifiedChi
+from chi_dlog.errors import (
+    ArtifactMismatch,
+    DegenerateNorm,
+    RetryLimitExceeded,
+    UnverifiedChi,
+)
 from chi_dlog.group import cyclic_group, mod_inverse, totient, validate_group
 from chi_dlog.qstate import QState, fidelity, marginal_distribution
 
@@ -247,11 +252,11 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
     # powers of g, that it joins the group register there and makes the
     # round's second transform as it builds the joint state. The round is
     # the one division a preparation makes: its conversion is never built
-    # whole, and factor_out builds its rows. In sampled mode the round also
-    # adds up the marginal the preparation draws from, so no
-    # marginal_distribution call reads the joint state again; in exhaustive
-    # mode the round keeps the coprime columns alone, and the acceptance is
-    # one read of all of them
+    # whole, and factor_out builds its rows. In both modes the round keeps
+    # the coprime columns alone, the only ones a preparation collapses. In
+    # sampled mode it also adds up the whole marginal the preparation draws
+    # from, so no marginal_distribution call reads the joint state again; in
+    # exhaustive mode the acceptance is one read of all the kept columns
     calls = {"div_x_apply": [], "qft_apply": [], "marginal_distribution": []}
     rounds = []  # the marginal and the columns each round was given, and what it returned
 
@@ -290,21 +295,48 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
         assert handle.verified
         assert stats.attempts >= (3 if mode == "sampled" else 1)
         (filled, keep, state), = rounds
+        coprime = [s for s in range(m) if math.gcd(s, m) == 1]
+        assert keep == coprime
+        assert state.layout.dim(0) == len(coprime) < m
+        assert np.array_equal(state.amplitudes.reshape(m, -1),
+                              whole.amplitudes.reshape(m, m)[:, coprime])
         if mode == "sampled":
             assert calls == {"div_x_apply": [(2, "forward")], "qft_apply": [(1, None)],
                              "marginal_distribution": []}
-            assert keep is None and np.array_equal(state.amplitudes, whole.amplitudes)
             assert np.abs(filled - basis_order).max() <= m * 2.0 ** -52
         else:
-            coprime = [s for s in range(m) if math.gcd(s, m) == 1]
             assert calls == {"div_x_apply": [(2, "forward")], "qft_apply": [(1, None)],
                              "marginal_distribution": [(2, len(coprime))]}
-            assert filled is None and keep == coprime
-            assert state.layout.dim(0) == len(coprime) < m
-            assert np.array_equal(state.amplitudes.reshape(m, -1),
-                                  whole.amplitudes.reshape(m, m)[:, coprime])
+            assert filled is None
             assert stats.acceptance_probability == \
                 float(sum(basis_order[s] for s in coprime))
+
+
+def test_a_zero_drawn_column_is_refused_by_its_measured_exponent(monkeypatch):
+    # the round's marginal is intact, so the draw is the pinned one, but the
+    # kept column it lands on is zero: the refusal names the measured
+    # exponent, not the column of the kept grid that holds it
+    spec = validate_group(101, 2)
+    m, s = spec.order, 63  # seed 0 draws 63 at once
+    coprime = [r for r in range(m) if math.gcd(r, m) == 1]
+    assert coprime.index(s) != s
+    division = chi.div_x_apply
+
+    def zeroed(*args, **kwargs):
+        state = division(*args, **kwargs)
+        state.amplitudes.reshape(m, -1)[:, coprime.index(s)] = 0
+        return state
+    monkeypatch.setattr(chi, "div_x_apply", zeroed)
+    with pytest.raises(DegenerateNorm, match=f"^index {s} carries probability 0"):
+        prepare_chi(spec, seed=0)
+
+
+def test_a_bad_seed_is_refused_before_the_round(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the round was simulated")
+    monkeypatch.setattr(chi, "_superposed_round", never)
+    with pytest.raises(ValueError, match="negative"):
+        prepare_chi(Z13, seed=-1)
 
 
 def test_prepare_sampled_retry_cap():

@@ -71,6 +71,21 @@ def test_unwritable_output_exits_2(capsys, tmp_path, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [
     ["prepare-chi", "--n", "5", "--g", "2"],
+    ["dlog", "--n", "5", "--g", "2", "--x", "3", "--prepare", "--mode", "exhaustive"],
+], ids=["prepare-chi", "dlog"])
+def test_a_negative_seed_exits_2_before_any_work(capsys, monkeypatch, argv):
+    # numpy would refuse it only when a generator is built, after the group
+    # is validated and, for an exhaustive dlog, after the preparation
+    def never(*args, **kwargs):
+        raise AssertionError("the group was validated")
+    monkeypatch.setattr(cli, "validate_group", never)
+    code, out, err = run_cli(capsys, argv + ["--seed", "-1"])
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["prepare-chi", "--n", "5", "--g", "2"],
     ["dlog", "--n", "5", "--g", "2", "--x", "3", "--prepare"],
 ], ids=["prepare-chi", "dlog"])
 def test_output_naming_a_directory_exits_2(capsys, tmp_path, argv):

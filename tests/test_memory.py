@@ -1,24 +1,24 @@
-"""The memory contract: a sampled preparation holds one m x m state, an
-exhaustive one its coprime columns, a run none.
+"""The memory contract: a preparation holds its round's coprime columns, a
+run none of its joint state.
 
 tracemalloc sees numpy's buffers, so its peak is the largest amount of traced
-memory alive at once. The preparation's round builds its state, transforming
-it one block of rows at a time: a sampled round all m x m amplitudes, which
-its draw needs, and an exhaustive round the phi(m) columns its acceptance and
-collapse read, 16*m*phi(m) bytes. Its readout and factor_out, with its
-product check, work in row blocks, and factor_out builds the conversion's
-rows block by block as it reads them, after the round's state is freed. Each
-of these passes shares one fixed scratch among its per-core ranges, at most 3
-MiB on any core count, so a sampled preparation peaks at 16*m**2 bytes plus
-that scratch plus O(m), within a quarter of a state, and an exhaustive one at
-16*m*phi(m) bytes plus 3 MiB plus O(m). A run's pass keeps one column of its
-joint state, so a run holds the division's scratch and O(m), on its first
-run as on any other, and a live handle holds its register alone. Peak RSS
-also depends on where the allocator places those buffers, which a fresh
-process shows.
+memory alive at once. The preparation's round transforms its state one block
+of rows at a time and keeps the phi(m) coprime columns alone, 16*m*phi(m)
+bytes, in either mode: a preparation only ever collapses a coprime column,
+and a sampled round adds up the whole marginal its draw needs in the same
+pass. Its readout and factor_out, with its product check, work in row blocks,
+and factor_out builds the conversion's rows block by block as it reads them,
+after the round's state is freed. Each of these passes shares one fixed
+scratch among its per-core ranges, at most 3 MiB on any core count, so every
+preparation peaks at 16*m*phi(m) bytes plus 3 MiB plus O(m). A run's pass
+keeps one column of its joint state, so a run holds the division's scratch
+and O(m), on its first run as on any other, and a live handle holds its
+register alone. Peak RSS also depends on where the allocator places those
+buffers, which a fresh process shows.
 """
 
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -65,23 +65,19 @@ def traced_peak(fn):
     return result, peak
 
 
-def preparation_bytes(spec, mode):
+def preparation_bytes(spec):
     """The least and the most a preparation may allocate at once, in bytes.
 
-    Its round's state, all m * m amplitudes in sampled mode and the phi(m)
-    coprime columns in exhaustive mode, is the least. A sampled preparation
-    may add a quarter of a state; an exhaustive one what a run may hold
-    beside it: the division's scratch, at most 3 MiB on any core count, and
-    O(m).
+    Its round's phi(m) coprime columns, in either mode, are the least; the
+    most adds what a run may hold beside them: the division's scratch, at
+    most 3 MiB on any core count, and O(m).
     """
     m = spec.order
-    if mode == "sampled":
-        return 16 * m * m, 1.25 * 16 * m * m
     return 16 * m * totient(m), 16 * m * totient(m) + kept_column_run_bytes(m)
 
 
-def assert_preparation_peak(spec, mode, peak, what="prepare_chi"):
-    least, most = preparation_bytes(spec, mode)
+def assert_preparation_peak(spec, peak, what="prepare_chi"):
+    least, most = preparation_bytes(spec)
     assert least <= peak <= most, \
         f"{what} peaked at {peak / 2 ** 20:.2f} MiB, not in [{least / 2 ** 20:.2f}, " \
         f"{most / 2 ** 20:.2f}]"
@@ -105,8 +101,8 @@ def test_preparation_and_a_run_hold_one_state(mode):
     result, run = traced_peak(
         lambda: run_dlog(SPEC, handle, 5, mode=mode, seed=1))
     assert result.measured_p == result.oracle_p
-    # at least the round's state itself, so numpy's buffers are being traced
-    assert_preparation_peak(SPEC, mode, prepare)
+    # at least the round's columns themselves, so numpy's buffers are being traced
+    assert_preparation_peak(SPEC, prepare)
     assert run <= kept_column_run_bytes(SPEC.order), \
         f"run_dlog peaked at {run / 2 ** 20:.2f} MiB"
 
@@ -122,22 +118,34 @@ def test_readout_scratch_is_sized_by_the_state(dims):
     assert peak <= 4096, f"a {dims} readout peaked at {peak} bytes"
 
 
+# Linux carries a parent's peak RSS into its child's ru_maxrss across fork
+# and exec, so a child started by a large test process would read that
+# process's peak; VmHWM is the peak of the memory the child maps itself
+PEAK_KB = """
+def peak_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+"""
+
+
 def peak_rss_kb(script):
-    """The lines a script prints, as ints, from a fresh process."""
+    """The lines a script prints, as ints, from a fresh process.
+
+    The script's own peak RSS so far, in kB, is peak_kb().
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(chi_dlog.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", PEAK_KB + textwrap.dedent(script)],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return [int(line) for line in proc.stdout.split()]
 
 
 def test_repeated_preparations_keep_peak_rss_flat():
     # a fresh process makes the prepare-1008 benchmark's 20 sampled
-    # preparations, each followed by one run; the m x m buffers must keep
-    # reusing the same memory, so ru_maxrss may grow by at most a quarter of
-    # a state after the first preparation
+    # preparations, each followed by one run; each round's coprime columns
+    # must keep reusing the same memory, so the peak RSS may grow by at most a
+    # quarter of a state after the first preparation
     rss_kb = peak_rss_kb("""
-        import resource
         from chi_dlog.chi import prepare_chi
         from chi_dlog.dlog import run_dlog
         from chi_dlog.group import validate_group
@@ -145,7 +153,7 @@ def test_repeated_preparations_keep_peak_rss_flat():
         for seed in range(20):
             handle, _ = prepare_chi(spec, seed=seed, mode="sampled")
             run_dlog(spec, handle, 5, mode="sampled", seed=seed)
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            print(peak_kb())
     """)
     assert len(rss_kb) == 20
     growth = rss_kb[-1] - rss_kb[0]
@@ -155,44 +163,55 @@ def test_repeated_preparations_keep_peak_rss_flat():
 def test_a_preparation_rebinding_a_live_handle_keeps_peak_rss_flat():
     # at m = 1450 a state is past glibc's mmap threshold, so a state a live
     # handle kept would sit beside the next preparation's; the handle keeps
-    # none, and ru_maxrss may grow by at most a quarter of a state after the
+    # none, and the peak RSS may grow by at most a quarter of a state after the
     # first preparation
     rss_kb = peak_rss_kb("""
-        import resource
         from chi_dlog.chi import prepare_chi
         from chi_dlog.dlog import run_dlog
         from chi_dlog.group import validate_group
         spec = validate_group(1451, 2)
         h, _ = prepare_chi(spec, seed=0, mode="exhaustive")
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        print(peak_kb())
         run_dlog(spec, h, 5)
         h, _ = prepare_chi(spec, seed=1, mode="exhaustive")
         run_dlog(spec, h, 7)
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        print(peak_kb())
     """)
     growth = rss_kb[-1] - rss_kb[0]
     assert growth * 1024 <= BIG_BYTES / 4, f"peak RSS (kB): {rss_kb}"
 
 
-def test_an_exhaustive_preparation_holds_its_coprime_columns_in_a_fresh_process():
-    # at m = 1450 the whole round would be 33.6 MB; the exhaustive round keeps
-    # its 560 coprime columns, 13.0 MB, and the conversion is never held
-    # whole, so a preparation and a run raise ru_maxrss over what the imports
-    # take by those columns and at most a quarter of a state beside them
-    rss_kb = peak_rss_kb("""
-        import resource
+def assert_fresh_preparation_holds_its_columns(mode):
+    # at m = 1450 the whole round would be 33.6 MB; the round keeps its 560
+    # coprime columns, 13.0 MB, and the conversion is never held whole, so a
+    # preparation and a run raise the peak RSS over what the imports take by
+    # those columns and at most a quarter of a state beside them. numpy loads
+    # numpy.random, 5.6 MB of it, on a sampled draw's first call, so it is
+    # imported before the first reading
+    rss_kb = peak_rss_kb(f"""
+        import numpy.random
         from chi_dlog.chi import prepare_chi
         from chi_dlog.dlog import run_dlog
         from chi_dlog.group import validate_group
         spec = validate_group(1451, 2)
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-        h, _ = prepare_chi(spec, mode="exhaustive")
-        run_dlog(spec, h, 5)
-        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+        print(peak_kb())
+        h, _ = prepare_chi(spec, seed=0, mode="{mode}")
+        run_dlog(spec, h, 5, mode="{mode}", seed=0)
+        print(peak_kb())
     """)
-    columns = preparation_bytes(BIG, "exhaustive")[0]
+    columns = preparation_bytes(BIG)[0]
     growth = rss_kb[-1] - rss_kb[0]
     assert growth * 1024 <= columns + BIG_BYTES / 4, f"peak RSS (kB): {rss_kb}"
+
+
+def test_an_exhaustive_preparation_holds_its_coprime_columns_in_a_fresh_process():
+    assert_fresh_preparation_holds_its_columns("exhaustive")
+
+
+def test_a_sampled_preparation_holds_its_coprime_columns_in_a_fresh_process():
+    # its draw reads the whole marginal, which the round adds up as it keeps
+    # the columns, so it holds no more than an exhaustive one
+    assert_fresh_preparation_holds_its_columns("sampled")
 
 
 def fresh_buffer_run(spec, chi_state, x):
@@ -206,12 +225,12 @@ def fresh_buffer_run(spec, chi_state, x):
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 @pytest.mark.parametrize("spec", [SPEC, BIG], ids=["m=1008", "m=1450"])
 def test_a_live_handle_holds_its_register_alone(spec, mode):
-    # a preparation peaks at its round's state, and what is still traced
-    # once it and a run return, with the handle alive, is O(m): that state
-    # is freed
+    # a preparation peaks at its round's coprime columns, and what is still
+    # traced once it and a run return, with the handle alive, is O(m): those
+    # columns are freed
     (handle, _), prepare, peak = traced_memory(
         lambda: prepare_chi(spec, seed=1, mode=mode))
-    assert_preparation_peak(spec, mode, peak)
+    assert_preparation_peak(spec, peak)
     _, run, _ = traced_memory(lambda: run_dlog(spec, handle, 5, mode=mode, seed=1))
     for what, held in (("prepare_chi", prepare), ("run_dlog", run)):
         assert held <= 256 * spec.order, f"{what} left {held} bytes traced"
@@ -239,18 +258,22 @@ def test_a_run_holds_one_column(spec, origin, tmp_path):
 @pytest.mark.parametrize("count", [1, 2, 8, 64])
 def test_the_peak_does_not_grow_with_the_cores(see_cores, count):
     # every split pass shares one fixed scratch among its per-core ranges,
-    # so on a many-core host the peak stays within the bounds of one core
+    # so on a many-core host the peak stays within the bounds of one core;
+    # a correct handle puts all of a run's mass on the true exponent, so a
+    # sampled run measures the index the exhaustive run by hand does, though
+    # it returns no marginal
     see_cores(count)
-    for spec in (SPEC, BIG):
+    for spec, mode in itertools.product((SPEC, BIG), ("exhaustive", "sampled")):
         (handle, _), prepare = traced_peak(
-            lambda: prepare_chi(spec, seed=1, mode="exhaustive"))
-        assert_preparation_peak(spec, "exhaustive", prepare, f"prepare_chi on {count} cores")
+            lambda: prepare_chi(spec, seed=1, mode=mode))
+        assert_preparation_peak(spec, prepare, f"{mode} prepare_chi on {count} cores")
         want_marginal, want_post = fresh_buffer_run(spec, handle.state, 5)
-        result, run = traced_peak(lambda: run_dlog(spec, handle, 5))
+        result, run = traced_peak(lambda: run_dlog(spec, handle, 5, mode=mode, seed=1))
         assert result.measured_p == result.oracle_p
         assert run <= kept_column_run_bytes(spec.order), \
             f"run_dlog on {count} cores peaked at {run / 2 ** 20:.2f} MiB"
-        assert np.array_equal(result.marginal, want_marginal)
+        if mode == "exhaustive":
+            assert np.array_equal(result.marginal, want_marginal)
         assert np.array_equal(handle.state.amplitudes, want_post.amplitudes)
 
 
