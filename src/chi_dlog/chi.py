@@ -17,8 +17,9 @@ raised to alpha: that is dividing by (g**alpha)**k, controlled on the
 exponent k, so their left register is the chi state written over exponents
 (_chi_exponents) and comes back to the group's basis in one O(m) scatter
 through power_indices (_over_group). The conversion's joint state is only
-split by factor_out, which builds its rows a block at a time from the
-division's walk (transforms._division_rows), so it is never held whole:
+split by factor_out, which builds its rows a block at a time along the
+division's walk and reads them in that order (transforms._division_rows),
+so it is never held whole:
 every preparation peaks at its round's coprime columns, 16 * m * phi(m)
 bytes, plus a pass's fixed scratch.
 """
@@ -160,9 +161,10 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     basis-order sum of the kept columns, and collapses deterministically onto
     the smallest coprime value, so it always finishes in one attempt. The
     conversion after the measurement is never held whole: factor_out builds
-    its rows a block at a time (transforms._division_rows), so every
-    preparation peaks at its round's coprime columns plus a pass's fixed
-    scratch. Returns the handle and the attempt statistics.
+    its rows a block at a time along the division's walk and adds them in
+    that order (transforms._division_rows), so every preparation peaks at
+    its round's coprime columns plus a pass's fixed scratch. Returns the
+    handle and the attempt statistics.
 
     A wrong round is refused by the checks every preparation makes:
     collapse and sample_index (DegenerateNorm), the retry cap

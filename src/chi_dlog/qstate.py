@@ -13,9 +13,9 @@ division, transforms it block by block in the same pass and adds up register
 preparation's round, in either mode, its coprime columns: a state whose
 register 0 holds those values, which collapse and marginal_distribution read
 like any other. The preparation's conversion is never held whole: it is a
-_Rows, the rule for its grid's rows, which factor_out writes a block at a
-time into the scratch of its row sum and of its product check. Everything
-here returns new arrays.
+_Rows, the rule for its grid's rows in the order of the division's walk,
+which factor_out writes a block at a time, in that order, into the scratch
+of its row sum and of its product check. Everything here returns new arrays.
 Only register 0 is ever read out, as in the procedure, where it is the
 exponent register: a run and a sampled preparation take its distribution
 from that pass, sample_index draws from it, and collapse measures it and
@@ -183,19 +183,16 @@ class MeasurementOutcome:
 
 @dataclass
 class _Rows:
-    """A two-register state held as the rules for its grid's rows, never whole.
+    """A two-register state held as the rule for its grid's rows, never whole.
 
-    write(start, stop, lo, hi, out) writes grid[start:stop, lo:hi] into out,
-    a C-contiguous block, and walk(start, stop, out) writes the whole rows
-    grid[order[start:stop]], the order in which they are cheapest to make,
-    for a pass that does not depend on the order of the rows.
-    transforms._division_rows makes one for the preparation's conversion,
-    and factor_out splits register 1 off it.
+    The rows come in order, the walk along which they are cheapest to make:
+    write(start, stop, lo, hi, out) writes grid[order[start:stop], lo:hi]
+    into out, a C-contiguous block. transforms._division_rows makes one for
+    the preparation's conversion, and factor_out splits register 1 off it.
     """
     layout: RegisterLayout
-    write: Callable[[int, int, int, int, np.ndarray], None]
     order: np.ndarray
-    walk: Callable[[int, int, np.ndarray], None]
+    write: Callable[[int, int, int, int, np.ndarray], None]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -305,12 +302,12 @@ def _row_sum(grid, dtype, fill) -> np.ndarray:
     fill gets the rows grid[start:start + len(out)] of one column range and
     writes their terms into out. grid may be a strided view, such as the
     transpose factor_out sums to split off register 0, or a _Rows, whose
-    rows are written into out first, through a gather of at most
-    np.getbufsize() values a range, and filled there in place. Each block
-    is summed into the range's slice of the total, which buf[0] carries
-    into the next block's sum, so the rows are added one after another in
-    order, exactly as a whole-array sum(axis=0) of a C-contiguous grid does:
-    the order depends on the grid's shape alone, and no BLAS call is made.
+    rows are written into out first, in its order, and filled there in
+    place. Each block is summed into the range's slice of the total, which
+    buf[0] carries into the next block's sum, so the rows are added one
+    after another in order, exactly as a whole-array sum(axis=0) of a
+    C-contiguous grid does: the order depends on the grid's shape alone,
+    and no BLAS call is made.
     From _SPLIT_MIN amplitudes the columns are split over the cores, which
     changes no bit. The ranges share one scratch of at most READOUT_BLOCK +
     d0 values, and numpy's call over a range's strided block may hold two
@@ -395,9 +392,10 @@ def factor_out(state, register_index: int, expected: QState) -> QState:
     1, as a preparation does, by adding the weighted rows of the grid in
     order, and register 0 by adding its weighted columns in order. So the
     result does not depend on the BLAS thread count. state may also be a
-    _Rows, the preparation's conversion, which is never held whole: its
-    rows are written a block at a time into the row sum's scratch and the
-    product check's, and register 1 alone is split off it.
+    _Rows, the preparation's conversion, which is never held whole: register
+    1 alone is split off it, and its rows are written a block at a time, in
+    its order, into the scratch of the row sum and of the product check,
+    which read expected in that order too.
     """
     regs = state.layout.registers
     if len(regs) != 2:
@@ -408,10 +406,9 @@ def factor_out(state, register_index: int, expected: QState) -> QState:
     if isinstance(state, _Rows):
         if register_index != 1:
             raise LayoutMismatch("a state held as its rows splits off register 1 alone")
-        grid = state
+        grid, e = state, expected.amplitudes[state.order]
     else:
-        grid = _grid(state)
-    e = expected.amplitudes
+        grid, e = _grid(state), expected.amplitudes
     weights = e.conj()[:, None]
 
     def weighted(block, start, out):
@@ -443,9 +440,8 @@ def _residual(column: np.ndarray, row: np.ndarray, grid) -> float:
     passes and fails as the exact max does, and one that fails returns that
     max. numpy buffers a multiply broadcast over rows shorter than its
     buffer, so a block's column entries are copied across its rows and then
-    multiplied by a shared tile of the row, with outer's bits. A _Rows grid
-    is visited in its own order (the max does not depend on it), and each
-    block of its rows is written into one more scratch first. The blocks
+    multiplied by a shared tile of the row, with outer's bits. Each block of
+    a _Rows grid's rows is written into one more scratch first. The blocks
     and the tile share one scratch of READOUT_BLOCK values per kind (one row
     each where a row is longer than a share); there are at most
     READOUT_BLOCK // d0 ranges, and at most READOUT_BLOCK // (2 *
@@ -472,11 +468,11 @@ def _residual(column: np.ndarray, row: np.ndarray, grid) -> float:
             stop = min(start + rows, hi)
             recon, mag = recons[part, :stop - start], mags[part, :stop - start]
             if built:
-                block, rows_of = written[part, :stop - start], grid.order[start:stop]
-                grid.walk(start, stop, block)
+                block = written[part, :stop - start]
+                grid.write(start, stop, 0, d0, block)
             else:
-                block, rows_of = grid[start:stop], slice(start, stop)
-            recon[...] = column[rows_of, None]
+                block = grid[start:stop]
+            recon[...] = column[start:stop, None]
             np.multiply(recon, tile[:stop - start], out=recon)
             recon -= block
             # max and min propagate a NaN, which fails the screen

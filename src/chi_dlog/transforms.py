@@ -21,9 +21,10 @@ the same division with x = g**alpha on that register written over
 exponents (chi), so neither has an operator of its own. The conversion is
 only read by factor_out, so it is never written whole: _division_rows
 shares div_x_apply's checks, its walk along the cycles and its tile, and
-hands factor_out the rule for its rows (qstate._Rows). alpha is coprime to
-m there, so the walk is one cycle and each row is one window of the one
-tile, times the left register.
+hands factor_out the rule for its rows in the walk's order (qstate._Rows).
+alpha is coprime to m there, so the walk is one cycle and a block of rows
+at consecutive walk positions is consecutive windows of the one tile,
+times the left register.
 
 div_x_apply builds a block of consecutive rows along the cycles in a
 per-core scratch and copies the rows to their places. Where a transform of
@@ -364,10 +365,10 @@ def _division_rows(a: QState, b: QState, x: int) -> _Rows:
     """div_x_apply(a, b, x) held as the rule for its rows, for factor_out.
 
     For an x that generates the group, multiplying by x**-1 walks one cycle
-    through every basis state, so row y of the joint state is window pos[y]
-    of the one tile div_x_apply builds for it, times a, where pos is the
-    walk's inverse. A block of rows, or of their columns lo:hi, is one
-    gather of windows and one multiply, with the bits of div_x_apply's
+    through every basis state, so the rows at consecutive walk positions
+    are consecutive windows of the one tile div_x_apply builds for it,
+    times a. The rows come in the walk's order: a block of them, or of
+    their columns lo:hi, is one multiply, with the bits of div_x_apply's
     rows, so nothing of m * m amplitudes is written. The registers are
     checked as div_x_apply checks them; an x whose powers do not reach the
     whole group raises NotAGenerator.
@@ -383,35 +384,16 @@ def _division_rows(a: QState, b: QState, x: int) -> _Rows:
     tile = np.empty(3 * m, dtype=np.complex128)
     _tile(tile, along, m)
     slide = sliding_window_view(tile, m)
-    pos = np.empty(m, dtype=np.intp)
-    pos[walk] = np.arange(m)
 
     def write(start, stop, lo, hi, out):
-        # the windows are gathered by indexing (np.take would first copy the
-        # whole strided window view) and multiplied straight into out; each
-        # gather holds at most np.getbufsize() values, as numpy's own buffers do
-        factor = a.amplitudes[lo:hi]
-        if hi - lo == 1:
-            # numpy rounds a one-column 2-D product differently, as
-            # div_x_apply's one-row segments: one row at a time
-            for row, p in zip(out, pos[start:stop].tolist()):
-                np.multiply(tile[p + lo:p + hi], factor, out=row)
-            return
-        rows = np.getbufsize() // (hi - lo) or 1
-        for first in range(0, stop - start, rows):
-            last = min(first + rows, stop - start)
-            np.multiply(slide[pos[start + first:start + last], lo:hi], factor,
-                        out=out[first:last])
-
-    def walked(start, stop, out):
-        # consecutive walk positions are consecutive windows, as div_x_apply
-        # builds them, a one-row block as one row
+        # numpy rounds a one-element product made by a 2-D call differently:
+        # a one-row block is multiplied as one row, as div_x_apply's are
         if stop - start > 1:
-            np.multiply(slide[start:stop], a.amplitudes, out=out)
+            np.multiply(slide[start:stop, lo:hi], a.amplitudes[lo:hi], out=out)
         else:
-            np.multiply(slide[start], a.amplitudes, out=out[0])
+            np.multiply(slide[start, lo:hi], a.amplitudes[lo:hi], out=out[0])
 
-    return _Rows(layout, write, walk, walked)
+    return _Rows(layout, walk, write)
 
 
 def _joint_table(rows: np.ndarray, d0: int) -> np.ndarray:

@@ -105,11 +105,18 @@ def test_exhaustive_acceptance_keeps_its_recorded_bits(n, g, recorded):
 
 
 # sha256 of an exhaustive preparation's handle amplitudes, recorded while the
-# round still held all m x m amplitudes and the conversion was written whole
+# round still held all m x m amplitudes and the conversion was written whole,
+# and again when the conversion's row sum came to add its rows in the order
+# of the division's walk (test_prepared_handles_are_within_rounding_of_chi
+# bounds what such a reordering may move). Each case id ends in the digest
+# first recorded, so that the case keeps its name
 @pytest.mark.parametrize("n, g, digest", [
-    (101, 2, "1c36a1d6fa448f877cc2239424636c38126acffc4747ba0931840fb7c7ca8c5d"),
-    (1009, 11, "eb75c06906032b07d40dd781ff6990b08ce0edeb1b33612cd2e6a2cbca17c676"),
-    (2003, 5, "1ab892bd54189f3e48c3f7aa744ad20eb69b913077094f5f55c494137e7eb80d"),
+    pytest.param(101, 2, "04299d271322fd4344cbf3761c134dd5380e0179a6b75c5057b38444c12a9717",
+                 id="101-2-1c36a1d6fa448f877cc2239424636c38126acffc4747ba0931840fb7c7ca8c5d"),
+    pytest.param(1009, 11, "1f70f563d056a2e2934294d8c2629eaf3e76ce3c41990e873725f8bdb1a0878c",
+                 id="1009-11-eb75c06906032b07d40dd781ff6990b08ce0edeb1b33612cd2e6a2cbca17c676"),
+    pytest.param(2003, 5, "b6c08ec20222f740142369debf601c066fddb7931b871b68ba3cc31f27456adc",
+                 id="2003-5-1ab892bd54189f3e48c3f7aa744ad20eb69b913077094f5f55c494137e7eb80d"),
 ])
 def test_exhaustive_handles_keep_their_recorded_bits(n, g, digest):
     handle, stats = prepare_chi(validate_group(n, g), mode="exhaustive")
@@ -141,60 +148,61 @@ def test_prepare_sampled_retry_trace():
 # recorded when every attempt still re-simulated the round: drawing all
 # attempts from one simulated round must give the same stream and the same
 # handles. The digests were recorded again when factor_out's projection became
-# a row sum in a fixed order; they are the same on any core and BLAS thread
-# count
+# a row sum in a fixed order, and when the conversion's row sum came to add
+# its rows in the order of the division's walk; they are the same on any core
+# and BLAS thread count
 PINNED_PREPARATIONS = [
     (101, 0, 1, [63], 63,
-     "7576825fbc2df1e71a056abeee329253a3c5a95f911d71795956841617b43609"),
+     "6f7d1fafda1cc3d9bf95e0c12492aa8c1c2f790d62abba6dd01b35c742974b3f"),
     (101, 1, 1, [51], 51,
-     "3eeab259494a855fb3f243d5876c8cb3f4856c8b7e0c70b7d8fbbcf54903bc4c"),
+     "21108e11cd6de181058a6f9079ed859858a6b05396702ac31df0271d1c1003a9"),
     (101, 2, 2, [26, 29], 29,
-     "035425813210d909f450d893f9fcae9d34ddd183efc862e18e6a673949355174"),
+     "419a107f903a91540603e01b29d3f61a31af587053b0ffb3c08596d99b9eac32"),
     (101, 3, 2, [8, 23], 23,
-     "018d81ad254dc9447413c6a435f98a091af5cabee7604cf240c31b380a17bd0c"),
+     "43a88958f9e9647b34685cf795e3128613d42a2584fb99a31f7a1a6ae379deac"),
     (101, 4, 2, [94, 51], 51,
-     "3eeab259494a855fb3f243d5876c8cb3f4856c8b7e0c70b7d8fbbcf54903bc4c"),
+     "21108e11cd6de181058a6f9079ed859858a6b05396702ac31df0271d1c1003a9"),
     (101, 5, 3, [80, 80, 51], 51,
-     "3eeab259494a855fb3f243d5876c8cb3f4856c8b7e0c70b7d8fbbcf54903bc4c"),
+     "21108e11cd6de181058a6f9079ed859858a6b05396702ac31df0271d1c1003a9"),
     (101, 6, 1, [53], 53,
-     "c132e4df33b9eecdf6b58e736629db86c05b67bf79135b014f85d8bb79774c9d"),
+     "5f2171c16f7381b948924c02fccfe386a55fc2c82ad10de2916c186edeed5fb5"),
     (101, 7, 2, [62, 89], 89,
-     "ff15fa581b0d4f51d394ac54f309491d0fa77f2ba30750ce326dea98ba253f01"),
+     "8cac1f5e7f3586ae53969b1df33b32d1d5ae1b36b918b94b2f8eba8d1d42bbb1"),
     (101, 8, 3, [32, 98, 31], 31,
-     "4cec8307105e94121b8d1e1408716abd4835a8f3cf63ae1d49d148067ac3c180"),
+     "6d74017a0f27060a4f78ae4420fd5898792b52990aeff5a67db1a8e7f89e9637"),
     (101, 9, 1, [87], 87,
-     "c45a798cb7352f1277a25e1ce042ed2b39e1220f7c6103e66b920388cac9b93d"),
+     "b047b85b2283b5f153f9019e745c09d48655b253dc1ef5ccd51a7b8d25051f0d"),
     (101, 10, 5, [95, 20, 82, 14, 51], 51,
-     "3eeab259494a855fb3f243d5876c8cb3f4856c8b7e0c70b7d8fbbcf54903bc4c"),
+     "21108e11cd6de181058a6f9079ed859858a6b05396702ac31df0271d1c1003a9"),
     (101, 11, 2, [12, 49], 49,
-     "69a9e0e0a79a2cc91913a77e192b28717d1ed0082e2add2319b0c781c361a76f"),
+     "aa0189ce5923ab4f8d02dc92eb65f513d1b8bf4de0bd592f21db27d578321b57"),
     (101, 12, 4, [25, 94, 18, 17], 17,
-     "35e1d6d5d49f715943336da9f9ff067f1017045a5735a313d4fa32a427852300"),
+     "a37399db01328ecbfddd7e55af3b1864b702b0563acc208cc6e8afc7cf6f65b5"),
     (101, 13, 3, [86, 85, 81], 81,
-     "c46c9e90689ebf912b895162a497fe1405c1d6146b829c6b6d3ef38783790a04"),
+     "0542225ce2ecae5ab225756aea214dab3a38f5262815732baa0ff433fe7561a5"),
     (101, 14, 1, [83], 83,
-     "397a6f043373a1df9102ebdc648e71998c7e380a96bb956c2d684435e301bb9e"),
+     "92803fca5b313735165be211abb8b0d976ab16456efd3d32cee1077e4de397d4"),
     (101, 15, 1, [69], 69,
-     "7228fb9fbc7c96a0e7328dc639a1ad46be772b74775923aa6a1181b39eec525b"),
+     "7fb909e84f548fe6f67f0804cd5b6acb75b5f833c04eca7c38b144bb517a7368"),
     (101, 16, 2, [56, 43], 43,
-     "12f91d014319c32f17aa7c49be8bd8190a42600af67f7a4b6d3d791391d8644b"),
+     "f9d67bb8a7e88cd83d328ce73a32ae3bbdb9fe0278d8b99c40796b05410303df"),
     (101, 17, 5, [84, 16, 55, 36, 21], 21,
-     "d511aa43298fa44e105c72bd66a8dd2e8268d7f0fc90eed163945f8270200ab9"),
+     "91792532cef6656e3528dcea62436ece8de67274b68018d96be30ee327a66816"),
     (101, 18, 1, [39], 39,
-     "2b2621d71181c0bb00a030ea0305436b4ad951f7dee0a9f1daf8df5b94f0e3a7"),
+     "69e9e8dca815dc899331367b6d87c6af32a888d62341a4befda78fd750850633"),
     (101, 19, 3, [42, 92, 27], 27,
-     "4e6604fd69854eb9714decbaa23f4ac91ceba1c3f038776159e65c446189956f"),
+     "ba06d1a5b7abd35234456cb89d7cc873174410637de8cbacb2872188aa89f48f"),
     (1009, 0, 2, [642, 271], 271,
-     "e04682df9f9fef9603086d4c258b6612ffb04199edb5ac362b00623f34d322ff"),
+     "326f219766c2a154d7dba28643bedfe75872f4835464e3d827639a2251a9a5a5"),
     (1009, 1, 1, [515], 515,
-     "ee4b5b36dc99ad4b60a4d75635ae76e4a36c2b2a45ae32c58536b1cfde7ac4ad"),
+     "1486453d522e143022615c5e76fb3626d3e75533a9088368043fbf715eb13a56"),
     (1009, 2, 1, [263], 263,
-     "be77ab245846ae5d4ff6f63f5eaff4d8ea9aa1557ec242066e13e0dec6714c2c"),
+     "ff97ef59a6821974eda66532c05de93504cd8ca8785846e858b584e1b44c3205"),
     (1009, 3, 15, [86, 238, 807, 586, 94, 436, 482, 161, 740,
       114, 394, 520, 434, 591, 743], 743,
-     "4b0e2a378ff4ce91a469ad4a80d41ed33d32f7570ce48f2ac1fc7e66b6c737b0"),
+     "2f44c2eb9ca592f315947665e3d47b564b0a68b0cab8983bcd632f47eaa61080"),
     (1009, 4, 2, [950, 515], 515,
-     "ee4b5b36dc99ad4b60a4d75635ae76e4a36c2b2a45ae32c58536b1cfde7ac4ad"),
+     "1486453d522e143022615c5e76fb3626d3e75533a9088368043fbf715eb13a56"),
 ]
 PINNED_GENERATORS = {101: 2, 1009: 11}
 # The case ids end in the digests first recorded, while factor_out still
@@ -242,6 +250,25 @@ def test_prepare_sampled_stream_is_pinned(n, seed, attempts, observed_s, success
     assert (stats.attempts, stats.observed_s, stats.success_s) == \
         (attempts, observed_s, success_s)
     assert hashlib.sha256(handle.state.amplitudes.tobytes()).hexdigest() == digest
+
+
+ACCURACY_CASES = ([(n, PINNED_GENERATORS[n], seed) for n, seed, *_ in PINNED_PREPARATIONS]
+                  + [(n, g, "exhaustive") for n, g in ((101, 2), (1009, 11), (2003, 5),
+                                                       (4001, 3))])
+
+
+@pytest.mark.parametrize("n, g, seed", ACCURACY_CASES)
+def test_prepared_handles_are_within_rounding_of_chi(n, g, seed):
+    # every pinned preparation, sampled and exhaustive: each amplitude is
+    # within sqrt(m) * 2**-52 of the reference chi state's, a bound that does
+    # not depend on the order in which the conversion's rows are added
+    spec = validate_group(n, g)
+    if seed == "exhaustive":
+        handle, _ = prepare_chi(spec, mode="exhaustive")
+    else:
+        handle, _ = prepare_chi(spec, seed=seed)
+    error = np.abs(handle.state.amplitudes - chi_reference(spec, 1).amplitudes).max()
+    assert error <= math.sqrt(spec.order) * 2.0 ** -52, f"off by {error:.3e}"
 
 
 @pytest.mark.parametrize("n, g, seed", [(13, 2, 5), (1009, 11, 3)])
@@ -399,7 +426,7 @@ def test_the_conversion_and_powering_are_bit_identical_on_any_core_count(
     # the cores, and each builds the conversion's rows as it goes: the rows,
     # the converted register, a prepared chi register and a powered one must
     # have the same bits on one core as on two to four, and the rows those
-    # of the division written whole
+    # of the division written whole, taken in the walk's order
     spec = CORE_COUNT_GROUPS[name]
     m = spec.order
     s = 5  # coprime to both orders
@@ -416,7 +443,7 @@ def test_the_conversion_and_powering_are_bit_identical_on_any_core_count(
         assert len(started) == 2 * (count - 1)
         rows = np.empty((m, m), dtype=np.complex128)
         joint.write(0, m, 0, m, rows)
-        assert np.array_equal(rows.reshape(-1), whole)
+        assert np.array_equal(rows, whole.reshape(m, m)[joint.order])
         handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
         got = [("converted", converted.amplitudes), ("prepared", handle.state.amplitudes),
                ("powered", chi_power_from(spec, handle, 5, start_power=2).state.amplitudes)]

@@ -118,23 +118,26 @@ def test_an_exhaustive_run_reports_the_mass_summed_in_basis_order(n, g):
 
 def test_dlog_stdout_at_m_2002_is_pinned(capsys):
     # the golden recordings stop at m = 1018 and hold floats only within
-    # their tolerance; these are the bytes recorded before the run's
-    # marginal moved into its division
+    # their tolerance; these bytes were recorded before the run's marginal
+    # moved into its division, and again when the preparation's conversion
+    # came to be added along its walk
     argv = ["dlog", "--n", "2003", "--g", "5", "--x-count", "3", "--prepare",
             "--mode", "exhaustive"]
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "9afc7c4321fc2b8ff33c1bf0e5ca1b372c1db686d63e9ccb7d206ddcbba3a7ea"
+    assert digest == "888989453776020f98e224b63118ee3d591e41c516c3e4c80c9eb2158afbbdb0"
 
 
 def test_dlog_stdout_at_m_4000_is_pinned(capsys):
     # m = 4000 is where a division's blocks hold the fewest rows (8); these
-    # bytes were recorded before the division's primitive folded into it
+    # bytes were recorded before the division's primitive folded into it,
+    # and again when the preparation's conversion came to be added along
+    # its walk
     argv = ["dlog", "--n", "4001", "--g", "3", "--x-count", "3", "--prepare",
             "--mode", "exhaustive"]
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "17798307e3b70be4c7762b0ca53e5e71e7997fa62b1adcb3b42794ca94e9daf4"
+    assert digest == "d79227e5ee10009b18091afe25d6463341320b9aeed2e318870734f6baa42957"
 
 
 def test_run_dlog_replaces_handle_state():
