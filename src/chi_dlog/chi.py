@@ -9,9 +9,11 @@ measured value's inverse converts the surviving state to power 1.
 
 Every division here is the run's own operator, div_x_apply, the package's
 only division and its only operator that joins two registers. The round loads
-the powers of g with x = g**-1 and, in the same pass, keeps the coprime
-columns alone, the only ones a preparation ever collapses, and in sampled
-mode adds up the whole distribution its draw reads.
+the powers of g with x = g**-1 and, in the same pass, adds up the whole
+distribution of the measured value and keeps only the columns the
+preparation may collapse: a sampled round's draw may accept any coprime
+value, so it keeps the phi(m) coprime columns; an exhaustive round reads its
+acceptance from that distribution and keeps the one column it collapses.
 The conversion, and chi_power_from, divide by a group register holding g**k
 raised to alpha: that is dividing by (g**alpha)**k, controlled on the
 exponent k, so their left register is the chi state written over exponents
@@ -19,12 +21,13 @@ exponent k, so their left register is the chi state written over exponents
 through power_indices (_over_group). The conversion's joint state is only
 split by factor_out, which builds its rows a block at a time along the
 division's walk and reads them in that order (transforms._division_rows),
-so it is never held whole:
-every preparation peaks at its round's coprime columns, 16 * m * phi(m)
-bytes, plus a pass's fixed scratch.
+so it is never held whole. A sampled preparation peaks at its round's
+coprime columns, 16 * m * phi(m) bytes, plus a pass's fixed scratch; an
+exhaustive one at a run's, that scratch (3 MiB) plus O(m).
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,7 +53,6 @@ from .qstate import (
     dump_amplitudes,
     factor_out,
     fidelity,
-    marginal_distribution,
     parse_amplitudes,
     sample_index,
 )
@@ -133,7 +135,7 @@ def _superposed_round(spec: GroupSpec, marginal=None, keep=None) -> QState:
     power oracle is no second operator, and that division makes the second
     transform as it builds the joint state, block by block in one pass, and
     in the same pass fills marginal, if one is given, with the distribution
-    the measurement draws from, or keeps the columns keep names alone. The
+    the measurement draws from, and keeps the columns keep names alone. The
     fresh exponent register is transformed before it joins the group
     register, so the first transform touches m amplitudes. A device reruns
     the round on every attempt, but the simulated unitary and its input are
@@ -151,20 +153,22 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     """Prepare a verified power-1 chi state for the group.
 
     The round before the measurement is simulated once per call, and in
-    either mode it keeps the coprime columns alone, 16 * m * phi(m) bytes:
-    only a coprime value is ever collapsed. In sampled mode its division
-    also adds up the whole distribution of the measured value, which is
-    drawn from with a seeded generator, redrawn while the value shares a
-    factor with the order; only the accepted draw is collapsed. A seed numpy
-    refuses is refused before the round. Exhaustive mode instead reports the
-    exact acceptance probability of the coprimality test, marginal_distribution's
-    basis-order sum of the kept columns, and collapses deterministically onto
-    the smallest coprime value, so it always finishes in one attempt. The
+    either mode its division also adds up the whole distribution of the
+    measured value. In sampled mode the value is drawn from it with a seeded
+    generator, redrawn while it shares a factor with the order, and only the
+    accepted draw is collapsed, so the round keeps the phi(m) coprime
+    columns, 16 * m * phi(m) bytes. A seed numpy refuses is refused before
+    the round. Exhaustive mode instead reports the exact acceptance
+    probability of the coprimality test, the math.fsum of the coprime
+    entries of that distribution, correctly rounded in any order, and
+    collapses deterministically onto the smallest coprime value, so it
+    always finishes in one attempt and its round keeps that one column. The
     conversion after the measurement is never held whole: factor_out builds
     its rows a block at a time along the division's walk and adds them in
-    that order (transforms._division_rows), so every preparation peaks at
-    its round's coprime columns plus a pass's fixed scratch. Returns the
-    handle and the attempt statistics.
+    that order (transforms._division_rows). So a sampled preparation peaks
+    at its round's coprime columns plus a pass's fixed scratch, at most 3
+    MiB, and an exhaustive one at that scratch plus O(m), as a run does.
+    Returns the handle and the attempt statistics.
 
     A wrong round is refused by the checks every preparation makes:
     collapse and sample_index (DegenerateNorm), the retry cap
@@ -176,20 +180,20 @@ def prepare_chi(spec: GroupSpec, seed=None, mode: str = "sampled",
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     m = spec.order
-    # only a coprime column is ever collapsed, so the round keeps those alone:
+    # only a coprime column is ever collapsed, so the round keeps no other:
     # kept column i holds exponent coprime[i]
     coprime = [s for s in range(m) if gcd(s, m) == 1]
     acceptance = None
+    probs = np.empty(m)
     if mode == "exhaustive":
-        state = _superposed_round(spec, keep=coprime)
-        # each kept column is added in basis order, then the columns in the
-        # order of s
-        acceptance = float(sum(marginal_distribution(state)))
+        # the smallest coprime value is collapsed, so the round keeps its
+        # column alone; fsum rounds the acceptance once, in any order
+        state = _superposed_round(spec, probs, keep=coprime[:1])
+        acceptance = math.fsum(probs[coprime])
         observed = coprime[:1]
     else:
         # a bad seed is refused before the round
         rng = np.random.default_rng(seed)
-        probs = np.empty(m)
         state = _superposed_round(spec, probs, keep=coprime)
         observed = []
         for _ in range(max_attempts):

@@ -172,6 +172,10 @@ def _load_checked_chi(args, spec):
             f"chi file is for n={loaded_spec.modulus}, g={loaded_spec.generator}, "
             f"m={loaded_spec.order}; requested n={spec.modulus}, g={spec.generator}, "
             f"m={spec.order}")
+    # m = 1 stores power 1 as its residue 0
+    if (handle.power - 1) % spec.order != 0:
+        raise ArtifactMismatch(f"chi file {args.chi} holds power {handle.power}; "
+                               f"dlog needs power 1")
     fid = handle.verify()
     if not handle.verified:
         raise ArtifactMismatch(f"chi file fails verification: fidelity {fid}, "
@@ -183,6 +187,9 @@ def _cmd_dlog(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     spec = _group(args)
+    if args.x is not None:
+        # refused before the preparation or the chi file's load and verify
+        spec.index_of(args.x % args.n)
     lines: list[str] = []
     for trial in range(args.trials):
         trial_seed = args.seed + trial

@@ -9,20 +9,23 @@ transforms. A two-register state is built there, by div_x_apply, the one
 division, which writes the divided joint state of two one-register states
 straight into a fresh buffer, and, where a Fourier transform follows the
 division, transforms it block by block in the same pass and adds up register
-0's distribution as it goes. A run's pass keeps one column instead, and a
-preparation's round, in either mode, its coprime columns: a state whose
-register 0 holds those values, which collapse and marginal_distribution read
-like any other. The preparation's conversion is never held whole: it is a
+0's distribution as it goes. A run's pass keeps one column instead, as does
+an exhaustive preparation's round, and a sampled preparation's round its
+coprime columns: a state whose register 0 holds those values, which collapse
+and marginal_distribution read like any other. So a run and an exhaustive
+preparation hold a pass's fixed scratch (3 MiB) plus O(m), and a sampled
+preparation its 16 * m * phi(m) bytes of coprime columns beside that
+scratch. The preparation's conversion is never held whole: it is a
 _Rows, the rule for its grid's rows in the order of the division's walk,
 which factor_out writes a block at a time, in that order, into the scratch
 of its row sum and of its product check. Everything here returns new arrays.
 Only register 0 is ever read out, as in the procedure, where it is the
-exponent register: a run and a sampled preparation take its distribution
-from that pass, sample_index draws from it, and collapse measures it and
-keeps register 1. marginal_distribution, the one reader of register 0 in
-basis order, adds each column in that order, so the columns a pass kept
-read as they do in the whole distribution: a record's mass reads the one
-column a run kept, the exhaustive acceptance the coprime columns.
+exponent register: a run and a preparation take its distribution from that
+pass, sample_index draws from it, and collapse measures it and keeps
+register 1. marginal_distribution, the one reader of register 0 in basis
+order, adds each column in that order, so the columns a pass kept read as
+they do in the whole distribution: a record's mass reads the one column a
+run kept.
 Readout and factor_out work in blocks of rows, so none of them makes a
 temporary the size of a two-register state. The marginal, the norm, and
 factor_out, which splits off register 1 by summing the grid's rows and

@@ -11,10 +11,10 @@ Every division in the procedure is div_x_apply, the one operator that joins
 two registers: it takes a lone exponent register k of order m and a lone
 group register of order m, and writes the joint state with the latter
 divided by x**k straight into a fresh buffer, along the cycles of a single
-multiplier; a run keeps one exponent column of it instead, and a
-preparation's round, in either mode, its coprime columns (keep=). Those
-cycles come from group multiplication alone, never from a discrete-log
-lookup. The inputs are left alone. The preparation's power oracle,
+multiplier; a run and an exhaustive preparation's round keep one exponent
+column of it instead, and a sampled preparation's round its coprime columns
+(keep=). Those cycles come from group multiplication alone, never from a
+discrete-log lookup. The inputs are left alone. The preparation's power oracle,
 |r, y> -> |r, y * g**r>, is div_x_apply with x = g**-1, and its
 conversion, which divides by a register holding g**k raised to alpha, is
 the same division with x = g**alpha on that register written over
@@ -34,14 +34,17 @@ the same pass (qft=): each block is transformed while it is in cache, so the
 joint state goes through memory once. Each row is transformed exactly as one
 whole-array call transforms it, so the bits are those of qft_apply after the
 division. The same pass adds up the exponent register's distribution
-(marginal=), which a run and a sampled preparation draw from, so neither
-reads the joint state a second time for it. From 2**18 amplitudes on (a
+(marginal=), which a run and a sampled preparation draw from and an
+exhaustive preparation reads its acceptance from, so none of them reads the
+joint state a second time for it. From 2**18 amplitudes on (a
 joint state at m = 512) qstate._over_cores, which the readout and factor_out
 share, cuts the rows of every division into contiguous ranges of whole
 segments, one per core in the process's affinity mask; numpy releases the
 GIL inside its multiply and FFT, so one core's Python loop overlaps
 another's work. The ranges share one fixed scratch (_blocks), so a division
-holds at most 3 MiB beside its state on any core count. Every thread is
+holds at most 3 MiB beside its state on any core count: beside one kept
+column, a run's or an exhaustive preparation's, that scratch and O(m) are
+all it holds. Every thread is
 joined before the call returns, and the output, the distribution included,
 is the same on any core count.
 

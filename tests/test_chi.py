@@ -23,7 +23,7 @@ from chi_dlog.errors import (
     UnverifiedChi,
 )
 from chi_dlog.group import cyclic_group, mod_inverse, totient, validate_group
-from chi_dlog.qstate import QState, fidelity, marginal_distribution
+from chi_dlog.qstate import QState, fidelity
 
 Z5 = validate_group(5, 2)
 Z7 = validate_group(7, 3)
@@ -93,13 +93,17 @@ def test_prepare_exhaustive_acceptance_matches_totient_ratio():
         assert stats.acceptance_probability == pytest.approx(totient(m) / m, abs=1e-9)
 
 
-@pytest.mark.parametrize("n, g, recorded", [(101, 2, 0.4000000000000002),
-                                            (1019, 2, 0.4990176817288758),
-                                            (2003, 5, 0.35964035964036073)])
+# each case id ends in the value first recorded, so that the case keeps its name
+@pytest.mark.parametrize("n, g, recorded", [
+    pytest.param(101, 2, 0.4000000000000001, id="101-2-0.4000000000000002"),
+    pytest.param(1019, 2, 0.4990176817288804, id="1019-2-0.4990176817288758"),
+    pytest.param(2003, 5, 0.35964035964035956, id="2003-5-0.35964035964036073"),
+])
 def test_exhaustive_acceptance_keeps_its_recorded_bits(n, g, recorded):
-    # the round's coprime columns added in basis order, as marginal_distribution
-    # adds them, then over s; summed in the division's walk order the m = 100
-    # value reads 0.4000000000000003 and the m = 2002 one moves by 2.7e-15
+    # math.fsum of the coprime entries of the distribution the round adds up:
+    # one rounding, in any order, and within 2.2e-16 of phi(m) / m here.
+    # Read as the kept coprime columns' basis-order sums, added over s, these
+    # were the values the ids end in
     _, stats = prepare_chi(validate_group(n, g), mode="exhaustive")
     assert stats.acceptance_probability == recorded
 
@@ -279,11 +283,12 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
     # powers of g, that it joins the group register there and makes the
     # round's second transform as it builds the joint state. The round is
     # the one division a preparation makes: its conversion is never built
-    # whole, and factor_out builds its rows. In both modes the round keeps
-    # the coprime columns alone, the only ones a preparation collapses. In
-    # sampled mode it also adds up the whole marginal the preparation draws
-    # from, so no marginal_distribution call reads the joint state again; in
-    # exhaustive mode the acceptance is one read of all the kept columns
+    # whole, and factor_out builds its rows. In both modes the round adds up
+    # the whole marginal in the same pass, so no marginal_distribution call
+    # reads the joint state again: a sampled round draws from it and keeps
+    # the coprime columns, any of which the draw may accept; an exhaustive
+    # round sums its coprime entries into the acceptance and keeps the
+    # column of the smallest, the one it collapses
     calls = {"div_x_apply": [], "qft_apply": [], "marginal_distribution": []}
     rounds = []  # the marginal and the columns each round was given, and what it returned
 
@@ -306,9 +311,8 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
 
     for name in ("div_x_apply", "qft_apply"):
         monkeypatch.setattr(chi, name, counted(chi, name))
-    for module in (chi, qstate):
-        monkeypatch.setattr(module, "marginal_distribution",
-                            counted(qstate, "marginal_distribution"))
+    monkeypatch.setattr(qstate, "marginal_distribution",
+                        counted(qstate, "marginal_distribution"))
     spec = validate_group(n, g)
     m = spec.order
     # the whole round, as the kept columns and the marginal must read it
@@ -323,20 +327,15 @@ def test_prepare_simulates_the_round_once(monkeypatch, n, g, seed):
         assert stats.attempts >= (3 if mode == "sampled" else 1)
         (filled, keep, state), = rounds
         coprime = [s for s in range(m) if math.gcd(s, m) == 1]
-        assert keep == coprime
-        assert state.layout.dim(0) == len(coprime) < m
+        assert keep == (coprime if mode == "sampled" else [1])
+        assert state.layout.dim(0) == len(keep) < m
         assert np.array_equal(state.amplitudes.reshape(m, -1),
-                              whole.amplitudes.reshape(m, m)[:, coprime])
-        if mode == "sampled":
-            assert calls == {"div_x_apply": [(2, "forward")], "qft_apply": [(1, None)],
-                             "marginal_distribution": []}
-            assert np.abs(filled - basis_order).max() <= m * 2.0 ** -52
-        else:
-            assert calls == {"div_x_apply": [(2, "forward")], "qft_apply": [(1, None)],
-                             "marginal_distribution": [(2, len(coprime))]}
-            assert filled is None
-            assert stats.acceptance_probability == \
-                float(sum(basis_order[s] for s in coprime))
+                              whole.amplitudes.reshape(m, m)[:, keep])
+        assert calls == {"div_x_apply": [(2, "forward")], "qft_apply": [(1, None)],
+                         "marginal_distribution": []}
+        assert np.abs(filled - basis_order).max() <= m * 2.0 ** -52
+        if mode == "exhaustive":
+            assert stats.acceptance_probability == math.fsum(filled[coprime])
 
 
 def test_a_zero_drawn_column_is_refused_by_its_measured_exponent(monkeypatch):

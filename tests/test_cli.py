@@ -84,6 +84,22 @@ def test_a_negative_seed_exits_2_before_any_work(capsys, monkeypatch, argv):
     assert err == "error: --seed must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("source", ["--prepare", "--chi"])
+def test_an_x_outside_the_group_exits_2_before_any_work(capsys, monkeypatch, tmp_path,
+                                                         source):
+    # the run would refuse it only after an O(m**2) preparation, or after the
+    # chi file is loaded and verified
+    def never(*args, **kwargs):
+        raise AssertionError("the chi register was made")
+    monkeypatch.setattr(cli, "prepare_chi", never)
+    monkeypatch.setattr(cli, "load_chi", never)
+    argv = ["dlog", "--n", "4001", "--g", "3", "--x", "0"]
+    argv += [source] if source == "--prepare" else [source, str(tmp_path / "chi.txt")]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: 0 is not an element of {validate_group(4001, 3)}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["prepare-chi", "--n", "5", "--g", "2"],
     ["dlog", "--n", "5", "--g", "2", "--x", "3", "--prepare"],
@@ -228,6 +244,19 @@ def test_dlog_mislabeled_chi_power_exits_4(capsys, tmp_path):
                                     "--chi", str(path)])
     assert code == 4
     assert "fidelity" in err
+
+
+def test_dlog_chi_file_of_another_power_exits_4(capsys, tmp_path):
+    # a well-formed chi state of power 2 verifies against its own reference,
+    # but a run needs power 1: the file is the wrong artifact
+    from chi_dlog.chi import ChiHandle, chi_reference, save_chi
+
+    path = tmp_path / "chi.txt"
+    save_chi(ChiHandle(power=2, state=chi_reference(validate_group(7, 3), 2)), path)
+    code, out, err = run_cli(capsys, ["dlog", "--n", "7", "--g", "3", "--x", "2",
+                                      "--chi", str(path)])
+    assert (code, out) == (4, "")
+    assert err == f"error: chi file {path} holds power 2; dlog needs power 1\n"
 
 
 def test_dlog_reads_a_trivial_group_chi_file(capsys, tmp_path):

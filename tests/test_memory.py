@@ -1,20 +1,22 @@
-"""The memory contract: a preparation holds its round's coprime columns, a
-run none of its joint state.
+"""The memory contract: a sampled preparation holds its round's coprime
+columns, an exhaustive preparation and a run none of their joint states.
 
 tracemalloc sees numpy's buffers, so its peak is the largest amount of traced
 memory alive at once. The preparation's round transforms its state one block
-of rows at a time and keeps the phi(m) coprime columns alone, 16*m*phi(m)
-bytes, in either mode: a preparation only ever collapses a coprime column,
-and a sampled round adds up the whole marginal its draw needs in the same
-pass. Its readout and factor_out, with its product check, work in row blocks,
-and factor_out builds the conversion's rows block by block as it reads them,
-after the round's state is freed. Each of these passes shares one fixed
-scratch among its per-core ranges, at most 3 MiB on any core count, so every
-preparation peaks at 16*m*phi(m) bytes plus 3 MiB plus O(m). A run's pass
-keeps one column of its joint state, so a run holds the division's scratch
-and O(m), on its first run as on any other, and a live handle holds its
-register alone. Peak RSS also depends on where the allocator places those
-buffers, which a fresh process shows.
+of rows at a time and, in the same pass, adds up the whole marginal. A
+sampled round draws from it and keeps the phi(m) coprime columns, 16*m*phi(m)
+bytes, any of which its draw may accept; an exhaustive round sums the
+marginal's coprime entries into the acceptance and keeps the one column it
+collapses. factor_out, with its product check, works in row blocks and
+builds the conversion's rows block by block as it reads them, after the
+round's state is freed. Each of these passes shares one fixed scratch among
+its per-core ranges, at most 3 MiB on any core count, so a sampled
+preparation peaks at 16*m*phi(m) bytes plus 3 MiB plus O(m), and an
+exhaustive one at 3 MiB plus O(m), as a run does. A run's pass keeps one
+column of its joint state, so a run holds the division's scratch and O(m),
+on its first run as on any other, and a live handle holds its register
+alone. Peak RSS also depends on where the allocator places those buffers,
+which a fresh process shows.
 """
 
 import dataclasses
@@ -65,19 +67,22 @@ def traced_peak(fn):
     return result, peak
 
 
-def preparation_bytes(spec):
+def preparation_bytes(spec, mode):
     """The least and the most a preparation may allocate at once, in bytes.
 
-    Its round's phi(m) coprime columns, in either mode, are the least; the
-    most adds what a run may hold beside them: the division's scratch, at
-    most 3 MiB on any core count, and O(m).
+    A sampled round's phi(m) coprime columns are its least; its most adds
+    what a run may hold beside them: the division's scratch, at most 3 MiB
+    on any core count, and O(m). An exhaustive round keeps one column, its
+    least, and holds no more than a run.
     """
     m = spec.order
+    if mode == "exhaustive":
+        return 16 * m, kept_column_run_bytes(m)
     return 16 * m * totient(m), 16 * m * totient(m) + kept_column_run_bytes(m)
 
 
-def assert_preparation_peak(spec, peak, what="prepare_chi"):
-    least, most = preparation_bytes(spec)
+def assert_preparation_peak(spec, mode, peak, what="prepare_chi"):
+    least, most = preparation_bytes(spec, mode)
     assert least <= peak <= most, \
         f"{what} peaked at {peak / 2 ** 20:.2f} MiB, not in [{least / 2 ** 20:.2f}, " \
         f"{most / 2 ** 20:.2f}]"
@@ -101,8 +106,8 @@ def test_preparation_and_a_run_hold_one_state(mode):
     result, run = traced_peak(
         lambda: run_dlog(SPEC, handle, 5, mode=mode, seed=1))
     assert result.measured_p == result.oracle_p
-    # at least the round's columns themselves, so numpy's buffers are being traced
-    assert_preparation_peak(SPEC, prepare)
+    # at least the round's kept columns, so numpy's buffers are being traced
+    assert_preparation_peak(SPEC, mode, prepare)
     assert run <= kept_column_run_bytes(SPEC.order), \
         f"run_dlog peaked at {run / 2 ** 20:.2f} MiB"
 
@@ -181,13 +186,13 @@ def test_a_preparation_rebinding_a_live_handle_keeps_peak_rss_flat():
     assert growth * 1024 <= BIG_BYTES / 4, f"peak RSS (kB): {rss_kb}"
 
 
-def assert_fresh_preparation_holds_its_columns(mode):
-    # at m = 1450 the whole round would be 33.6 MB; the round keeps its 560
-    # coprime columns, 13.0 MB, and the conversion is never held whole, so a
-    # preparation and a run raise the peak RSS over what the imports take by
-    # those columns and at most a quarter of a state beside them. numpy loads
-    # numpy.random, 5.6 MB of it, on a sampled draw's first call, so it is
-    # imported before the first reading
+def assert_fresh_preparation_holds(mode, columns):
+    # at m = 1450 the whole round would be 33.6 MB, and the conversion is
+    # never held whole, so a preparation and a run raise the peak RSS over
+    # what the imports take by the round's kept columns, columns bytes, and
+    # at most a quarter of a state beside them. numpy loads numpy.random,
+    # 5.6 MB of it, on a sampled draw's first call, so it is imported before
+    # the first reading
     rss_kb = peak_rss_kb(f"""
         import numpy.random
         from chi_dlog.chi import prepare_chi
@@ -199,19 +204,21 @@ def assert_fresh_preparation_holds_its_columns(mode):
         run_dlog(spec, h, 5, mode="{mode}", seed=0)
         print(peak_kb())
     """)
-    columns = preparation_bytes(BIG)[0]
     growth = rss_kb[-1] - rss_kb[0]
     assert growth * 1024 <= columns + BIG_BYTES / 4, f"peak RSS (kB): {rss_kb}"
 
 
-def test_an_exhaustive_preparation_holds_its_coprime_columns_in_a_fresh_process():
-    assert_fresh_preparation_holds_its_columns("exhaustive")
+def test_an_exhaustive_preparation_holds_one_column_in_a_fresh_process():
+    # the round keeps the one column it collapses, 23 KB, and reads the
+    # acceptance from the marginal it adds up, so nothing of the 13.0 MB of
+    # coprime columns is held
+    assert_fresh_preparation_holds("exhaustive", 0)
 
 
 def test_a_sampled_preparation_holds_its_coprime_columns_in_a_fresh_process():
-    # its draw reads the whole marginal, which the round adds up as it keeps
-    # the columns, so it holds no more than an exhaustive one
-    assert_fresh_preparation_holds_its_columns("sampled")
+    # its draw may accept any of the 560 coprime columns, 13.0 MB, which the
+    # round keeps as it adds up the whole marginal the draw reads
+    assert_fresh_preparation_holds("sampled", preparation_bytes(BIG, "sampled")[0])
 
 
 def fresh_buffer_run(spec, chi_state, x):
@@ -225,12 +232,12 @@ def fresh_buffer_run(spec, chi_state, x):
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
 @pytest.mark.parametrize("spec", [SPEC, BIG], ids=["m=1008", "m=1450"])
 def test_a_live_handle_holds_its_register_alone(spec, mode):
-    # a preparation peaks at its round's coprime columns, and what is still
+    # a preparation peaks at its round's kept columns, and what is still
     # traced once it and a run return, with the handle alive, is O(m): those
     # columns are freed
     (handle, _), prepare, peak = traced_memory(
         lambda: prepare_chi(spec, seed=1, mode=mode))
-    assert_preparation_peak(spec, peak)
+    assert_preparation_peak(spec, mode, peak)
     _, run, _ = traced_memory(lambda: run_dlog(spec, handle, 5, mode=mode, seed=1))
     for what, held in (("prepare_chi", prepare), ("run_dlog", run)):
         assert held <= 256 * spec.order, f"{what} left {held} bytes traced"
@@ -258,7 +265,8 @@ def test_a_run_holds_one_column(spec, origin, tmp_path):
 @pytest.mark.parametrize("count", [1, 2, 8, 64])
 def test_the_peak_does_not_grow_with_the_cores(see_cores, count):
     # every split pass shares one fixed scratch among its per-core ranges,
-    # so on a many-core host the peak stays within the bounds of one core;
+    # so on a many-core host the peak stays within the bounds of one core,
+    # and an exhaustive preparation within those of a run;
     # a correct handle puts all of a run's mass on the true exponent, so a
     # sampled run measures the index the exhaustive run by hand does, though
     # it returns no marginal
@@ -266,7 +274,7 @@ def test_the_peak_does_not_grow_with_the_cores(see_cores, count):
     for spec, mode in itertools.product((SPEC, BIG), ("exhaustive", "sampled")):
         (handle, _), prepare = traced_peak(
             lambda: prepare_chi(spec, seed=1, mode=mode))
-        assert_preparation_peak(spec, prepare, f"{mode} prepare_chi on {count} cores")
+        assert_preparation_peak(spec, mode, prepare, f"{mode} prepare_chi on {count} cores")
         want_marginal, want_post = fresh_buffer_run(spec, handle.state, 5)
         result, run = traced_peak(lambda: run_dlog(spec, handle, 5, mode=mode, seed=1))
         assert result.measured_p == result.oracle_p

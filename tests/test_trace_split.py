@@ -90,11 +90,11 @@ def test_a_traced_run_records_one_qft_span_per_lone_register_transform(
 
 def test_a_traced_preparation_records_every_span_on_the_calling_thread(
         see_cores, started):
-    # the exhaustive preparation's four split passes, its division with the
-    # transform, which keeps the coprime columns, the acceptance's row sum
-    # over them, and factor_out's row sum and residual, which build the
-    # conversion's rows as they go, each run one part on the calling thread
-    # and one on each other core
+    # the exhaustive preparation's three split passes, its division with the
+    # transform, which adds up the marginal the acceptance is read from and
+    # keeps the one column it collapses, and factor_out's row sum and
+    # residual, which build the conversion's rows as they go, each run one
+    # part on the calling thread and one on each other core
     cores = 2
     see_cores(cores)
     span_threads = []
@@ -104,7 +104,7 @@ def test_a_traced_preparation_records_every_span_on_the_calling_thread(
         chi_dlog.prepare_chi(validate_group(1009, 11), seed=0, mode="exhaustive")
     finally:
         tracer.uninstall()
-    assert len(started) == 4 * (cores - 1)
+    assert len(started) == 3 * (cores - 1)
     assert tracer.count("qstate.factor_out") == 1
     assert len(span_threads) == len(tracer.spans)
     assert set(span_threads) == {threading.get_ident()}

@@ -410,12 +410,13 @@ def test_a_run_at_m_1008_leaves_no_thread_running(see_cores, started):
     handle, _ = prepare_chi(spec, seed=0, mode="exhaustive")
     run_dlog(spec, handle, 3, mode="exhaustive")
     # on two cores each split pass over a joint state starts one thread: the
-    # preparation's division with its transform, which keeps the coprime
-    # columns, the acceptance's row sum over them, and factor_out's row sum
-    # and residual, which build the conversion's rows as they go, then the
-    # run's division with its transform, which adds up the run's marginal as
-    # it goes. The lone registers' transforms (1008 amplitudes) start none
-    assert len(started) == 5
+    # preparation's division with its transform, which adds up the marginal
+    # the acceptance is read from and keeps the one column it collapses, and
+    # factor_out's row sum and residual, which build the conversion's rows as
+    # they go, then the run's division with its transform, which adds up the
+    # run's marginal as it goes. The lone registers' transforms (1008
+    # amplitudes) start none
+    assert len(started) == 4
     assert threading.active_count() == before
 
 
